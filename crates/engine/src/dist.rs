@@ -21,14 +21,17 @@
 //! ([`athena_store::fnv64`]). The conversation is strictly: worker sends `HELLO`;
 //! coordinator sends one `SHARD` (an indexed job list, jobs serialised by
 //! [`crate::wire::job_json`], plus the coordinator's profiling switch); worker answers
-//! one `EVENT` frame (the cell's buffered probe lines and, when profiling, its phase
-//! profile — `athena-dist-event-v1`) followed by one `RESULT` per cell — successful
-//! cells wrapped in the self-describing `athena-result-record-v1` envelope the result
-//! store writes — then `DONE`; coordinator closes the worker's stdin and the worker
-//! exits. `EVENT` frames are observability only: the coordinator parks them per cell and
-//! replays them into the `--events` log at the cell's deterministic merge point, so
-//! observation never feeds back into results. A dead worker's parked events are
-//! discarded with it — a partial shard never leaks half-true lines into the log.
+//! one `RESULT` per cell, then `DONE`; coordinator closes the worker's stdin and the
+//! worker exits. A `RESULT` carries everything the coordinator knows about the cell: its
+//! wall-clock, its phase profile when profiling is on, and either the error of a cell
+//! that panicked or the output wrapped in the self-describing `athena-result-record-v1`
+//! envelope the result store writes.
+//!
+//! Workers run every cell through the same runner as the in-process pool and emit no
+//! events of their own. The engine builds each cell's `cell_started`/`cell_finished`
+//! pair at merge from the `RESULT`, attributed to the worker's id and pid, so a
+//! distributed event log has the same bytes as an in-process one apart from that
+//! attribution — and a worker that dies mid-shard has nothing to leave in the log.
 //!
 //! # Failure discipline
 //!
@@ -58,17 +61,18 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use athena_probe::{metrics, CellOrigin, Event, Phase, PhaseProfile, ProbeSink};
+use athena_probe::{metrics, CellOrigin, Event, PhaseProfile, ProbeSink};
 use athena_store::fnv64;
 
+use crate::exec::{run_cell, CellOutcome};
 use crate::job::{Job, JobOutput};
 use crate::json::Json;
 use crate::report::{
-    phase_profile_from_json, u64_json, u64_value, DIST_DONE_SCHEMA, DIST_HELLO_SCHEMA,
-    DIST_RESULT_SCHEMA, DIST_SHARD_SCHEMA, EVENTS_SCHEMA, RESULT_RECORD_SCHEMA,
+    phase_profile_from_json, phase_profile_json, u64_json, u64_value, DIST_DONE_SCHEMA,
+    DIST_HELLO_SCHEMA, DIST_RESULT_SCHEMA, DIST_SHARD_SCHEMA, RESULT_RECORD_SCHEMA,
 };
 use crate::store::{record_key, StoreHandle};
-use crate::wire::{dist_event_from_json, dist_event_payload, job_from_json, job_json};
+use crate::wire::{job_from_json, job_json};
 
 /// Maximum attempts per cell before a repeatedly dying assignment fails the batch.
 pub const MAX_ATTEMPTS: u32 = 3;
@@ -86,7 +90,6 @@ const KIND_HELLO: u8 = 1;
 const KIND_SHARD: u8 = 2;
 const KIND_RESULT: u8 = 3;
 const KIND_DONE: u8 = 4;
-const KIND_EVENT: u8 = 5;
 
 /// Bytes of a frame's fixed header (`kind` + `len` + checksum), counted by the
 /// frame-byte metrics alongside the payload.
@@ -118,7 +121,7 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     if r.read(&mut kind)? == 0 {
         return Ok(None);
     }
-    if !(KIND_HELLO..=KIND_EVENT).contains(&kind[0]) {
+    if !(KIND_HELLO..=KIND_DONE).contains(&kind[0]) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unknown frame kind {}", kind[0]),
@@ -226,10 +229,9 @@ impl DistPool {
 
     /// Runs every job on the worker processes and returns one [`RemoteCell`] per job, in
     /// submission order: the cell's outcome (`Ok((output, worker-measured wall clock))`,
-    /// or `Err(message)` for a cell that panicked on a worker) together with its
-    /// observability sidecar — the worker it ran on, the probe event lines the worker
-    /// forwarded, and its phase profile when profiling is on. With `progress`, a live
-    /// per-worker status line is kept on stderr.
+    /// or `Err(message)` for a cell that panicked on a worker), the worker it ran on, and
+    /// its phase profile when profiling is on. With `progress`, a live per-worker status
+    /// line is kept on stderr.
     ///
     /// # Panics
     ///
@@ -242,6 +244,24 @@ impl DistPool {
         progress: bool,
         jobs: &[Job],
     ) -> Vec<RemoteCell> {
+        self.run_cells(probe, progress, jobs)
+            .into_iter()
+            .map(|(cell, origin)| RemoteCell {
+                outcome: cell.output.map(|output| (output, cell.wall)),
+                origin: Some(origin),
+                profile: cell.profile,
+            })
+            .collect()
+    }
+
+    /// [`DistPool::run_jobs`] as the engine consumes it: each cell's [`CellOutcome`] and
+    /// the worker that produced it, in submission order.
+    pub(crate) fn run_cells(
+        &self,
+        probe: Option<&ProbeSink>,
+        progress: bool,
+        jobs: &[Job],
+    ) -> Vec<(CellOutcome, CellOrigin)> {
         if jobs.is_empty() {
             return Vec::new();
         }
@@ -250,8 +270,7 @@ impl DistPool {
             probe,
             progress,
             jobs,
-            outcomes: vec![None; jobs.len()],
-            forwarded: (0..jobs.len()).map(|_| None).collect(),
+            outcomes: (0..jobs.len()).map(|_| None).collect(),
             filled: 0,
             attempts: vec![0u32; jobs.len()],
             workers: Vec::new(),
@@ -260,49 +279,24 @@ impl DistPool {
             started: Instant::now(),
         };
         batch.run();
-        let forwarded = std::mem::take(&mut batch.forwarded);
         batch
             .outcomes
             .drain(..)
-            .zip(forwarded)
-            .map(|(slot, events)| {
-                let (origin, profile, events) = match events {
-                    Some(f) => (Some(f.origin), f.profile, f.lines),
-                    None => (None, None, Vec::new()),
-                };
-                RemoteCell {
-                    outcome: slot.expect("every cell resolved"),
-                    origin,
-                    profile,
-                    events,
-                }
-            })
+            .map(|slot| slot.expect("every cell resolved"))
             .collect()
     }
 }
 
-/// One cell's result and observability sidecar as returned by [`DistPool::run_jobs`].
+/// One cell's result as returned by [`DistPool::run_jobs`].
 #[derive(Debug, Clone)]
 pub struct RemoteCell {
     /// The cell's outcome: output plus worker-measured wall clock, or the panic message.
     pub outcome: Result<(JobOutput, Duration), String>,
-    /// The worker that produced the merged answer (`None` only if the worker forwarded
-    /// no events — a pre-EVENT-frame worker binary).
+    /// The worker that produced the merged answer (always `Some`: every cell is answered
+    /// by a worker).
     pub origin: Option<CellOrigin>,
-    /// The cell's phase profile, parsed from the forwarded `cell_finished` event when
-    /// profiling is on.
+    /// The cell's phase profile, when profiling is on.
     pub profile: Option<PhaseProfile>,
-    /// The cell's forwarded probe event lines, rendered deterministic fragments ready
-    /// for [`ProbeSink::emit_rendered`] — worker attribution appended, `t_ms` stripped
-    /// (the coordinator's sink restamps it at merge).
-    pub events: Vec<String>,
-}
-
-/// A worker's buffered observability for one cell, parked until that cell merges.
-struct ForwardedCell {
-    origin: CellOrigin,
-    profile: Option<PhaseProfile>,
-    lines: Vec<String>,
 }
 
 // ---------------------------------------------------------------------------------------
@@ -328,6 +322,8 @@ struct Msg {
 
 struct Worker {
     id: usize,
+    /// The worker's OS pid, as `worker_joined` reports it and its cells' events carry it.
+    pid: u64,
     child: Child,
     /// Kept open until the worker's shard is done; dropping it signals the worker to
     /// exit its serve loop.
@@ -343,11 +339,7 @@ struct Batch<'a> {
     probe: Option<&'a ProbeSink>,
     progress: bool,
     jobs: &'a [Job],
-    outcomes: Vec<Option<Result<(JobOutput, Duration), String>>>,
-    /// Per-cell observability forwarded over `EVENT` frames, parked here until the
-    /// cell's `RESULT` merges (and discarded if its worker dies first — a dead worker's
-    /// partial events never reach the log).
-    forwarded: Vec<Option<ForwardedCell>>,
+    outcomes: Vec<Option<(CellOutcome, CellOrigin)>>,
     filled: usize,
     attempts: Vec<u32>,
     workers: Vec<Worker>,
@@ -404,7 +396,6 @@ impl Batch<'_> {
                 .expect("message from a known worker");
             match msg.body {
                 MsgBody::Frame(KIND_HELLO, payload) => self.check_hello(msg.worker, &payload),
-                MsgBody::Frame(KIND_EVENT, payload) => self.buffer_events(slot, &payload),
                 MsgBody::Frame(KIND_RESULT, payload) => self.merge_result(slot, &payload),
                 MsgBody::Frame(KIND_DONE, _) => {
                     self.workers[slot].finished = true;
@@ -435,9 +426,6 @@ impl Batch<'_> {
                     self.reassigned += unfinished.len();
                     metrics().cell_retries.add(unfinished.len() as u64);
                     for &i in &unfinished {
-                        // The dead worker's partial events must not outlive it: the
-                        // replacement worker re-runs the cell and re-forwards.
-                        self.forwarded[i] = None;
                         self.attempts[i] += 1;
                         assert!(
                             self.attempts[i] < MAX_ATTEMPTS,
@@ -489,10 +477,8 @@ impl Batch<'_> {
             });
         let mut stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
-        self.emit(&Event::WorkerJoined {
-            worker: id,
-            pid: child.id() as u64,
-        });
+        let pid = child.id() as u64;
+        self.emit(&Event::WorkerJoined { worker: id, pid });
         let payload = shard_payload(self.jobs, cells);
         self.emit(&Event::ShardDispatched {
             worker: id,
@@ -520,6 +506,7 @@ impl Batch<'_> {
         let shard_sent = write_frame(&mut stdin, KIND_SHARD, &payload);
         self.workers.push(Worker {
             id,
+            pid,
             child,
             stdin: Some(stdin),
             outstanding: cells.iter().copied().collect(),
@@ -544,82 +531,6 @@ impl Batch<'_> {
                 DIST_HELLO_SCHEMA.id()
             );
         }
-    }
-
-    /// Verifies and parks one `EVENT` frame: the probe lines a worker's cell emitted,
-    /// forwarded ahead of that cell's `RESULT`. The lines are validated (schema, kind,
-    /// cell identity — a checksum-valid frame whose content lies is corruption and
-    /// panics), rewritten from worker-local lines into deterministic fragments carrying
-    /// the worker's identity, and buffered until the cell merges.
-    fn buffer_events(&mut self, slot: usize, payload: &[u8]) {
-        let worker = self.workers[slot].id;
-        let doc = parse_payload(worker, payload);
-        let event = dist_event_from_json(&doc).unwrap_or_else(|e| {
-            panic!("distributed worker #{worker}: bad event frame: {e} — refusing to merge")
-        });
-        let index = event.index;
-        assert!(
-            self.workers[slot].outstanding.contains(&index),
-            "distributed worker #{worker} sent events for cell {index}, which it does not own"
-        );
-        let job = &self.jobs[index];
-        let label = job.label();
-        let mut profile = None;
-        let mut lines = Vec::with_capacity(event.lines.len());
-        for line in &event.lines {
-            let parsed = Json::parse(line).unwrap_or_else(|e| {
-                panic!(
-                    "distributed worker #{worker}: forwarded event line for cell {index} is \
-                     not JSON: {e}"
-                )
-            });
-            assert!(
-                EVENTS_SCHEMA.matches(&parsed),
-                "distributed worker #{worker}: forwarded event line does not declare \
-                 schema '{}': {line}",
-                EVENTS_SCHEMA.id()
-            );
-            let kind = parsed.get("kind").and_then(Json::as_str).unwrap_or("");
-            assert!(
-                matches!(kind, "cell_started" | "cell_finished" | "cell_panicked"),
-                "distributed worker #{worker}: forwarded a non-cell event '{kind}'"
-            );
-            assert_eq!(
-                parsed.get("label").and_then(Json::as_str),
-                Some(label.as_str()),
-                "distributed worker #{worker}: forwarded an event for the wrong cell \
-                 (frame says index {index} = '{label}'): {line}"
-            );
-            if kind == "cell_finished" {
-                if let Some(p) = parsed.get("profile") {
-                    profile = Some(phase_profile_from_json(p).unwrap_or_else(|e| {
-                        panic!(
-                            "distributed worker #{worker}: cell {index} forwarded an \
-                             undecodable profile: {e}"
-                        )
-                    }));
-                }
-            }
-            // Byte-faithful forwarding: keep the worker's rendering of the deterministic
-            // fields verbatim (re-rendering floats could change bytes), cut the worker-
-            // local `t_ms` tail, and append the attribution fields.
-            let cut = line.rfind(",\"t_ms\":").unwrap_or_else(|| {
-                panic!("distributed worker #{worker}: forwarded event line has no t_ms: {line}")
-            });
-            lines.push(format!(
-                "{},\"worker\":{worker},\"pid\":{}",
-                &line[1..cut],
-                event.pid
-            ));
-        }
-        self.forwarded[index] = Some(ForwardedCell {
-            origin: CellOrigin {
-                worker,
-                pid: event.pid,
-            },
-            profile,
-            lines,
-        });
     }
 
     /// Repaints the `--progress` status line with the distributed breakdown: overall
@@ -648,80 +559,108 @@ impl Batch<'_> {
     /// Verifies and merges one `RESULT` frame. Every mismatch in here is corruption — a
     /// checksum-valid frame whose *content* lies — and panics rather than merging.
     fn merge_result(&mut self, slot: usize, payload: &[u8]) {
-        let worker = self.workers[slot].id;
-        let doc = parse_payload(worker, payload);
+        let worker = &mut self.workers[slot];
+        let (id, pid) = (worker.id, worker.pid);
+        let (index, cell) = decode_result(id, &parse_payload(id, payload), self.jobs);
         assert!(
-            DIST_RESULT_SCHEMA.matches(&doc),
-            "distributed worker #{worker}: result frame does not declare schema '{}'",
-            DIST_RESULT_SCHEMA.id()
+            worker.outstanding.remove(&index),
+            "distributed worker #{id} answered cell {index}, which it does not own"
         );
-        let index = doc
-            .get("index")
-            .and_then(u64_value)
-            .unwrap_or_else(|| panic!("distributed worker #{worker}: result has no cell index"))
-            as usize;
-        assert!(
-            self.workers[slot].outstanding.remove(&index),
-            "distributed worker #{worker} answered cell {index}, which it does not own"
-        );
-        let job = &self.jobs[index];
-        let wall = Duration::from_nanos(doc.get("wall_nanos").and_then(u64_value).unwrap_or(0));
-        let outcome = if let Some(error) = doc.get("error") {
-            let message = error
-                .as_str()
-                .unwrap_or_else(|| {
-                    panic!("distributed worker #{worker}: non-string error for cell {index}")
-                })
-                .to_string();
-            Err(message)
-        } else {
-            let record = doc.get("record").unwrap_or_else(|| {
-                panic!("distributed worker #{worker}: result for cell {index} has no record")
-            });
-            assert!(
-                RESULT_RECORD_SCHEMA.matches(record),
-                "distributed worker #{worker}: cell {index} record does not declare \
-                 schema '{}'",
-                RESULT_RECORD_SCHEMA.id()
-            );
-            let key = record_key(job);
-            let sent_identity = record.get("identity").and_then(Json::as_hex_u64);
-            let sent_variant = record.get("variant").and_then(Json::as_hex_u64);
-            if sent_identity != Some(key.identity) || sent_variant != Some(key.variant) {
-                panic!(
-                    "distributed worker #{worker} sent a lying record for cell '{}': \
-                     claims key {}.{}, the job's key is {:016x}.{:016x} — refusing to merge",
-                    job.label(),
-                    sent_identity.map_or("?".into(), |v| format!("{v:016x}")),
-                    sent_variant.map_or("?".into(), |v| format!("{v:016x}")),
-                    key.identity,
-                    key.variant
-                );
-            }
-            let output = record
-                .get("output")
-                .ok_or("record has no 'output' field".to_string())
-                .and_then(crate::report::job_output_from_json)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "distributed worker #{worker}: record for cell '{}' does not \
-                         decode: {e}",
-                        job.label()
-                    )
-                });
-            Ok((output, wall))
-        };
         assert!(
             self.outcomes[index].is_none(),
             "cell {index} resolved twice — workers overlapped"
         );
-        self.outcomes[index] = Some(outcome);
+        let wall_nanos = cell.wall.as_nanos() as u64;
+        self.outcomes[index] = Some((cell, CellOrigin { worker: id, pid }));
         self.filled += 1;
-        metrics().cell_wall_nanos.record(wall.as_nanos() as u64);
-        metrics().record_worker_cell(worker, wall.as_nanos() as u64);
-        *self.completed.entry(worker).or_insert(0) += 1;
+        metrics().cell_wall_nanos.record(wall_nanos);
+        metrics().record_worker_cell(id, wall_nanos);
+        *self.completed.entry(id).or_insert(0) += 1;
         self.print_progress();
     }
+}
+
+/// Decodes one `RESULT` frame from `worker` into the index of the cell it answers and
+/// that cell's outcome. Every field that is missing, mistyped or lying — the schema, the
+/// index, `wall_nanos`, the profile, the record and its key — is corruption and panics,
+/// naming the worker and the cell, rather than merging a made-up value.
+fn decode_result(worker: usize, doc: &Json, jobs: &[Job]) -> (usize, CellOutcome) {
+    assert!(
+        DIST_RESULT_SCHEMA.matches(doc),
+        "distributed worker #{worker}: result frame does not declare schema '{}'",
+        DIST_RESULT_SCHEMA.id()
+    );
+    let index = doc
+        .get("index")
+        .and_then(u64_value)
+        .unwrap_or_else(|| panic!("distributed worker #{worker}: result has no cell index"))
+        as usize;
+    let job = jobs.get(index).unwrap_or_else(|| {
+        panic!("distributed worker #{worker} answered cell {index}, which does not exist")
+    });
+    let wall = doc
+        .get("wall_nanos")
+        .and_then(u64_value)
+        .map(Duration::from_nanos)
+        .unwrap_or_else(|| {
+            panic!(
+                "distributed worker #{worker}: result for cell {index} has no integer \
+                 'wall_nanos'"
+            )
+        });
+    let profile = doc.get("profile").map(|p| {
+        phase_profile_from_json(p).unwrap_or_else(|e| {
+            panic!("distributed worker #{worker}: cell {index} sent an undecodable profile: {e}")
+        })
+    });
+    let output = if let Some(error) = doc.get("error") {
+        let message = error.as_str().unwrap_or_else(|| {
+            panic!("distributed worker #{worker}: non-string error for cell {index}")
+        });
+        Err(message.to_string())
+    } else {
+        let record = doc.get("record").unwrap_or_else(|| {
+            panic!("distributed worker #{worker}: result for cell {index} has no record")
+        });
+        assert!(
+            RESULT_RECORD_SCHEMA.matches(record),
+            "distributed worker #{worker}: cell {index} record does not declare schema '{}'",
+            RESULT_RECORD_SCHEMA.id()
+        );
+        let key = record_key(job);
+        let sent_identity = record.get("identity").and_then(Json::as_hex_u64);
+        let sent_variant = record.get("variant").and_then(Json::as_hex_u64);
+        if sent_identity != Some(key.identity) || sent_variant != Some(key.variant) {
+            panic!(
+                "distributed worker #{worker} sent a lying record for cell '{}': claims key \
+                 {}.{}, the job's key is {:016x}.{:016x} — refusing to merge",
+                job.label(),
+                sent_identity.map_or("?".into(), |v| format!("{v:016x}")),
+                sent_variant.map_or("?".into(), |v| format!("{v:016x}")),
+                key.identity,
+                key.variant
+            );
+        }
+        let output = record
+            .get("output")
+            .ok_or("record has no 'output' field".to_string())
+            .and_then(crate::report::job_output_from_json)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "distributed worker #{worker}: record for cell '{}' does not decode: {e}",
+                    job.label()
+                )
+            });
+        Ok(output)
+    };
+    (
+        index,
+        CellOutcome {
+            output,
+            wall,
+            profile,
+        },
+    )
 }
 
 fn parse_payload(worker: usize, payload: &[u8]) -> Json {
@@ -807,20 +746,10 @@ fn die_hard() -> ! {
     std::process::abort();
 }
 
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
-    }
-}
-
 /// Runs the worker serve loop over this process's stdin/stdout until the coordinator
-/// closes the pipe: handshake, then one shard at a time — run every cell (panics caught
-/// per cell, exactly like the in-process pool), stream one `RESULT` frame per cell and a
-/// `DONE` frame per shard.
+/// closes the pipe: handshake, then one shard at a time — run every cell through the
+/// in-process pool's own cell runner (panics caught per cell), stream one `RESULT` frame
+/// per cell and a `DONE` frame per shard.
 ///
 /// The harness CLIs call this under their `--worker` flag; any binary that does the same
 /// can serve a [`DistPool`].
@@ -836,14 +765,9 @@ pub fn serve() {
     let stdout = io::stdout();
     let mut input = stdin.lock();
     let mut output = io::BufWriter::new(stdout.lock());
-    let pid = std::process::id() as u64;
-    let hello = DIST_HELLO_SCHEMA.document(vec![("pid", u64_json(pid))]);
+    let hello = DIST_HELLO_SCHEMA.document(vec![("pid", u64_json(std::process::id() as u64))]);
     write_frame(&mut output, KIND_HELLO, hello.to_string().as_bytes())
         .expect("worker cannot write its handshake");
-    // Cells run under an in-memory probe sink; each cell's lines are drained into one
-    // EVENT frame sent just before that cell's RESULT, so the coordinator always has a
-    // cell's observability by the time the cell merges.
-    let local_probe = ProbeSink::buffered();
     loop {
         let frame = read_frame(&mut input).unwrap_or_else(|e| {
             panic!("worker: cannot read from the coordinator: {e}");
@@ -875,65 +799,24 @@ pub fn serve() {
                 .expect("worker: shard cell has no index");
             let job = job_from_json(cell.get("job").expect("worker: shard cell has no job"))
                 .unwrap_or_else(|e| panic!("worker: cannot reconstruct cell {index}: {e}"));
-            local_probe.emit(&Event::CellStarted {
-                experiment: job.experiment.clone(),
-                label: job.label(),
-                origin: None,
-            });
-            // Mirror the in-process executor: a fresh cell accrual, wall-clock measured
-            // co-extensively with the `Dispatch` root span.
-            let stashed = athena_probe::swap_cell(PhaseProfile::new());
-            let start = Instant::now();
             let faulty = faults
                 .panic_label
                 .as_deref()
                 .is_some_and(|needle| job.label().contains(needle));
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let outcome = run_cell(&job, || {
                 if faulty {
                     panic!("injected worker fault: cell panics");
                 }
-                let _span = athena_probe::span(Phase::Dispatch);
-                job.run()
-            }))
-            .map_err(panic_message);
-            let wall = start.elapsed();
-            let profile = athena_probe::swap_cell(stashed);
-            match &outcome {
-                Ok(_) => local_probe.emit(&Event::CellFinished {
-                    experiment: job.experiment.clone(),
-                    label: job.label(),
-                    wall_ms: wall.as_secs_f64() * 1e3,
-                    profile: (!profile.is_empty()).then_some(profile),
-                    origin: None,
-                }),
-                Err(message) => local_probe.emit(&Event::CellPanicked {
-                    experiment: job.experiment.clone(),
-                    label: job.label(),
-                    error: message.clone(),
-                    origin: None,
-                }),
-            }
-            let lines = local_probe.take_lines();
-            write_frame(
-                &mut output,
-                KIND_EVENT,
-                &dist_event_payload(index, pid, &lines),
-            )
-            .expect("worker: cannot write an event frame");
+            });
             let mut fields = vec![
                 ("index", u64_json(index)),
-                ("wall_nanos", u64_json(wall.as_nanos() as u64)),
+                ("wall_nanos", u64_json(outcome.wall.as_nanos() as u64)),
             ];
-            let record_doc;
-            match &outcome {
-                Ok(output) => {
-                    record_doc = Json::parse(
-                        std::str::from_utf8(&StoreHandle::encode(&job, output))
-                            .expect("record payloads are UTF-8"),
-                    )
-                    .expect("record payloads are JSON");
-                    fields.push(("record", record_doc));
-                }
+            if let Some(profile) = &outcome.profile {
+                fields.push(("profile", phase_profile_json(profile)));
+            }
+            match &outcome.output {
+                Ok(output) => fields.push(("record", record_json(&job, output))),
                 Err(message) => fields.push(("error", Json::str(message))),
             }
             let result = DIST_RESULT_SCHEMA.document(fields).to_string().into_bytes();
@@ -953,6 +836,14 @@ pub fn serve() {
         write_frame(&mut output, KIND_DONE, done.to_string().as_bytes())
             .expect("worker: cannot write the DONE frame");
     }
+}
+
+/// A successful cell's `RESULT` record: the same self-describing envelope the result
+/// store writes for it.
+fn record_json(job: &Job, output: &JobOutput) -> Json {
+    let payload = StoreHandle::encode(job, output);
+    Json::parse(std::str::from_utf8(&payload).expect("record payloads are UTF-8"))
+        .expect("record payloads are JSON")
 }
 
 /// Fault injection: a frame whose checksum was computed over the honest payload but
@@ -1026,6 +917,85 @@ mod tests {
         huge.extend(0u64.to_le_bytes());
         let err = read_frame(&mut io::Cursor::new(huge)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    fn tiny_job() -> Job {
+        use crate::kinds::{CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
+        Job::single(
+            "dist-unit",
+            athena_workloads::all_workloads().remove(0),
+            SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet),
+            CoordinatorKind::Athena,
+            2_000,
+        )
+    }
+
+    fn result_doc(fields: Vec<(&str, Json)>) -> Json {
+        DIST_RESULT_SCHEMA.document(fields)
+    }
+
+    /// The panic message of `decode_result` on `doc`, which must panic.
+    fn decode_panic(doc: &Json, jobs: &[Job]) -> String {
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode_result(7, doc, jobs)))
+                .expect_err("a corrupt result must not decode");
+        crate::pool::panic_message(err.as_ref())
+    }
+
+    #[test]
+    fn result_frames_decode_to_the_cell_the_worker_ran() {
+        let jobs = vec![tiny_job()];
+        let mut profile = PhaseProfile::new();
+        profile.add(athena_probe::Phase::Dispatch, 1, 1_234);
+        let output = jobs[0].run();
+        let doc = result_doc(vec![
+            ("index", u64_json(0)),
+            ("wall_nanos", u64_json(5_000_001)),
+            ("profile", phase_profile_json(&profile)),
+            ("record", record_json(&jobs[0], &output)),
+        ]);
+        let (index, cell) = decode_result(7, &doc, &jobs);
+        assert_eq!(index, 0);
+        assert_eq!(cell.wall, Duration::from_nanos(5_000_001));
+        assert_eq!(cell.profile, Some(profile));
+        assert_eq!(cell.output, Ok(output));
+
+        let failed = result_doc(vec![
+            ("index", u64_json(0)),
+            ("wall_nanos", u64_json(9)),
+            ("error", Json::str("boom")),
+        ]);
+        let (_, cell) = decode_result(7, &failed, &jobs);
+        assert_eq!(cell.output, Err("boom".to_string()));
+        assert_eq!(cell.profile, None);
+    }
+
+    #[test]
+    fn a_result_without_an_integer_wall_or_with_a_bad_profile_panics_loudly() {
+        let jobs = vec![tiny_job()];
+        let base = || vec![("index", u64_json(0)), ("error", Json::str("boom"))];
+        let mut cases = vec![("no wall_nanos", result_doc(base()))];
+        let mut fractional = base();
+        fractional.push(("wall_nanos", Json::num(1.5)));
+        cases.push(("fractional wall_nanos", result_doc(fractional)));
+        let mut textual = base();
+        textual.push(("wall_nanos", Json::str("soon")));
+        cases.push(("textual wall_nanos", result_doc(textual)));
+        let mut bad_profile = base();
+        bad_profile.push(("wall_nanos", u64_json(1)));
+        bad_profile.push(("profile", Json::obj(vec![("phases", Json::num(3.0))])));
+        cases.push(("undecodable profile", result_doc(bad_profile)));
+        for (what, doc) in cases {
+            let message = decode_panic(&doc, &jobs);
+            assert!(
+                message.contains("worker #7") && message.contains("cell 0"),
+                "{what}: the panic must name the worker and the cell: {message}"
+            );
+        }
+        let mut stray = base();
+        stray[0] = ("index", u64_json(5));
+        stray.push(("wall_nanos", u64_json(1)));
+        assert!(decode_panic(&result_doc(stray), &jobs).contains("cell 5"));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The [`Engine`]: runs a batch of [`Job`]s on the worker pool and collects per-cell
 //! results in submission order.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -9,7 +10,7 @@ use athena_sim::MultiCoreResult;
 
 use crate::dist::DistPool;
 use crate::job::{Job, JobOutput, RunResult};
-use crate::pool::{available_parallelism, parallel_map, PoolOutcome};
+use crate::pool::{available_parallelism, panic_message, parallel_map};
 use crate::record;
 use crate::store::StoreHandle;
 
@@ -170,82 +171,65 @@ impl Engine {
         let hits = jobs.len() - total;
         metrics().cells_cached.add(hits as u64);
         metrics().cells_simulated.add(total as u64);
-        let done = AtomicUsize::new(0);
-        let batch_start = Instant::now();
         if let Some(pool) = &self.dist {
             // Distributed execution: the misses run on worker processes; everything
             // around them (store, events, merge, recording) is the same code path below.
-            // Workers measure each cell's wall-clock and forward their probe events and
-            // phase profiles over the wire; the coordinator replays the forwarded lines
-            // at the same deterministic merge points an in-process run would use.
-            let remote = pool.run_jobs(self.probe.as_ref(), self.progress, &misses);
+            let remote = pool.run_cells(self.probe.as_ref(), self.progress, &misses);
             if self.progress && !remote.is_empty() {
                 eprintln!();
             }
-            let mut forwarded = Vec::with_capacity(remote.len());
-            let outcomes = remote
+            let fresh = remote
                 .into_iter()
-                .map(|cell| {
-                    forwarded.push((cell.origin, cell.events));
-                    cell.outcome
-                        .map(|(output, wall)| ((output, wall, cell.profile), wall))
-                })
+                .map(|(cell, origin)| (cell, Some(origin)))
                 .collect();
-            return self.merge(jobs, cached, misses, outcomes, forwarded);
+            return self.merge(jobs, cached, misses, fresh);
         }
-        let outcomes = parallel_map(self.jobs, &misses, |job| {
-            // Stash the calling thread's accrual so the serial (`jobs == 1`) path does
-            // not fold the engine's own store-fetch/merge time into a cell's profile.
-            let stashed = athena_probe::swap_cell(PhaseProfile::new());
-            // The cell's wall-clock is measured co-extensively with the `Dispatch` root
-            // span (not around the whole pool closure): on an oversubscribed host a
-            // worker can sit descheduled between claiming a job and actually starting
-            // it, and that queueing delay belongs to the batch, not the cell — counting
-            // it made `phase total / wall` coverage collapse for small cells.
-            let cell_start = Instant::now();
-            let output = {
-                let _span = athena_probe::span(Phase::Dispatch);
-                job.run()
-            };
-            let wall = cell_start.elapsed();
-            metrics().cell_wall_nanos.record(wall.as_nanos() as u64);
-            let profile = athena_probe::swap_cell(stashed);
+        let done = AtomicUsize::new(0);
+        let batch_start = Instant::now();
+        let fresh = parallel_map(self.jobs, &misses, |job| {
+            let cell = run_cell(job, || {});
+            metrics()
+                .cell_wall_nanos
+                .record(cell.wall.as_nanos() as u64);
             if self.progress {
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                 let elapsed = batch_start.elapsed().as_secs_f64();
                 let eta = elapsed / n as f64 * (total - n) as f64;
                 eprint!("\r[{n}/{total} cells simulated, {hits} cached, ~{eta:.0}s left]  ");
             }
-            (output, wall, (!profile.is_empty()).then_some(profile))
-        });
+            cell
+        })
+        .into_iter()
+        .map(|outcome| {
+            let (cell, _) = outcome.expect("run_cell catches the cell's own panics");
+            (cell, None)
+        })
+        .collect();
         if self.progress && total > 0 {
             eprintln!();
         }
-        self.merge(jobs, cached, misses, outcomes, Vec::new())
+        self.merge(jobs, cached, misses, fresh)
     }
 
     /// The shared tail of [`Engine::run`] for both executors: persist newly simulated
     /// successes, merge outcomes back into submission order, emit per-cell events and
     /// forward the batch to any active recording scope.
     ///
-    /// `forwarded` carries, per miss (in submission order), the cell's distributed
-    /// origin and the pre-rendered probe lines its worker streamed back — empty for the
-    /// in-process executor. When a miss has forwarded lines they are replayed verbatim
-    /// into the sink (preserving the worker's own byte rendering); otherwise the
-    /// coordinator synthesizes the lifecycle pair itself.
+    /// `fresh` carries, per miss (in submission order), the cell's outcome and — for a
+    /// cell that ran on a distributed worker — its origin. Every simulated cell's
+    /// lifecycle events are built here from its [`CellResult`], whichever executor ran it.
     fn merge(
         &self,
         jobs: Vec<Job>,
         cached: Vec<Option<JobOutput>>,
         misses: Vec<Job>,
-        outcomes: Vec<PoolOutcome<(JobOutput, Duration, Option<PhaseProfile>)>>,
-        forwarded: Vec<(Option<CellOrigin>, Vec<String>)>,
+        fresh: Vec<(CellOutcome, Option<CellOrigin>)>,
     ) -> Vec<CellResult> {
         if let Some(handle) = &self.store {
             let mut persisted = 0usize;
             let persist_start = Instant::now();
-            for (job, outcome) in misses.iter().zip(&outcomes) {
-                if let Ok(((output, _, _), _)) = outcome {
+            for (job, (cell, _)) in misses.iter().zip(&fresh) {
+                if let Ok(output) = &cell.output {
                     handle.persist(job, output);
                     persisted += 1;
                 }
@@ -259,9 +243,7 @@ impl Engine {
                 sink.emit(&Event::StorePersist { cells: persisted });
             }
         }
-        let (origins, forwarded_lines): (Vec<_>, Vec<_>) = forwarded.into_iter().unzip();
-        let mut fresh = outcomes.into_iter();
-        let mut origins = origins.into_iter();
+        let mut fresh = fresh.into_iter();
         let merge_span = athena_probe::span(Phase::Merge);
         let cells: Vec<CellResult> = jobs
             .into_iter()
@@ -270,13 +252,9 @@ impl Engine {
                 let (output, wall, cached, profile, origin) = match hit {
                     Some(output) => (Ok(output), Duration::ZERO, true, None, None),
                     None => {
-                        let origin = origins.next().unwrap_or(None);
-                        match fresh.next().expect("one simulated outcome per miss") {
-                            // The cell-scoped wall from the closure, not the pool's outer
-                            // timing (which includes worker queueing delay).
-                            Ok(((output, wall, profile), _)) => {
-                                (Ok(output), wall, false, profile, origin)
-                            }
+                        let (cell, origin) = fresh.next().expect("one simulated outcome per miss");
+                        match cell.output {
+                            Ok(output) => (Ok(output), cell.wall, false, cell.profile, origin),
                             Err(message) => (Err(message), Duration::ZERO, false, None, origin),
                         }
                     }
@@ -295,20 +273,7 @@ impl Engine {
             .collect();
         drop(merge_span);
         if let Some(sink) = &self.probe {
-            let mut fwd = forwarded_lines
-                .into_iter()
-                .chain(std::iter::repeat_with(Vec::new));
             for cell in cells.iter().filter(|c| !c.cached) {
-                let lines = fwd.next().expect("repeat_with is infinite");
-                if !lines.is_empty() {
-                    // Replay the worker's own rendering byte-for-byte (only the
-                    // coordinator-local `t_ms` stamp is fresh), so a distributed log
-                    // never diverges from the worker's floats.
-                    for line in &lines {
-                        sink.emit_rendered(line);
-                    }
-                    continue;
-                }
                 sink.emit(&Event::CellStarted {
                     experiment: cell.experiment.clone(),
                     label: cell.label.clone(),
@@ -360,7 +325,7 @@ pub struct CellResult {
     /// Per-phase hot-path profile of the cell's execution, when profiling
     /// ([`athena_probe::set_profiling`]) was on while it simulated. Always `None` for
     /// cached cells — a stored result costs no simulation time. For distributed cells
-    /// this is the worker's own accrual, forwarded over the wire.
+    /// this is the worker's own accrual, returned in the cell's `RESULT` frame.
     pub profile: Option<PhaseProfile>,
     /// The distributed worker (id + pid) that simulated the cell; `None` for in-process
     /// and cached cells.
@@ -394,6 +359,43 @@ impl CellResult {
             Ok(JobOutput::Single(_)) => panic!("cell '{}' is single-core", self.label),
             Err(e) => panic!("cell '{}' failed: {e}", self.label),
         }
+    }
+}
+
+/// What one simulated cell produced, as measured by [`run_cell`]: the output (or the
+/// panic message), the cell's wall-clock, and its phase profile when profiling is on.
+#[derive(Debug)]
+pub(crate) struct CellOutcome {
+    pub output: Result<JobOutput, String>,
+    pub wall: Duration,
+    pub profile: Option<PhaseProfile>,
+}
+
+/// Runs one cell the same way on every executor — the in-process pool and a distributed
+/// worker's serve loop: a fresh profile accrual, the wall-clock measured co-extensively
+/// with the `Dispatch` root span, and a panic caught as the cell's `Err` outcome.
+/// `prelude` runs inside that catch just before the job; the worker's fault injection
+/// uses it to fail a real cell, every other caller passes `|| {}`.
+pub(crate) fn run_cell(job: &Job, prelude: impl FnOnce()) -> CellOutcome {
+    // Stash the calling thread's accrual so the serial (`jobs == 1`) path does not fold
+    // the engine's own store-fetch/merge time into a cell's profile.
+    let stashed = athena_probe::swap_cell(PhaseProfile::new());
+    // The wall-clock starts here, not when a pool worker claims the job: on an
+    // oversubscribed host a worker can sit descheduled in between, and that queueing
+    // delay belongs to the batch, not the cell.
+    let start = Instant::now();
+    let output = catch_unwind(AssertUnwindSafe(|| {
+        prelude();
+        let _span = athena_probe::span(Phase::Dispatch);
+        job.run()
+    }))
+    .map_err(|panic| panic_message(panic.as_ref()));
+    let wall = start.elapsed();
+    let profile = athena_probe::swap_cell(stashed);
+    CellOutcome {
+        output,
+        wall,
+        profile: (!profile.is_empty()).then_some(profile),
     }
 }
 

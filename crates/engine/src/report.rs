@@ -58,14 +58,11 @@ pub const SIM_BENCH_SCHEMA: Schema = Schema::new("sim-bench", 1);
 pub const DIST_HELLO_SCHEMA: Schema = Schema::new("dist-hello", 1);
 /// Schema of a coordinator→worker shard frame: the indexed job list one worker runs.
 pub const DIST_SHARD_SCHEMA: Schema = Schema::new("dist-shard", 1);
-/// Schema of a worker→coordinator per-cell result frame (wraps the
-/// [`RESULT_RECORD_SCHEMA`] envelope for successful cells).
+/// Schema of a worker→coordinator per-cell result frame: wall-clock, phase profile when
+/// profiling, and the error or the [`RESULT_RECORD_SCHEMA`] envelope of the cell.
 pub const DIST_RESULT_SCHEMA: Schema = Schema::new("dist-result", 1);
 /// Schema of a worker's end-of-shard frame.
 pub const DIST_DONE_SCHEMA: Schema = Schema::new("dist-done", 1);
-/// Schema of a worker→coordinator event-forwarding frame: the probe lines one cell
-/// emitted on the worker, shipped ahead of that cell's `RESULT` frame.
-pub const DIST_EVENT_SCHEMA: Schema = Schema::new("dist-event", 1);
 /// Schema of a metrics-registry snapshot ([`metrics_snapshot_json`]), embedded as the
 /// `metrics` object of run reports and readable standalone by `results metrics`.
 pub const METRICS_SCHEMA: Schema = Schema::new("metrics", 1);
@@ -155,7 +152,7 @@ pub fn phase_profile_json(p: &athena_probe::PhaseProfile) -> Json {
 
 /// Parses a [`phase_profile_json`] document back into a profile — the deserialisation
 /// half the distributed coordinator uses when a worker's per-cell profile arrives inside
-/// a forwarded `cell_finished` event.
+/// its `RESULT` frame. Lossless: re-serialising the parsed profile gives the same bytes.
 pub fn phase_profile_from_json(doc: &Json) -> Result<athena_probe::PhaseProfile, String> {
     let Some(Json::Obj(phases)) = doc.get("phases") else {
         return Err("profile has no 'phases' object".to_string());

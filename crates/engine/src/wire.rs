@@ -27,58 +27,7 @@ use athena_workloads::{MixCategory, Pattern, Suite, WorkloadMix, WorkloadSpec};
 use crate::job::{FileWorkload, Job, SeedPolicy, TelemetrySpec, WorkloadRef};
 use crate::json::Json;
 use crate::kinds::{CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
-use crate::report::{u64_json, u64_value, DIST_EVENT_SCHEMA};
-
-// ---------------------------------------------------------------------------------------
-// Worker event forwarding (the EVENT frame payload of `crate::dist`).
-// ---------------------------------------------------------------------------------------
-
-/// The decoded payload of one worker→coordinator `EVENT` frame: the probe lines one cell
-/// emitted while running on the worker, plus enough identity to attribute them.
-pub(crate) struct DistEvent {
-    /// The cell's batch index (must be outstanding on the sending worker).
-    pub index: usize,
-    /// The worker's OS pid, stamped onto the forwarded lines.
-    pub pid: u64,
-    /// The cell's rendered event lines, verbatim as the worker's local sink wrote them.
-    pub lines: Vec<String>,
-}
-
-/// Builds the `EVENT` frame payload for one cell's buffered probe lines.
-pub(crate) fn dist_event_payload(index: u64, pid: u64, lines: &[String]) -> Vec<u8> {
-    DIST_EVENT_SCHEMA
-        .document(vec![
-            ("index", u64_json(index)),
-            ("pid", u64_json(pid)),
-            ("lines", Json::arr(lines.iter().map(Json::str).collect())),
-        ])
-        .to_string()
-        .into_bytes()
-}
-
-/// Decodes an `EVENT` frame payload built by [`dist_event_payload`].
-pub(crate) fn dist_event_from_json(doc: &Json) -> Result<DistEvent, String> {
-    if !DIST_EVENT_SCHEMA.matches(doc) {
-        return Err(format!(
-            "event frame does not declare schema '{}'",
-            DIST_EVENT_SCHEMA.id()
-        ));
-    }
-    Ok(DistEvent {
-        index: usize_field(doc, "index")?,
-        pid: u64_field(doc, "pid")?,
-        lines: field(doc, "lines")?
-            .as_array()
-            .ok_or("field 'lines' is not an array")?
-            .iter()
-            .map(|l| {
-                l.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| "event lines must be strings".to_string())
-            })
-            .collect::<Result<_, String>>()?,
-    })
-}
+use crate::report::{u64_json, u64_value};
 
 // ---------------------------------------------------------------------------------------
 // AthenaConfig round trip (moved here from the tune crate, which re-exports it: the

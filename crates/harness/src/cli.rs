@@ -49,8 +49,9 @@ run options:
                       frames, retries cells whose worker dies, and merges results in
                       submission order, so tables are byte-identical at any worker
                       count and under worker failure. The store, event log and merge
-                      stay on the coordinator; workers forward their cell events and
-                      phase profiles back over the wire, so --events and --profile
+                      stay on the coordinator; workers return each cell's wall-clock
+                      and phase profile with its result, which the coordinator logs
+                      as the cell's events at merge, so --events and --profile
                       compose with --workers. Incompatible with --bench-report
   --worker            internal: run as a worker process serving shards on stdin/stdout;
                       spawned by a `--workers` coordinator, never useful by hand

@@ -13,8 +13,8 @@
 //!   written as CSV/JSON. Every experiment enumerates its simulation cells as jobs on the
 //!   `athena-engine` worker pool; [`RunOptions::jobs`] picks the worker count and the
 //!   results are bit-identical at any value;
-//! * the `figures` binary — `cargo run --release -p athena-harness --bin figures -- --fig
-//!   fig7 --jobs 8`;
+//! * the `figures` binary (built by the umbrella package, like every CLI that drives
+//!   this crate) — `cargo run --release --bin figures -- --fig fig7 --jobs 8`;
 //! * the `trace` binary — records workloads to on-disk trace files (`trace record --quick
 //!   --out traces/`), inspects them (`trace info` / `trace stats`) and converts between
 //!   the binary and text formats (`trace convert`); recorded directories replay through

@@ -11,12 +11,11 @@
 //! of the same batch at different `--jobs` values are byte-identical once the fields in
 //! [`WALL_CLOCK_FIELDS`] are stripped (`tests/probe.rs` locks this in).
 //!
-//! Distributed workers run their cells under an in-memory sink ([`ProbeSink::buffered`])
-//! and forward the buffered lines to the coordinator over the wire; the coordinator
-//! replays them ([`ProbeSink::emit_rendered`]) into the real log at the same merge
-//! points, stamped with the originating worker's identity ([`CellOrigin`]). Stripping
-//! [`WORKER_ATTRIBUTION_FIELDS`] too — and dropping the [`TOPOLOGY_EVENT_KINDS`] lines —
-//! extends the byte-stability guarantee across worker counts, in-process included.
+//! A cell that ran on a distributed worker gets its events at the same merge points,
+//! built by the coordinator from the cell's result and stamped with the worker's
+//! identity ([`CellOrigin`]). Stripping [`WORKER_ATTRIBUTION_FIELDS`] too — and dropping
+//! the [`TOPOLOGY_EVENT_KINDS`] lines — extends the byte-stability guarantee across
+//! worker counts, in-process included.
 
 use crate::profile::PhaseProfile;
 use std::fmt::Write as _;
@@ -371,8 +370,8 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Where a sink's lines go: an open log file, or an in-memory buffer that a distributed
-/// worker drains into `EVENT` frames.
+/// Where a sink's lines go: an open log file, or an in-memory buffer drained with
+/// [`ProbeSink::take_lines`].
 enum SinkTarget {
     File(BufWriter<File>),
     Memory(Vec<u8>),
@@ -432,9 +431,8 @@ impl ProbeSink {
         })
     }
 
-    /// Creates an in-memory sink. A distributed worker runs its cells under one of
-    /// these and drains the buffered lines with [`ProbeSink::take_lines`] to forward
-    /// them to the coordinator over the wire; nothing touches the filesystem.
+    /// Creates an in-memory sink whose lines are drained with [`ProbeSink::take_lines`]
+    /// — for callers that read their own event stream; nothing touches the filesystem.
     pub fn buffered() -> Self {
         Self {
             path: PathBuf::from("<memory>"),
@@ -481,22 +479,6 @@ impl ProbeSink {
     pub fn emit(&self, event: &Event) {
         let mut line = String::with_capacity(160);
         event.render_deterministic(&mut line);
-        self.write_line(line);
-    }
-
-    /// Appends one pre-rendered line whose deterministic fields are already final —
-    /// `fragment` is everything between the opening `{` and the sink's trailing
-    /// `,"t_ms":…}`. The distributed coordinator uses this to replay a worker's
-    /// forwarded cell events byte-faithfully (same renderer, same float formatting)
-    /// while restamping `t_ms` against this sink's epoch.
-    pub fn emit_rendered(&self, fragment: &str) {
-        let mut line = String::with_capacity(fragment.len() + 32);
-        line.push('{');
-        line.push_str(fragment);
-        self.write_line(line);
-    }
-
-    fn write_line(&self, mut line: String) {
         let t_ms = self.epoch.elapsed().as_secs_f64() * 1e3;
         let _ = write!(line, ",\"t_ms\":{t_ms}}}");
         line.push('\n');
@@ -580,12 +562,16 @@ mod tests {
     fn buffered_sinks_hold_whole_lines_in_memory() {
         let sink = ProbeSink::buffered();
         sink.emit(&Event::StorePersist { cells: 7 });
-        sink.emit_rendered("\"schema\":\"x\",\"kind\":\"cell_started\",\"worker\":0,\"pid\":9");
+        sink.emit(&Event::CellStarted {
+            experiment: "fig7".into(),
+            label: "w/athena/<cfg>".into(),
+            origin: Some(CellOrigin { worker: 0, pid: 9 }),
+        });
         let lines = sink.take_lines();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"cells\":7"));
-        assert!(lines[1].starts_with("{\"schema\":\"x\""));
-        assert!(lines[1].contains("\"pid\":9,\"t_ms\":"));
+        assert!(lines[1].contains("\"kind\":\"cell_started\""));
+        assert!(lines[1].contains("\"worker\":0,\"pid\":9,\"t_ms\":"));
         assert_eq!(sink.path(), Path::new("<memory>"));
     }
 

@@ -18,7 +18,7 @@ set -euo pipefail
 
 scratch=${1:-dist_smoke}
 
-figures() { cargo run --release -q -p athena-harness --bin figures -- "$@"; }
+figures() { cargo run --release -q --bin figures -- "$@"; }
 
 rm -rf "$scratch"
 mkdir -p "$scratch"
@@ -33,8 +33,9 @@ done
 grep -q '"kind":"worker_joined"' "$scratch/dist_events.jsonl"
 
 # Observability composes with distribution: the same 2-worker run with the profiler on
-# must still produce identical bytes, forward every cell's events and profile over the
-# wire, convert to a Perfetto-loadable trace, and expose the metrics snapshot.
+# must still produce identical bytes, bring every cell's profile back over the wire into
+# its worker-attributed events, convert to a Perfetto-loadable trace, and expose the
+# metrics snapshot.
 figures --all --quick --workers 2 --out "$scratch/observed" --profile \
   --events "$scratch/observed_events.jsonl"
 for f in "$scratch"/inproc/*.csv; do
@@ -44,7 +45,7 @@ grep -q '"kind":"cell_finished".*"profile"' "$scratch/observed_events.jsonl"
 grep -q '"kind":"cell_started".*"worker"' "$scratch/observed_events.jsonl"
 test -s "$scratch/observed/profile.folded"
 
-results() { cargo run --release -q -p athena-harness --bin results -- "$@"; }
+results() { cargo run --release -q --bin results -- "$@"; }
 
 # (written to files, not piped: `grep -q` would close the pipe mid-print)
 results events "$scratch/observed_events.jsonl" --json > "$scratch/events_summary.json"

@@ -2,12 +2,12 @@
 //! experiment engine.
 //!
 //! ```text
-//! cargo run --release -p athena-harness --bin figures -- --fig fig7
-//! cargo run --release -p athena-harness --bin figures -- --all --quick --jobs 4
-//! cargo run --release -p athena-harness --bin figures -- --all --quick --json --out results/
-//! cargo run --release -p athena-harness --bin figures -- --all --quick --bench-report
-//! cargo run --release -p athena-harness --bin figures -- --fig fig7 --trace-dir traces/
-//! cargo run --release -p athena-harness --bin figures -- --timeline --quick --out results/
+//! cargo run --release --bin figures -- --fig fig7
+//! cargo run --release --bin figures -- --all --quick --jobs 4
+//! cargo run --release --bin figures -- --all --quick --json --out results/
+//! cargo run --release --bin figures -- --all --quick --bench-report
+//! cargo run --release --bin figures -- --fig fig7 --trace-dir traces/
+//! cargo run --release --bin figures -- --timeline --quick --out results/
 //! ```
 //!
 //! Run `figures --help` for the full flag reference (also rendered into `docs/CLI.md`).
@@ -23,9 +23,9 @@
 //! the same options simulates nothing while producing byte-identical tables.
 //! `--workers N` distributes every batch across N spawned worker processes (this same
 //! binary in `--worker` mode) with tables still byte-identical to the in-process run;
-//! `--events` and `--profile` compose with it — workers forward their cell events and
-//! phase profiles back over the wire, so the log and `BENCH_sim.json` cover the whole
-//! distributed run.
+//! `--events` and `--profile` compose with it — workers return each cell's wall-clock
+//! and phase profile with its result and the coordinator logs the cell's events at
+//! merge, so the log and `BENCH_sim.json` cover the whole distributed run.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

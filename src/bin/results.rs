@@ -1,14 +1,14 @@
 //! The `results` CLI: inspect and maintain a persistent result store.
 //!
 //! ```text
-//! cargo run --release -p athena-harness --bin results -- stats --store results/store
-//! cargo run --release -p athena-harness --bin results -- query --store results/store --experiment fig7
-//! cargo run --release -p athena-harness --bin results -- diff --store a/ --against b/
-//! cargo run --release -p athena-harness --bin results -- gc --store results/store
-//! cargo run --release -p athena-harness --bin results -- verify --store results/store
-//! cargo run --release -p athena-harness --bin results -- events results/events.jsonl
-//! cargo run --release -p athena-harness --bin results -- trace results/events.jsonl --out trace.json
-//! cargo run --release -p athena-harness --bin results -- metrics results/fig7.json
+//! cargo run --release --bin results -- stats --store results/store
+//! cargo run --release --bin results -- query --store results/store --experiment fig7
+//! cargo run --release --bin results -- diff --store a/ --against b/
+//! cargo run --release --bin results -- gc --store results/store
+//! cargo run --release --bin results -- verify --store results/store
+//! cargo run --release --bin results -- events results/events.jsonl
+//! cargo run --release --bin results -- trace results/events.jsonl --out trace.json
+//! cargo run --release --bin results -- metrics results/fig7.json
 //! ```
 //!
 //! Every store command except `gc` opens the store read-only and takes no writer lock,

@@ -2,18 +2,18 @@
 //!
 //! ```text
 //! # Record the quick experiment preset's 12 workloads (40 K instructions each):
-//! cargo run --release -p athena-harness --bin trace -- record --quick --out traces/
+//! cargo run --release --bin trace -- record --quick --out traces/
 //!
 //! # Record one workload at full length, and the text form of another:
-//! cargo run --release -p athena-harness --bin trace -- record --workload 429.mcf-184B --out traces/
-//! cargo run --release -p athena-harness --bin trace -- record --workload 429.mcf-184B --text --out traces/
+//! cargo run --release --bin trace -- record --workload 429.mcf-184B --out traces/
+//! cargo run --release --bin trace -- record --workload 429.mcf-184B --text --out traces/
 //!
 //! # Inspect:
-//! cargo run --release -p athena-harness --bin trace -- info traces/429.mcf-184B.trace
-//! cargo run --release -p athena-harness --bin trace -- stats traces/429.mcf-184B.trace
+//! cargo run --release --bin trace -- info traces/429.mcf-184B.trace
+//! cargo run --release --bin trace -- stats traces/429.mcf-184B.trace
 //!
 //! # Convert between the binary and text formats (lossless both ways):
-//! cargo run --release -p athena-harness --bin trace -- convert traces/a.trace a.trace.txt
+//! cargo run --release --bin trace -- convert traces/a.trace a.trace.txt
 //! ```
 //!
 //! Recorded directories plug into the `figures` CLI via `--trace-dir`; see the format

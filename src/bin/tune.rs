@@ -2,10 +2,10 @@
 //! parallel experiment engine.
 //!
 //! ```text
-//! cargo run --release -p athena-harness --bin tune -- --quick --jobs 4
-//! cargo run --release -p athena-harness --bin tune -- --strategy halving --samples 16 --rungs 3
-//! cargo run --release -p athena-harness --bin tune -- --quick --trace-dir traces/
-//! cargo run --release -p athena-harness --bin tune -- --quick --bench-report
+//! cargo run --release --bin tune -- --quick --jobs 4
+//! cargo run --release --bin tune -- --strategy halving --samples 16 --rungs 3
+//! cargo run --release --bin tune -- --quick --trace-dir traces/
+//! cargo run --release --bin tune -- --quick --bench-report
 //! ```
 //!
 //! Writes `leaderboard.csv`, `leaderboard.json` (schema `athena-tune-v1`) and `best.json`

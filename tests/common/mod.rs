@@ -1,43 +1,25 @@
 //! Shared helpers for the cross-process integration tests (`dist_determinism`,
-//! `dist_faults`, the `results` CLI regression tests).
+//! `dist_faults`, `dist_probe`, the `results` CLI regression tests).
 //!
-//! Integration tests run from `target/<profile>/deps/<test>-<hash>`; the harness binaries
-//! (`figures`, `tune`, `trace`, `results`) live one directory up, because `cargo test`
-//! builds every bin target of the workspace before running any test. No `CARGO_BIN_EXE_*`
-//! env var exists here — those are only set for integration tests of the package that owns
-//! the binary, and these suites belong to the umbrella crate.
+//! The CLIs (`figures`, `tune`, `trace`, `results`) are bin targets of this umbrella
+//! package, so Cargo builds them before running its integration tests and hands each test
+//! binary their paths as `CARGO_BIN_EXE_<name>` at compile time — the suites always run
+//! the binaries built from the same sources, in the same profile.
 
 #![allow(dead_code)] // each test binary uses a different subset of these helpers
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// Locates a harness binary next to the test executable, falling back to the sibling
-/// `release` profile directory (so the suite also passes after `cargo build --release`
-/// when the debug binaries are stale or absent).
+/// The path of one of this package's CLI binaries, as built for this test run.
 pub fn harness_bin(name: &str) -> PathBuf {
-    let exe = std::env::current_exe().expect("test executable path");
-    let profile_dir = exe
-        .parent() // target/<profile>/deps
-        .and_then(|d| d.parent()) // target/<profile>
-        .expect("test executable lives in target/<profile>/deps");
-    let candidate = profile_dir.join(name);
-    if candidate.is_file() {
-        return candidate;
-    }
-    for sibling in ["release", "debug"] {
-        let alt = profile_dir
-            .parent()
-            .map(|t| t.join(sibling).join(name))
-            .filter(|p| p.is_file());
-        if let Some(alt) = alt {
-            return alt;
-        }
-    }
-    panic!(
-        "cannot find the '{name}' binary near {}: run `cargo build --workspace` first",
-        profile_dir.display()
-    );
+    PathBuf::from(match name {
+        "figures" => env!("CARGO_BIN_EXE_figures"),
+        "tune" => env!("CARGO_BIN_EXE_tune"),
+        "trace" => env!("CARGO_BIN_EXE_trace"),
+        "results" => env!("CARGO_BIN_EXE_results"),
+        other => panic!("no CLI binary named '{other}' in this package"),
+    })
 }
 
 /// Runs a harness binary with the given arguments and environment overrides, capturing

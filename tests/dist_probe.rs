@@ -7,9 +7,12 @@
 //!   and any worker count, once wall-clock and worker-attribution fields are stripped
 //!   and pool-topology lines are dropped;
 //! * phase profiles cross the process boundary: `--profile --workers N` attaches a
-//!   non-empty profile to every distributed cell;
-//! * a SIGKILLed worker's partially forwarded events never corrupt the log — after
-//!   recovery every line still parses and every cell still has exactly one pair;
+//!   non-empty profile to every distributed cell, and each `cell_finished` line carries
+//!   exactly the wall-clock and profile of its cell's result;
+//! * a cell crosses the pipe once: a one-worker batch of N cells costs the coordinator
+//!   the worker's `HELLO`, N `RESULT` frames and its `DONE`, nothing more;
+//! * a SIGKILLed worker never corrupts the log — after recovery every line still parses
+//!   and every cell still has exactly one pair;
 //! * the `results trace` exporter turns a distributed log into valid Chrome
 //!   `trace_event` JSON with one process row per worker, and `results events` /
 //!   `results metrics` speak the distributed vocabulary.
@@ -19,9 +22,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use athena_repro::engine::json::Json;
+use athena_repro::engine::report::phase_profile_from_json;
 use athena_repro::engine::{
-    set_profiling, DistPool, Engine, Job, WorkerCommand, EVENTS_SCHEMA_ID, TOPOLOGY_EVENT_KINDS,
-    WALL_CLOCK_FIELDS, WORKER_ATTRIBUTION_FIELDS,
+    metrics, set_profiling, DistPool, Engine, Job, WorkerCommand, EVENTS_SCHEMA_ID,
+    TOPOLOGY_EVENT_KINDS, WALL_CLOCK_FIELDS, WORKER_ATTRIBUTION_FIELDS,
 };
 use athena_repro::harness::experiments::run_experiment;
 use athena_repro::prelude::*;
@@ -222,15 +226,52 @@ fn phase_profiles_cross_the_process_boundary() {
         .into_iter()
         .filter(|doc| kind_of(doc) == "cell_finished")
         .collect();
-    assert!(!finished.is_empty());
+    assert_eq!(finished.len(), results.len(), "one cell_finished per cell");
     for doc in &finished {
         assert!(
             doc.get("profile").and_then(|p| p.get("phases")).is_some(),
-            "cell_finished line without forwarded profile: {}",
+            "cell_finished line without the cell's profile: {}",
             doc
+        );
+        // The line tells the same story as the result it was built from.
+        let label = doc.get("label").and_then(Json::as_str).expect("a label");
+        let cell = results
+            .iter()
+            .find(|c| c.label == label)
+            .expect("every cell_finished line names a cell of the batch");
+        assert_eq!(
+            doc.get("wall_ms").and_then(Json::as_f64),
+            Some(cell.wall.as_secs_f64() * 1e3),
+            "{label}: the logged wall_ms is not the result's wall"
+        );
+        let logged = phase_profile_from_json(doc.get("profile").unwrap())
+            .unwrap_or_else(|e| panic!("{label}: undecodable logged profile: {e}"));
+        assert_eq!(
+            Some(logged),
+            cell.profile,
+            "{label}: the logged profile is not the result's profile"
         );
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_distributed_cell_crosses_the_pipe_once() {
+    let _gate = gate();
+    let jobs = jobs();
+    let before = metrics().frames_received.get();
+    let cells = pool(1).run_jobs(None, false, &jobs);
+    let received = metrics().frames_received.get() - before;
+    assert_eq!(cells.len(), jobs.len());
+    assert!(
+        jobs.len() >= 2,
+        "the bound only means something for a multi-cell batch"
+    );
+    assert!(
+        received <= jobs.len() as u64 + 2,
+        "{received} frames for {} cells: want at most HELLO + one RESULT per cell + DONE",
+        jobs.len()
+    );
 }
 
 #[test]
@@ -258,8 +299,8 @@ fn a_sigkilled_workers_partial_events_do_not_corrupt_the_log() {
         );
     }
     // parsed_lines re-asserts that every surviving line is intact JSON with the schema;
-    // the dead worker's parked events were discarded, so each cell still has exactly one
-    // started/finished pair even though some cells ran twice.
+    // cell events are built only when a cell's result merges, so each cell still has
+    // exactly one started/finished pair even though some cells ran twice.
     let lines = parsed_lines(&events);
     assert!(
         lines.iter().any(|doc| kind_of(doc) == "worker_died"),
