@@ -1,12 +1,21 @@
 //! Distributed experiment execution: coordinator-side sharding and the worker serve loop.
 //!
 //! The in-process pool ([`crate::pool`]) caps a sweep at one process. This module adds
-//! the process boundary: a coordinator ([`DistPool`]) splits a batch of [`Job`]s into
-//! per-worker shards, spawns worker processes (any binary that calls [`serve`] — the
-//! `figures`/`tune` CLIs do so under `--worker`), streams per-cell result records back
-//! over the workers' stdio, and merges them **in submission order**, so every table and
-//! leaderboard is byte-identical at any worker count — exactly the contract the
-//! in-process pool honours.
+//! the process boundary: a coordinator ([`DistPool`]) owns a set of long-lived worker
+//! processes (any binary that calls [`serve`] — the `figures`/`tune` CLIs do so under
+//! `--worker`), splits each batch of [`Job`]s into per-worker shards, streams per-cell
+//! result records back over the workers' stdio, and merges them **in submission order**,
+//! so every table and leaderboard is byte-identical at any worker count — exactly the
+//! contract the in-process pool honours.
+//!
+//! # Worker lifetime
+//!
+//! Workers belong to the pool, not to a batch. The first batch spawns them; every later
+//! batch deals its shards to the same processes and spawns only to make up a shortfall
+//! (a worker lost to death, or a batch wider than any before it). Every clone of a pool
+//! shares its workers, so the engines an options set builds per batch all reach the same
+//! processes. When the last clone is dropped the pool closes every worker's stdin and
+//! waits for it: no worker outlives its pool.
 //!
 //! # Wire protocol
 //!
@@ -18,14 +27,14 @@
 //!
 //! Payloads are JSON documents declaring a [`crate::report::Schema`]
 //! (`athena-dist-*-v1`); the checksum is the same FNV-1a 64 the result store uses
-//! ([`athena_store::fnv64`]). The conversation is strictly: worker sends `HELLO`;
-//! coordinator sends one `SHARD` (an indexed job list, jobs serialised by
-//! [`crate::wire::job_json`], plus the coordinator's profiling switch); worker answers
-//! one `RESULT` per cell, then `DONE`; coordinator closes the worker's stdin and the
-//! worker exits. A `RESULT` carries everything the coordinator knows about the cell: its
-//! wall-clock, its phase profile when profiling is on, and either the error of a cell
-//! that panicked or the output wrapped in the self-describing `athena-result-record-v1`
-//! envelope the result store writes.
+//! ([`athena_store::fnv64`]). The conversation is: worker sends `HELLO`; then, once per
+//! batch, the coordinator sends one `SHARD` (an indexed job list, jobs serialised by
+//! [`crate::wire::job_json`], plus the coordinator's profiling switch) and the worker
+//! answers one `RESULT` per cell, then `DONE`. When the pool is dropped the coordinator
+//! closes the worker's stdin and the worker exits. A `RESULT` carries everything the
+//! coordinator knows about the cell: its wall-clock, its phase profile when profiling is
+//! on, and either the error of a cell that panicked or the output wrapped in the
+//! self-describing `athena-result-record-v1` envelope the result store writes.
 //!
 //! Workers run every cell through the same runner as the in-process pool and emit no
 //! events of their own. The engine builds each cell's `cell_started`/`cell_finished`
@@ -38,27 +47,36 @@
 //! The two failure classes are deliberately treated differently:
 //!
 //! * **Death** — EOF or a truncated frame on a worker's stdout (crash, SIGKILL, broken
-//!   pipe). The coordinator reassigns the worker's unfinished cells to a freshly spawned
-//!   worker, at most [`MAX_ATTEMPTS`] attempts per cell, then fails loudly. Because a
-//!   cell's result is a pure function of the job, a retried cell is the *same* cell.
+//!   pipe). The coordinator kills and reaps the worker, drops it from the pool, and
+//!   reassigns its unfinished cells to a freshly spawned worker, at most
+//!   [`MAX_ATTEMPTS`] attempts per cell, then fails loudly. Because a cell's result is a
+//!   pure function of the job, a retried cell is the *same* cell. A worker found dead
+//!   while idle, between batches, is replaced without charging any cell an attempt.
+//!   Frames still in flight from a removed worker are ignored.
 //! * **Corruption** — a complete frame whose checksum or schema does not match, or a
 //!   result record whose `(identity, variant)` key disagrees with the job it claims to
 //!   answer. The coordinator panics immediately: a lying record is never merged, and
 //!   never silently recomputed over.
+//!
+//! A batch that panics — corruption, a dying assignment, a stall — kills and discards
+//! every worker of the pool, so a later batch on the same pool starts from fresh
+//! processes.
 //!
 //! Worker-side *cell* panics are neither: they are caught per cell (exactly like the
 //! in-process pool does) and travel back as `error` results, merging as that cell's
 //! `Err` outcome with no retry.
 //!
 //! Every lifecycle step emits a structured event ([`athena_probe::Event`]:
-//! `worker_joined`, `shard_dispatched`, `worker_died`, `cell_reassigned`) so a
-//! distributed run is observable after the fact.
+//! `worker_joined` once per process, `shard_dispatched` once per shard, `worker_died`,
+//! `cell_reassigned`) so a distributed run is observable after the fact.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use athena_probe::{metrics, CellOrigin, Event, PhaseProfile, ProbeSink};
@@ -118,8 +136,14 @@ fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
 /// absurd length surfaces as `ErrorKind::InvalidData` (corruption).
 fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     let mut kind = [0u8; 1];
-    if r.read(&mut kind)? == 0 {
-        return Ok(None);
+    loop {
+        match r.read(&mut kind) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            // A signal landing mid-read is not a dead peer: retry, as `read_exact` does.
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
     if !(KIND_HELLO..=KIND_DONE).contains(&kind[0]) {
         return Err(io::Error::new(
@@ -199,21 +223,51 @@ impl WorkerCommand {
     }
 }
 
-/// A distributed executor: runs job batches on `workers` spawned worker processes
-/// instead of in-process threads, with in-order merge and bounded retry (see the module
-/// docs). Plug one into an engine with [`crate::Engine::with_dist`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A distributed executor: runs job batches on up to `workers` long-lived worker
+/// processes instead of in-process threads, with in-order merge and bounded retry (see
+/// the module docs). Plug one into an engine with [`crate::Engine::with_dist`].
+///
+/// Clones share the pool's worker processes; equality compares the configuration only.
+/// Batches on one pool run one at a time: a second thread's batch waits for the first.
+#[derive(Clone)]
 pub struct DistPool {
     command: WorkerCommand,
     workers: usize,
+    live: Arc<Mutex<Live>>,
 }
 
+impl fmt::Debug for DistPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DistPool")
+            .field("command", &self.command)
+            .field("workers", &self.workers)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PartialEq for DistPool {
+    fn eq(&self, other: &Self) -> bool {
+        self.command == other.command && self.workers == other.workers
+    }
+}
+
+impl Eq for DistPool {}
+
 impl DistPool {
-    /// A pool spawning up to `workers` processes per batch via `command`.
+    /// A pool of up to `workers` processes launched via `command`. No process starts
+    /// here: the first batch spawns them, later batches reuse them, and dropping the
+    /// last clone of the pool shuts them down.
     pub fn new(command: WorkerCommand, workers: usize) -> Self {
+        let (tx, rx) = mpsc::channel();
         Self {
             command,
             workers: workers.max(1),
+            live: Arc::new(Mutex::new(Live {
+                workers: Vec::new(),
+                tx,
+                rx,
+                next_id: 0,
+            })),
         }
     }
 
@@ -265,15 +319,18 @@ impl DistPool {
         if jobs.is_empty() {
             return Vec::new();
         }
+        // A batch that panicked discarded every worker before the lock was released, so
+        // a poisoned pool is a clean one.
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
         let mut batch = Batch {
             pool: self,
+            live: &mut live,
             probe,
             progress,
             jobs,
             outcomes: (0..jobs.len()).map(|_| None).collect(),
             filled: 0,
             attempts: vec![0u32; jobs.len()],
-            workers: Vec::new(),
             completed: BTreeMap::new(),
             reassigned: 0,
             started: Instant::now(),
@@ -320,29 +377,70 @@ struct Msg {
     body: MsgBody,
 }
 
+/// The worker processes a pool owns, shared by every clone of it, and the channel their
+/// reader threads forward frames on.
+struct Live {
+    workers: Vec<Worker>,
+    tx: mpsc::Sender<Msg>,
+    rx: mpsc::Receiver<Msg>,
+    /// The id the next spawned worker gets: ids are unique for the pool's lifetime, so a
+    /// frame from a removed worker can never be taken for a live one's.
+    next_id: usize,
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        // Closing stdin ends a worker's serve loop; waiting reaps it, so no worker
+        // outlives its pool and the workers' CPU time is accounted to this process's
+        // children. Every stdin closes before the first wait, so workers exit together.
+        let exiting: Vec<(Child, JoinHandle<()>)> = self
+            .workers
+            .drain(..)
+            .map(|w| (w.child, w.reader))
+            .collect();
+        for (mut child, reader) in exiting {
+            let _ = child.wait();
+            let _ = reader.join();
+        }
+    }
+}
+
 struct Worker {
     id: usize,
     /// The worker's OS pid, as `worker_joined` reports it and its cells' events carry it.
     pid: u64,
     child: Child,
-    /// Kept open until the worker's shard is done; dropping it signals the worker to
-    /// exit its serve loop.
-    stdin: Option<ChildStdin>,
-    /// Cell indices assigned to this worker and not yet answered.
+    /// Open for the worker's whole life; closing it tells the worker to exit.
+    stdin: ChildStdin,
+    /// The thread forwarding the worker's frames; it ends at the worker's EOF.
+    reader: JoinHandle<()>,
+    /// Cell indices of the current batch assigned to this worker and not yet answered.
     outstanding: BTreeSet<usize>,
-    /// Whether the worker's `DONE` frame (or a benign EOF) arrived.
-    finished: bool,
+    /// Whether a shard is out and its `DONE` has not arrived yet.
+    busy: bool,
+}
+
+impl Worker {
+    /// Kills and reaps the worker, and joins its reader thread.
+    fn kill(self) {
+        let Worker {
+            mut child, reader, ..
+        } = self;
+        let _ = child.kill();
+        let _ = child.wait();
+        let _ = reader.join();
+    }
 }
 
 struct Batch<'a> {
     pool: &'a DistPool,
+    live: &'a mut Live,
     probe: Option<&'a ProbeSink>,
     progress: bool,
     jobs: &'a [Job],
     outcomes: Vec<Option<(CellOutcome, CellOrigin)>>,
     filled: usize,
     attempts: Vec<u32>,
-    workers: Vec<Worker>,
     /// Cells completed per worker id, for the `--progress` breakdown.
     completed: BTreeMap<usize, usize>,
     /// Cells re-dispatched after worker deaths.
@@ -352,12 +450,13 @@ struct Batch<'a> {
 
 impl Drop for Batch<'_> {
     fn drop(&mut self) {
-        // Leave no orphans behind, whether the batch completed, panicked on corruption,
-        // or gave up on a dying assignment.
-        for w in &mut self.workers {
-            w.stdin.take();
-            let _ = w.child.kill();
-            let _ = w.child.wait();
+        // A batch that gives up — corruption, a dying assignment, a stall — leaves no
+        // worker behind: whatever they were doing is suspect, and the next batch on
+        // this pool starts from fresh processes.
+        if std::thread::panicking() {
+            for w in self.live.workers.drain(..) {
+                w.kill();
+            }
         }
     }
 }
@@ -370,97 +469,121 @@ impl Batch<'_> {
     }
 
     fn run(&mut self) {
-        let (tx, rx) = mpsc::channel::<Msg>();
+        self.remove_idle_deaths();
         let n = self.pool.workers.min(self.jobs.len());
-        // Round-robin static shards: worker w starts with cells w, w+n, w+2n, …
+        // Round-robin static shards: the w-th worker gets cells w, w+n, w+2n, …
         for w in 0..n {
             let cells: Vec<usize> = (w..self.jobs.len()).step_by(n).collect();
-            self.spawn_worker(w, &cells, &tx);
+            if w < self.live.workers.len() {
+                self.dispatch(w, &cells);
+            } else {
+                self.spawn_worker(&cells);
+            }
         }
-        let mut next_id = n;
-        while self.filled < self.jobs.len() {
-            let msg = match rx.recv_timeout(RECV_TIMEOUT) {
+        // Every shard's `DONE` is awaited too, so no frame of this batch is left in
+        // flight for the next one.
+        while self.filled < self.jobs.len() || self.live.workers.iter().any(|w| w.busy) {
+            let msg = match self.live.rx.recv_timeout(RECV_TIMEOUT) {
                 Ok(msg) => msg,
                 Err(_) => panic!(
                     "distributed batch stalled: no worker message for {}s with {} of {} \
                      cells unresolved",
                     RECV_TIMEOUT.as_secs(),
                     self.jobs.len() - self.filled,
-                    self.filled
+                    self.jobs.len()
                 ),
             };
-            let slot = self
-                .workers
-                .iter()
-                .position(|w| w.id == msg.worker)
-                .expect("message from a known worker");
-            match msg.body {
-                MsgBody::Frame(KIND_HELLO, payload) => self.check_hello(msg.worker, &payload),
-                MsgBody::Frame(KIND_RESULT, payload) => self.merge_result(slot, &payload),
-                MsgBody::Frame(KIND_DONE, _) => {
-                    self.workers[slot].finished = true;
-                    // Closing stdin tells the worker its shard was the last one.
-                    self.workers[slot].stdin.take();
-                }
-                MsgBody::Frame(kind, _) => panic!(
-                    "distributed worker #{}: protocol violation: unexpected frame kind {kind}",
-                    msg.worker
-                ),
-                MsgBody::Eof | MsgBody::Died(_) => {
-                    let detail = match msg.body {
-                        MsgBody::Died(detail) => detail,
-                        _ => "stream ended before DONE".to_string(),
-                    };
-                    let unfinished: Vec<usize> =
-                        self.workers[slot].outstanding.iter().copied().collect();
-                    if self.workers[slot].finished || unfinished.is_empty() {
-                        // Normal exit after DONE, or a death that cost nothing.
-                        self.workers[slot].finished = true;
-                        continue;
-                    }
-                    self.emit(&Event::WorkerDied {
-                        worker: msg.worker,
-                        outstanding: unfinished.len(),
-                        error: detail.clone(),
-                    });
-                    self.reassigned += unfinished.len();
-                    metrics().cell_retries.add(unfinished.len() as u64);
-                    for &i in &unfinished {
-                        self.attempts[i] += 1;
-                        assert!(
-                            self.attempts[i] < MAX_ATTEMPTS,
-                            "cell '{}' lost its worker {MAX_ATTEMPTS} times (last: {detail}); \
-                             giving up on the batch",
-                            self.jobs[i].label()
-                        );
-                    }
-                    self.workers[slot].finished = true;
-                    self.workers[slot].outstanding.clear();
-                    let to_worker = next_id;
-                    next_id += 1;
-                    for &i in &unfinished {
-                        self.emit(&Event::CellReassigned {
-                            experiment: self.jobs[i].experiment.clone(),
-                            label: self.jobs[i].label(),
-                            from_worker: msg.worker,
-                            to_worker,
-                        });
-                    }
-                    self.spawn_worker(to_worker, &unfinished, &tx);
-                }
-                MsgBody::Corrupt(detail) => panic!(
-                    "distributed worker #{} sent a corrupt frame ({detail}); refusing to \
-                     merge anything it said — rerun, and if this repeats check the host",
-                    msg.worker
-                ),
+            self.handle(msg);
+        }
+    }
+
+    /// Removes the workers that died while idle, before any shard goes out: their deaths
+    /// cost no cell an attempt. The EOF a dead worker's reader forwards arrives later
+    /// and is ignored, like any frame of a removed worker.
+    fn remove_idle_deaths(&mut self) {
+        let mut slot = 0;
+        while slot < self.live.workers.len() {
+            match self.live.workers[slot].child.try_wait() {
+                Ok(Some(status)) => self.lose(slot, format!("exited while idle ({status})")),
+                _ => slot += 1,
             }
         }
     }
 
-    /// Spawns one worker, ships its shard, and starts its reader thread. A shard that
-    /// cannot be written (worker died before reading it) is reported back through the
-    /// channel as a death, so the normal reassignment path retries it.
-    fn spawn_worker(&mut self, id: usize, cells: &[usize], tx: &mpsc::Sender<Msg>) {
+    /// Acts on one message from a worker's reader thread.
+    fn handle(&mut self, msg: Msg) {
+        let Some(slot) = self.live.workers.iter().position(|w| w.id == msg.worker) else {
+            // A removed worker's last words: its cells were reassigned, or it died idle.
+            return;
+        };
+        match msg.body {
+            MsgBody::Frame(KIND_HELLO, payload) => check_hello(msg.worker, &payload),
+            MsgBody::Frame(KIND_RESULT, payload) => self.merge_result(slot, &payload),
+            MsgBody::Frame(KIND_DONE, _) => {
+                let worker = &mut self.live.workers[slot];
+                assert!(
+                    worker.busy && worker.outstanding.is_empty(),
+                    "distributed worker #{}: protocol violation: DONE with {} of its cells \
+                     unanswered",
+                    msg.worker,
+                    worker.outstanding.len()
+                );
+                worker.busy = false;
+            }
+            MsgBody::Frame(kind, _) => panic!(
+                "distributed worker #{}: protocol violation: unexpected frame kind {kind}",
+                msg.worker
+            ),
+            MsgBody::Eof => self.lose(slot, "stream ended".to_string()),
+            MsgBody::Died(detail) => self.lose(slot, detail),
+            MsgBody::Corrupt(detail) => panic!(
+                "distributed worker #{} sent a corrupt frame ({detail}); refusing to \
+                 merge anything it said — rerun, and if this repeats check the host",
+                msg.worker
+            ),
+        }
+    }
+
+    /// Removes a dead worker from the pool (killed and reaped) and hands its unfinished
+    /// cells, if any, to a freshly spawned replacement.
+    fn lose(&mut self, slot: usize, detail: String) {
+        let worker = self.live.workers.remove(slot);
+        let (id, unfinished): (usize, Vec<usize>) =
+            (worker.id, worker.outstanding.iter().copied().collect());
+        worker.kill();
+        self.emit(&Event::WorkerDied {
+            worker: id,
+            outstanding: unfinished.len(),
+            error: detail.clone(),
+        });
+        if unfinished.is_empty() {
+            return;
+        }
+        self.reassigned += unfinished.len();
+        metrics().cell_retries.add(unfinished.len() as u64);
+        for &i in &unfinished {
+            self.attempts[i] += 1;
+            assert!(
+                self.attempts[i] < MAX_ATTEMPTS,
+                "cell '{}' lost its worker {MAX_ATTEMPTS} times (last: {detail}); giving up \
+                 on the batch",
+                self.jobs[i].label()
+            );
+        }
+        let to_worker = self.live.next_id;
+        for &i in &unfinished {
+            self.emit(&Event::CellReassigned {
+                experiment: self.jobs[i].experiment.clone(),
+                label: self.jobs[i].label(),
+                from_worker: id,
+                to_worker,
+            });
+        }
+        self.spawn_worker(&unfinished);
+    }
+
+    /// Spawns one worker into the pool, starts its reader thread, and ships it `cells`.
+    fn spawn_worker(&mut self, cells: &[usize]) {
         let cmd = &self.pool.command;
         let mut child = Command::new(&cmd.program)
             .args(&cmd.args)
@@ -475,18 +598,14 @@ impl Batch<'_> {
                     cmd.program.display()
                 )
             });
-        let mut stdin = child.stdin.take().expect("piped stdin");
+        let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
+        let id = self.live.next_id;
+        self.live.next_id += 1;
         let pid = child.id() as u64;
         self.emit(&Event::WorkerJoined { worker: id, pid });
-        let payload = shard_payload(self.jobs, cells);
-        self.emit(&Event::ShardDispatched {
-            worker: id,
-            cells: cells.len(),
-            bytes: payload.len(),
-        });
-        let reader_tx = tx.clone();
-        std::thread::spawn(move || {
+        let reader_tx = self.live.tx.clone();
+        let reader = std::thread::spawn(move || {
             let mut stdout = io::BufReader::new(stdout);
             loop {
                 let body = match read_frame(&mut stdout) {
@@ -503,45 +622,51 @@ impl Batch<'_> {
                 }
             }
         });
-        let shard_sent = write_frame(&mut stdin, KIND_SHARD, &payload);
-        self.workers.push(Worker {
+        self.live.workers.push(Worker {
             id,
             pid,
             child,
-            stdin: Some(stdin),
-            outstanding: cells.iter().copied().collect(),
-            finished: false,
+            stdin,
+            reader,
+            outstanding: BTreeSet::new(),
+            busy: false,
         });
-        if let Err(e) = shard_sent {
-            // The worker died before reading its shard; the reader thread will also see
-            // EOF, but the write error is the more precise diagnosis.
-            let _ = tx.send(Msg {
+        self.dispatch(self.live.workers.len() - 1, cells);
+    }
+
+    /// Ships one shard to the worker in `slot`. A shard that cannot be written (the
+    /// worker died before reading it) is reported back through the channel as a death,
+    /// so the normal reassignment path retries it.
+    fn dispatch(&mut self, slot: usize, cells: &[usize]) {
+        let payload = shard_payload(self.jobs, cells);
+        let id = self.live.workers[slot].id;
+        self.emit(&Event::ShardDispatched {
+            worker: id,
+            cells: cells.len(),
+            bytes: payload.len(),
+        });
+        let worker = &mut self.live.workers[slot];
+        worker.outstanding = cells.iter().copied().collect();
+        worker.busy = true;
+        if let Err(e) = write_frame(&mut worker.stdin, KIND_SHARD, &payload) {
+            // The reader thread will also see EOF, but the write error is the more
+            // precise diagnosis.
+            let _ = self.live.tx.send(Msg {
                 worker: id,
                 body: MsgBody::Died(format!("shard could not be written: {e}")),
             });
         }
     }
 
-    fn check_hello(&self, worker: usize, payload: &[u8]) {
-        let doc = parse_payload(worker, payload);
-        if !DIST_HELLO_SCHEMA.matches(&doc) {
-            panic!(
-                "distributed worker #{worker} did not speak the '{}' handshake — wrong \
-                 program or version behind the worker command?",
-                DIST_HELLO_SCHEMA.id()
-            );
-        }
-    }
-
     /// Repaints the `--progress` status line with the distributed breakdown: overall
-    /// completion, live workers, cells completed per worker, and reassignment count.
+    /// completion, busy workers, cells completed per worker, and reassignment count.
     fn print_progress(&self) {
         if !self.progress || self.filled == 0 {
             return;
         }
         let total = self.jobs.len();
         let done = self.filled;
-        let live = self.workers.iter().filter(|w| !w.finished).count();
+        let live = self.live.workers.iter().filter(|w| w.busy).count();
         let per: Vec<String> = self
             .completed
             .iter()
@@ -559,7 +684,7 @@ impl Batch<'_> {
     /// Verifies and merges one `RESULT` frame. Every mismatch in here is corruption — a
     /// checksum-valid frame whose *content* lies — and panics rather than merging.
     fn merge_result(&mut self, slot: usize, payload: &[u8]) {
-        let worker = &mut self.workers[slot];
+        let worker = &mut self.live.workers[slot];
         let (id, pid) = (worker.id, worker.pid);
         let (index, cell) = decode_result(id, &parse_payload(id, payload), self.jobs);
         assert!(
@@ -577,6 +702,17 @@ impl Batch<'_> {
         metrics().record_worker_cell(id, wall_nanos);
         *self.completed.entry(id).or_insert(0) += 1;
         self.print_progress();
+    }
+}
+
+fn check_hello(worker: usize, payload: &[u8]) {
+    let doc = parse_payload(worker, payload);
+    if !DIST_HELLO_SCHEMA.matches(&doc) {
+        panic!(
+            "distributed worker #{worker} did not speak the '{}' handshake — wrong \
+             program or version behind the worker command?",
+            DIST_HELLO_SCHEMA.id()
+        );
     }
 }
 
@@ -816,7 +952,7 @@ pub fn serve() {
                 fields.push(("profile", phase_profile_json(profile)));
             }
             match &outcome.output {
-                Ok(output) => fields.push(("record", record_json(&job, output))),
+                Ok(output) => fields.push(("record", StoreHandle::record_doc(&job, output))),
                 Err(message) => fields.push(("error", Json::str(message))),
             }
             let result = DIST_RESULT_SCHEMA.document(fields).to_string().into_bytes();
@@ -836,14 +972,6 @@ pub fn serve() {
         write_frame(&mut output, KIND_DONE, done.to_string().as_bytes())
             .expect("worker: cannot write the DONE frame");
     }
-}
-
-/// A successful cell's `RESULT` record: the same self-describing envelope the result
-/// store writes for it.
-fn record_json(job: &Job, output: &JobOutput) -> Json {
-    let payload = StoreHandle::encode(job, output);
-    Json::parse(std::str::from_utf8(&payload).expect("record payloads are UTF-8"))
-        .expect("record payloads are JSON")
 }
 
 /// Fault injection: a frame whose checksum was computed over the honest payload but
@@ -908,6 +1036,37 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
+    /// A reader whose first `read` is interrupted by a signal.
+    struct InterruptedOnce {
+        inner: io::Cursor<Vec<u8>>,
+        interrupted: bool,
+    }
+
+    impl Read for InterruptedOnce {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_first_read_is_retried_not_taken_for_death() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, KIND_DONE, b"done").unwrap();
+        let mut r = InterruptedOnce {
+            inner: io::Cursor::new(buf),
+            interrupted: false,
+        };
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            Some((KIND_DONE, b"done".to_vec()))
+        );
+        assert!(r.interrupted);
+    }
+
     #[test]
     fn garbage_kinds_and_absurd_lengths_are_invalid_data() {
         let err = read_frame(&mut io::Cursor::new(vec![99u8, 0, 0, 0, 0])).unwrap_err();
@@ -952,7 +1111,7 @@ mod tests {
             ("index", u64_json(0)),
             ("wall_nanos", u64_json(5_000_001)),
             ("profile", phase_profile_json(&profile)),
-            ("record", record_json(&jobs[0], &output)),
+            ("record", StoreHandle::record_doc(&jobs[0], &output)),
         ]);
         let (index, cell) = decode_result(7, &doc, &jobs);
         assert_eq!(index, 0);

@@ -63,7 +63,7 @@ impl Engine {
     }
 
     /// Attaches a distributed worker pool ([`crate::dist`]): batches run their
-    /// store-missing cells on spawned worker processes instead of in-process threads.
+    /// store-missing cells on the pool's worker processes instead of in-process threads.
     /// Store consultation, persistence, event emission and the in-order merge all stay
     /// on the coordinator, so tables come out byte-identical to an in-process run at any
     /// worker count.

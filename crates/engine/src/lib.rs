@@ -24,11 +24,11 @@
 //!   [`Job::identity_hash`], so warm re-runs simulate nothing and killed sweeps resume
 //!   paying only for missing cells ([`Engine::with_store`]).
 //! * **Distribution** — an optional coordinator/worker executor ([`DistPool`], module
-//!   [`dist`]) shards a batch across spawned worker processes over a length-delimited
-//!   checksummed stdio protocol (jobs serialised by [`wire`]), with bounded
-//!   retry/reassignment on worker death and a loud failure on corruption; merge order
-//!   and the result store stay on the coordinator, so tables remain byte-identical at
-//!   any worker count ([`Engine::with_dist`]).
+//!   [`dist`]) shards each batch across long-lived worker processes over a
+//!   length-delimited checksummed stdio protocol (jobs serialised by [`wire`]), with
+//!   bounded retry/reassignment on worker death and a loud failure on corruption; merge
+//!   order and the result store stay on the coordinator, so tables remain byte-identical
+//!   at any worker count ([`Engine::with_dist`]).
 //!
 //! ```
 //! use athena_engine::{CoordinatorKind, Engine, Job, OcpKind, PrefetcherKind, SystemConfig};

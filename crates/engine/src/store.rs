@@ -114,23 +114,27 @@ impl StoreHandle {
         self.store.lock().expect("result store mutex poisoned")
     }
 
-    /// Serialises one finished cell into a store record payload.
+    /// Serialises one finished cell into a store record payload: the bytes of
+    /// [`StoreHandle::record_doc`].
     pub fn encode(job: &Job, output: &JobOutput) -> Vec<u8> {
+        Self::record_doc(job, output).to_string().into_bytes()
+    }
+
+    /// One finished cell's record as a document: the self-describing envelope the store
+    /// persists and a distributed worker embeds in its `RESULT` frame.
+    pub fn record_doc(job: &Job, output: &JobOutput) -> Json {
         let key = record_key(job);
-        RESULT_RECORD_SCHEMA
-            .document(vec![
-                ("experiment", Json::str(&job.experiment)),
-                ("label", Json::str(job.label())),
-                ("workload", Json::str(job.cell.name())),
-                ("coordinator", Json::str(job.coordinator.name())),
-                ("identity", Json::hex(key.identity)),
-                ("variant", Json::hex(key.variant)),
-                ("seed", Json::hex(job.seed)),
-                ("instructions", Json::hex(job.instructions)),
-                ("output", job_output_json(output)),
-            ])
-            .to_string()
-            .into_bytes()
+        RESULT_RECORD_SCHEMA.document(vec![
+            ("experiment", Json::str(&job.experiment)),
+            ("label", Json::str(job.label())),
+            ("workload", Json::str(job.cell.name())),
+            ("coordinator", Json::str(job.coordinator.name())),
+            ("identity", Json::hex(key.identity)),
+            ("variant", Json::hex(key.variant)),
+            ("seed", Json::hex(job.seed)),
+            ("instructions", Json::hex(job.instructions)),
+            ("output", job_output_json(output)),
+        ])
     }
 
     /// Reconstructs the exact [`JobOutput`] from a record payload written by
@@ -248,6 +252,19 @@ mod tests {
         let output = job.run();
         let payload = StoreHandle::encode(&job, &output);
         assert_eq!(StoreHandle::decode(&payload).unwrap(), output);
+    }
+
+    #[test]
+    fn record_doc_serialises_to_the_encoded_payload() {
+        let job = one_job().with_telemetry(2048);
+        let output = job.run();
+        let payload = StoreHandle::encode(&job, &output);
+        let doc = StoreHandle::record_doc(&job, &output);
+        assert_eq!(doc.to_string().into_bytes(), payload);
+        // A parse and re-serialise round trip of the payload adds nothing either, so a
+        // `RESULT` frame embedding the document carries the bytes it always did.
+        let reparsed = Json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+        assert_eq!(reparsed.to_string().into_bytes(), payload);
     }
 
     #[test]

@@ -43,10 +43,11 @@ run options:
   --workloads <N>     cap the workload count, keeping a balanced friendly/adverse mix
   --jobs <N>          engine worker count (default: every hardware thread); --jobs 1 is
                       the exact serial path; tables are byte-identical at any value
-  --workers <N>       distribute simulation across N spawned worker processes (each one
-                      is this binary re-invoked as `figures --worker`): the coordinator
-                      shards every engine batch over length-delimited checksummed
-                      frames, retries cells whose worker dies, and merges results in
+  --workers <N>       distribute simulation across N worker processes (each one is this
+                      binary re-invoked as `figures --worker`, spawned once and reused
+                      by every batch): the coordinator shards every engine batch over
+                      length-delimited checksummed frames, replaces a worker that
+                      dies, retries the cells it owed, and merges results in
                       submission order, so tables are byte-identical at any worker
                       count and under worker failure. The store, event log and merge
                       stay on the coordinator; workers return each cell's wall-clock
@@ -203,7 +204,7 @@ run options:
   --workloads <N>      cap the tuning-workload count (min 4)
   --jobs <N>           engine worker count (default: every hardware thread); the
                        leaderboard is byte-identical at any value
-  --workers <N>        distribute evaluation across N spawned worker processes (see
+  --workers <N>        distribute evaluation across N long-lived worker processes (see
                        `figures --help` for the protocol); the leaderboard is
                        byte-identical at any worker count. Incompatible with
                        --bench-report

@@ -60,10 +60,11 @@ pub struct RunOptions {
     /// whole run simulation-free.
     pub store: Option<StoreHandle>,
     /// Optional distributed worker pool (the `--workers` flag): every engine batch an
-    /// experiment runs executes its store-missing cells on spawned worker processes
-    /// (`athena_engine::dist`) instead of in-process threads. Merge order, the store and
-    /// event emission stay on the coordinator, so tables are byte-identical at any
-    /// worker count.
+    /// experiment runs executes its store-missing cells on the pool's worker processes
+    /// (`athena_engine::dist`) instead of in-process threads. Every clone of the options
+    /// shares the pool's workers: they are spawned once and serve every batch. Merge
+    /// order, the store and event emission stay on the coordinator, so tables are
+    /// byte-identical at any worker count.
     pub dist: Option<DistPool>,
     /// Optional structured event sink (the `--events` flag): every engine batch an
     /// experiment runs emits its lifecycle events through it as JSONL. Observation is not

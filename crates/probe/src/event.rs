@@ -58,8 +58,8 @@ pub const TOPOLOGY_EVENT_KINDS: &[&str] = &[
 /// ran remotely; `None` means the cell ran in-process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellOrigin {
-    /// Coordinator-assigned worker id (stable across the batch; respawned workers get
-    /// fresh ids).
+    /// Coordinator-assigned worker id (stable for the pool's lifetime; replacement
+    /// workers get fresh ids).
     pub worker: usize,
     /// The worker's OS process id (host-dependent, stripped by determinism comparisons).
     pub pid: u64,
@@ -152,10 +152,11 @@ pub enum Event {
         /// Size of the written contents in bytes.
         bytes: usize,
     },
-    /// A distributed worker process was spawned by the coordinator.
+    /// A distributed worker process was spawned by the coordinator (once per process:
+    /// the pool reuses it for every later batch).
     WorkerJoined {
-        /// Coordinator-assigned worker id (stable across the batch; respawned workers
-        /// get fresh ids).
+        /// Coordinator-assigned worker id (stable for the pool's lifetime; replacement
+        /// workers get fresh ids).
         worker: usize,
         /// The worker's OS process id (a wall-clock-like value: real but not
         /// deterministic — comparisons should treat it like a timestamp).
@@ -170,11 +171,11 @@ pub enum Event {
         /// Payload size of the shard frame in bytes (header excluded).
         bytes: usize,
     },
-    /// A distributed worker died (EOF or truncated frame) with cells unanswered.
+    /// A distributed worker died (EOF or truncated frame), mid-shard or while idle.
     WorkerDied {
         /// The dead worker's id.
         worker: usize,
-        /// Number of cells it still owed.
+        /// Number of cells it still owed (0 for a worker that died idle).
         outstanding: usize,
         /// What the coordinator observed on the stream.
         error: String,

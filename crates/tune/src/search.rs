@@ -63,9 +63,10 @@ pub struct TuneOptions {
     /// so a search re-entered over a widened space (or after a kill) re-simulates only
     /// the (candidate × workload × budget) cells the store has not seen.
     pub store: Option<StoreHandle>,
-    /// Optional distributed worker pool: evaluation batches run their cells on spawned
-    /// worker processes ([`athena_engine::dist`]) instead of in-process threads. Merge
-    /// order is unchanged, so leaderboards stay byte-identical at any worker count.
+    /// Optional distributed worker pool: evaluation batches run their cells on the pool's
+    /// long-lived worker processes ([`athena_engine::dist`]) instead of in-process
+    /// threads. Merge order is unchanged, so leaderboards stay byte-identical at any
+    /// worker count.
     pub dist: Option<DistPool>,
     /// Optional structured event sink: evaluation batches emit their lifecycle events
     /// through it as JSONL. Observation is not identity — attaching a sink cannot change

@@ -4,8 +4,10 @@
 # in-process, on 2 worker processes, on 2 workers under full observation
 # (--events --profile, with `results trace` / `results metrics` exercised on the
 # artifacts), and on 2 workers with one SIGKILLed mid-shard — and requires every
-# table to come out byte-identical, with the faulted run still exiting 0. CI calls
-# this; it also works locally from the repo root.
+# table to come out byte-identical, with the faulted run still exiting 0. Workers
+# live for the whole run: the clean 2-worker run must spawn exactly 2, the faulted
+# one exactly 3 (the two, plus one replacement). CI calls this; it also works
+# locally from the repo root.
 #
 # Usage: scripts/dist_smoke.sh [SCRATCH_DIR]
 #
@@ -30,7 +32,16 @@ figures --all --quick --workers 2 --out "$scratch/dist" \
 for f in "$scratch"/inproc/*.csv; do
   cmp "$f" "$scratch/dist/$(basename "$f")"
 done
-grep -q '"kind":"worker_joined"' "$scratch/dist_events.jsonl"
+# One worker_joined line per worker process: LOG must show exactly WANT spawns.
+expect_joined() {
+  local log=$1 want=$2 got
+  got=$(grep -c '"kind":"worker_joined"' "$log" || true)
+  if [ "$got" -ne "$want" ]; then
+    echo "dist smoke: $log has $got worker_joined lines, want $want" >&2
+    exit 1
+  fi
+}
+expect_joined "$scratch/dist_events.jsonl" 2
 
 # Observability composes with distribution: the same 2-worker run with the profiler on
 # must still produce identical bytes, bring every cell's profile back over the wire into
@@ -75,6 +86,7 @@ PY
 test -e "$scratch/die.marker"
 grep -q '"kind":"worker_died"' "$scratch/killed_events.jsonl"
 grep -q '"kind":"cell_reassigned"' "$scratch/killed_events.jsonl"
+expect_joined "$scratch/killed_events.jsonl" 3
 for f in "$scratch"/inproc/*.csv; do
   cmp "$f" "$scratch/killed/$(basename "$f")"
 done

@@ -21,8 +21,9 @@
 //! windowed-telemetry study (per-cell time series + learning-curve table). `--store DIR`
 //! attaches the persistent result store: finished cells are cached and a warm re-run with
 //! the same options simulates nothing while producing byte-identical tables.
-//! `--workers N` distributes every batch across N spawned worker processes (this same
-//! binary in `--worker` mode) with tables still byte-identical to the in-process run;
+//! `--workers N` distributes every batch across N worker processes (this same binary in
+//! `--worker` mode, spawned once and reused by every batch) with tables still
+//! byte-identical to the in-process run;
 //! `--events` and `--profile` compose with it — workers return each cell's wall-clock
 //! and phase profile with its result and the coordinator logs the cell's events at
 //! merge, so the log and `BENCH_sim.json` cover the whole distributed run.

@@ -8,8 +8,10 @@
 
 #![allow(dead_code)] // each test binary uses a different subset of these helpers
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use athena_repro::engine::json::Json;
 
 /// The path of one of this package's CLI binaries, as built for this test run.
 pub fn harness_bin(name: &str) -> PathBuf {
@@ -61,4 +63,26 @@ pub fn assert_same_bytes(a: &std::path::Path, b: &std::path::Path) {
         left.len(),
         right.len()
     );
+}
+
+/// An integer field of an event line.
+pub fn event_u64(doc: &Json, key: &str) -> u64 {
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("event line without an integer '{key}': {doc}")) as u64
+}
+
+/// The lines of one kind in an event log, parsed.
+pub fn events_of_kind(lines: &[String], kind: &str) -> Vec<Json> {
+    lines
+        .iter()
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("corrupt line {line:?}: {e}")))
+        .filter(|doc| doc.get("kind").and_then(Json::as_str) == Some(kind))
+        .collect()
+}
+
+/// Whether a process with this pid exists: an exited one that waits to be reaped still
+/// does, a reaped one does not.
+pub fn process_exists(pid: u64) -> bool {
+    Path::new(&format!("/proc/{pid}")).exists()
 }

@@ -7,6 +7,10 @@
 //!   the wire level, same recovery, same bytes;
 //! * a worker that sends a corrupted frame (checksum mismatch): the coordinator fails
 //!   loudly and merges nothing from it — a lying record is never retried around;
+//! * a worker SIGKILLed while idle between batches: the next batch replaces it without
+//!   charging any cell an attempt, and the table bytes survive;
+//! * a run that failed on a corrupt frame leaves no worker behind: the same pool's next
+//!   run starts from fresh processes and produces the serial bytes;
 //! * a worker that panics on one cell: the panic travels back as that cell's error,
 //!   exactly like an in-process panic, with no retry (the cell is deterministic — a
 //!   second attempt would panic again).
@@ -17,6 +21,8 @@
 
 use std::fs;
 use std::path::Path;
+use std::process::Command;
+use std::time::{Duration, Instant};
 
 use athena_repro::engine::{DistPool, Engine, Job, WorkerCommand};
 use athena_repro::harness::experiments::run_experiment;
@@ -24,7 +30,7 @@ use athena_repro::prelude::*;
 
 mod common;
 
-use common::{harness_bin, temp_dir};
+use common::{event_u64, events_of_kind, harness_bin, process_exists, temp_dir};
 
 fn opts() -> RunOptions {
     RunOptions {
@@ -124,6 +130,119 @@ fn a_corrupted_result_frame_fails_the_run_loudly() {
         "the failure must say the frame was corrupt: {message}"
     );
     assert!(marker.exists(), "the corruption fault must have fired");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `(worker id, pid)` of every `worker_joined` line, and the `outstanding` count of
+/// every `worker_died` line, in a buffered sink's log.
+fn topology(lines: &[String]) -> (Vec<(u64, u64)>, Vec<u64>) {
+    let joined = events_of_kind(lines, "worker_joined")
+        .iter()
+        .map(|doc| (event_u64(doc, "worker"), event_u64(doc, "pid")))
+        .collect();
+    let died = events_of_kind(lines, "worker_died")
+        .iter()
+        .map(|doc| event_u64(doc, "outstanding"))
+        .collect();
+    (joined, died)
+}
+
+/// Whether `pid` has exited and waits to be reaped.
+fn is_zombie(pid: u64) -> bool {
+    fs::read_to_string(format!("/proc/{pid}/stat"))
+        .ok()
+        .and_then(|stat| {
+            stat.rsplit(')')
+                .next()
+                .map(|rest| rest.trim_start().starts_with('Z'))
+        })
+        .unwrap_or(false)
+}
+
+#[test]
+fn a_worker_killed_while_idle_is_replaced_without_charging_a_cell() {
+    let serial = fig7_csv(&opts());
+    let sink = ProbeSink::buffered();
+    let command = WorkerCommand::new(harness_bin("figures"), &["--worker"]);
+    let mut distributed = opts();
+    distributed.dist = Some(DistPool::new(command, 2));
+    distributed.probe = Some(sink.clone());
+
+    assert_eq!(fig7_csv(&distributed), serial);
+    let (joined, _) = topology(&sink.take_lines());
+    assert_eq!(joined.len(), 2, "fig7 runs on the pool's two workers");
+    let victim = joined[0].1;
+    let status = Command::new("kill")
+        .args(["-9", &victim.to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(status.success());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !is_zombie(victim) {
+        assert!(Instant::now() < deadline, "worker {victim} did not die");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    assert_eq!(
+        fig7_csv(&distributed),
+        serial,
+        "the rerun on a repaired pool must match the serial run byte-for-byte"
+    );
+    let log = sink.take_lines();
+    let (rejoined, died) = topology(&log);
+    assert_eq!(
+        died,
+        vec![0],
+        "one idle death, with no cell outstanding: {log:?}"
+    );
+    assert_eq!(
+        rejoined.len(),
+        1,
+        "exactly one replacement is spawned: {log:?}"
+    );
+    assert!(
+        !log.iter()
+            .any(|line| line.contains("\"kind\":\"cell_reassigned\"")),
+        "an idle death reassigns nothing: {log:?}"
+    );
+    assert!(!process_exists(victim), "the dead worker was reaped");
+}
+
+#[test]
+fn a_pool_starts_afresh_after_a_run_fails_on_corruption() {
+    let dir = temp_dir("corrupt-then-clean");
+    let marker = dir.join("fault.marker");
+    let sink = ProbeSink::buffered();
+    let mut distributed = opts();
+    distributed.dist = Some(faulty_pool("ATHENA_DIST_FAULT_CORRUPT", &marker));
+    distributed.probe = Some(sink.clone());
+
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_experiment("fig7", &distributed)
+    }));
+    assert!(outcome.is_err(), "the corrupt frame fails the run");
+    assert!(marker.exists(), "the corruption fault must have fired");
+    let (failed_workers, _) = topology(&sink.take_lines());
+    assert!(!failed_workers.is_empty());
+    for &(_, pid) in &failed_workers {
+        assert!(
+            !process_exists(pid),
+            "worker {pid} survived the failed batch"
+        );
+    }
+
+    // The fault fired once; the same pool's next run is clean, on new processes.
+    assert_eq!(fig7_csv(&distributed), fig7_csv(&opts()));
+    let (fresh, _) = topology(&sink.take_lines());
+    assert_eq!(fresh.len(), 2, "the next run spawns a full set of workers");
+    for (id, pid) in &fresh {
+        assert!(
+            failed_workers
+                .iter()
+                .all(|(old_id, old_pid)| old_id != id && old_pid != pid),
+            "worker #{id} (pid {pid}) was carried over from the failed batch"
+        );
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -11,12 +11,16 @@
 //!   exactly the wall-clock and profile of its cell's result;
 //! * a cell crosses the pipe once: a one-worker batch of N cells costs the coordinator
 //!   the worker's `HELLO`, N `RESULT` frames and its `DONE`, nothing more;
+//! * workers live as long as their pool: one pool running two batches spawns each worker
+//!   once and runs both batches' cells on the same processes, and dropping the pool's
+//!   last clone reaps every worker;
 //! * a SIGKILLed worker never corrupts the log — after recovery every line still parses
 //!   and every cell still has exactly one pair;
 //! * the `results trace` exporter turns a distributed log into valid Chrome
 //!   `trace_event` JSON with one process row per worker, and `results events` /
 //!   `results metrics` speak the distributed vocabulary.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -32,7 +36,7 @@ use athena_repro::prelude::*;
 
 mod common;
 
-use common::{harness_bin, run_bin, temp_dir, text};
+use common::{event_u64, events_of_kind, harness_bin, process_exists, run_bin, temp_dir, text};
 
 /// The profiler switch is process-global and worker pools compete for cores, so every
 /// test in this binary serialises on one gate.
@@ -272,6 +276,81 @@ fn a_distributed_cell_crosses_the_pipe_once() {
         "{received} frames for {} cells: want at most HELLO + one RESULT per cell + DONE",
         jobs.len()
     );
+}
+
+/// The pids of the given kind of line in a buffered sink's log.
+fn pids_of(lines: &[String], kind: &str) -> Vec<u64> {
+    events_of_kind(lines, kind)
+        .iter()
+        .map(|doc| event_u64(doc, "pid"))
+        .collect()
+}
+
+#[test]
+fn one_pool_runs_every_batch_on_the_same_workers() {
+    let _gate = gate();
+    let sink = ProbeSink::buffered();
+    let engine = Engine::new(2)
+        .with_dist(Some(pool(2)))
+        .with_probe(Some(sink.clone()));
+    let first = engine.run(jobs());
+    let first_log = sink.take_lines();
+    // A second engine from a clone of the pool, as each batch of an options set gets.
+    let second = engine.clone().run(jobs());
+    let second_log = sink.take_lines();
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(
+            a.output, b.output,
+            "{}: a reused worker changed a cell",
+            a.label
+        );
+    }
+
+    let joined = pids_of(&first_log, "worker_joined");
+    assert_eq!(
+        joined.len(),
+        2,
+        "the first batch spawns the pool's two workers"
+    );
+    assert!(
+        pids_of(&second_log, "worker_joined").is_empty(),
+        "the second batch spawns nothing: {second_log:?}"
+    );
+    let pids =
+        |log: &[String]| -> BTreeSet<u64> { pids_of(log, "cell_started").into_iter().collect() };
+    let expected: BTreeSet<u64> = joined.into_iter().collect();
+    assert_eq!(
+        pids(&first_log),
+        expected,
+        "the first batch ran on the spawned workers"
+    );
+    assert_eq!(
+        pids(&second_log),
+        expected,
+        "the second batch ran on the same processes"
+    );
+}
+
+#[test]
+fn dropping_the_last_clone_of_a_pool_reaps_its_workers() {
+    let _gate = gate();
+    let pool = pool(2);
+    let clone = pool.clone();
+    let cells = pool.run_jobs(None, false, &jobs());
+    let pids: BTreeSet<u64> = cells
+        .iter()
+        .map(|c| c.origin.expect("an origin").pid)
+        .collect();
+    assert_eq!(pids.len(), 2, "both workers ran cells");
+    drop(pool);
+    assert!(
+        pids.iter().all(|&pid| process_exists(pid)),
+        "a surviving clone keeps the workers alive"
+    );
+    drop(clone);
+    for pid in pids {
+        assert!(!process_exists(pid), "worker {pid} outlived its pool");
+    }
 }
 
 #[test]
