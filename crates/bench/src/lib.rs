@@ -1,43 +1,11 @@
 //! # athena-bench
 //!
-//! Criterion benchmarks for the Athena reproduction.
+//! Criterion microbenchmarks for the Athena reproduction.
 //!
-//! Two benchmark suites are provided:
-//!
-//! * `figures` — one benchmark per paper figure/table, running the corresponding harness
-//!   experiment at reduced scale (a handful of workloads, tens of thousands of instructions)
-//!   so the entire suite completes in minutes. The benchmark's *output table* is printed the
-//!   first time each experiment runs; the benchmark's *timing* tracks how expensive that
-//!   experiment is, which is useful for catching simulator performance regressions. The
-//!   suite ends with an `engine` group that times one representative figure at `--jobs 1`
-//!   vs the host's parallelism, tracking the experiment engine's scaling.
-//! * `microbench` — microbenchmarks of the performance-critical primitives: cache lookups,
-//!   DRAM accesses, QVStore SARSA updates, Bloom filter operations, trace generation, a
-//!   whole single-core simulation step, and the engine's job-dispatch overhead.
+//! The `microbench` suite times the performance-critical primitives: cache lookups, DRAM
+//! accesses, QVStore SARSA updates, Bloom filter operations, trace generation, a whole
+//! single-core simulation step, and the engine's job-dispatch overhead. End-to-end sweep
+//! timings live in the standalone `e2ebench/` package, and `figures --jobs 1` prints each
+//! experiment's wall time.
 //!
 //! Run with `cargo bench -p athena-bench` (or `cargo bench --workspace`).
-
-/// The reduced run options shared by the figure benchmarks.
-///
-/// Serial (`jobs: 1`) on purpose: per-figure timings then measure simulator cost alone,
-/// undisturbed by worker scheduling. The `engine` benchmark group measures parallel scaling
-/// explicitly via [`parallel_bench_options`].
-pub fn bench_options() -> athena_harness::RunOptions {
-    athena_harness::RunOptions {
-        instructions: 12_000,
-        workload_limit: Some(4),
-        jobs: 1,
-        trace_dir: None,
-        tuned_config: None,
-        store: None,
-        dist: None,
-        probe: None,
-        progress: false,
-    }
-}
-
-/// [`bench_options`] with the engine worker count raised to the host's parallelism, for the
-/// scaling benchmarks.
-pub fn parallel_bench_options() -> athena_harness::RunOptions {
-    bench_options().with_jobs(athena_engine::available_parallelism())
-}

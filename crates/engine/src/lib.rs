@@ -17,7 +17,7 @@
 //!   wall-clock accounting ([`Engine::run`]).
 //! * **Machine-readable results** — a hand-rolled JSON writer ([`json::Json`]) serialises
 //!   aggregate [`ExperimentTable`]s, per-cell records ([`with_recording`]) and the
-//!   `BENCH_engine.json` performance snapshot ([`report::BenchReport`]); every document
+//!   `BENCH_sim.json` phase profile ([`report::SIM_BENCH_SCHEMA`]); every document
 //!   declares a shared [`report::Schema`] constant.
 //! * **Result caching** — an optional persistent content-addressed store
 //!   ([`StoreHandle`], crate `athena-store`) serves previously simulated cells, keyed by

@@ -1,5 +1,5 @@
 //! Machine-readable report writers: per-figure JSON results, windowed-timeline documents,
-//! the `BENCH_engine.json` performance snapshot, and the lossless result serialisation the
+//! the `BENCH_sim.json` phase-profile pieces, and the lossless result serialisation the
 //! result store records are written in.
 //!
 //! Every JSON document this workspace emits is identified by a [`Schema`] — a shared
@@ -37,14 +37,10 @@ pub struct Schema {
 pub const FIGURE_SCHEMA: Schema = Schema::new("figure-result", 1);
 /// Schema of the standalone per-cell timeline documents ([`timeline_report`]).
 pub const TIMELINE_SCHEMA: Schema = Schema::new("timeline", 1);
-/// Schema of the `BENCH_engine.json` snapshot ([`BenchReport::to_json`]).
-pub const BENCH_SCHEMA: Schema = Schema::new("engine-bench", 1);
 /// Schema of the tune leaderboard document (`Leaderboard::to_json`).
 pub const TUNE_SCHEMA: Schema = Schema::new("tune", 1);
 /// Schema of a saved tuned-configuration document (`Leaderboard::best_json`, `--config`).
 pub const TUNE_CONFIG_SCHEMA: Schema = Schema::new("tune-config", 1);
-/// Schema of the `BENCH_tune.json` snapshot (the tune CLI's `--bench-report`).
-pub const TUNE_BENCH_SCHEMA: Schema = Schema::new("tune-bench", 1);
 /// Schema of one result-store record payload ([`job_output_json`] wrapped by the engine's
 /// store module).
 pub const RESULT_RECORD_SCHEMA: Schema = Schema::new("result-record", 1);
@@ -330,124 +326,6 @@ pub fn timeline_report(workload: &str, coordinator: &str, seed: u64, t: &Timelin
         ("seed", Json::hex(seed)),
         ("timeline", timeline_json(t)),
     ])
-}
-
-/// One experiment's serial-vs-parallel measurement in a [`BenchReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentBench {
-    /// Experiment identifier (e.g. `"fig7"`).
-    pub name: String,
-    /// Wall-clock of the `--jobs 1` run.
-    pub serial: Duration,
-    /// Wall-clock of the parallel run.
-    pub parallel: Duration,
-    /// Whether the parallel run's table was byte-identical (CSV) to the serial run's.
-    pub identical: bool,
-}
-
-impl ExperimentBench {
-    /// Serial-over-parallel wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.serial.as_secs_f64() / self.parallel.as_secs_f64().max(1e-9)
-    }
-}
-
-/// The `BENCH_engine.json` snapshot: per-experiment wall-clock at `--jobs 1` vs `--jobs N`,
-/// the resulting speedups, and a determinism verdict per experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchReport {
-    /// Worker count of the parallel runs.
-    pub jobs: usize,
-    /// Hardware threads available on the measuring host.
-    pub host_parallelism: usize,
-    /// Instruction budget per workload used for the measurement.
-    pub instructions: u64,
-    /// Workload cap used for the measurement (`None` = full suite).
-    pub workload_limit: Option<usize>,
-    /// Per-experiment measurements.
-    pub experiments: Vec<ExperimentBench>,
-}
-
-impl BenchReport {
-    /// Total serial wall-clock across all experiments.
-    pub fn total_serial(&self) -> Duration {
-        self.experiments.iter().map(|e| e.serial).sum()
-    }
-
-    /// Total parallel wall-clock across all experiments.
-    pub fn total_parallel(&self) -> Duration {
-        self.experiments.iter().map(|e| e.parallel).sum()
-    }
-
-    /// Whole-suite speedup (total serial over total parallel).
-    pub fn overall_speedup(&self) -> f64 {
-        self.total_serial().as_secs_f64() / self.total_parallel().as_secs_f64().max(1e-9)
-    }
-
-    /// True when every experiment's parallel table matched its serial table byte-for-byte.
-    pub fn all_identical(&self) -> bool {
-        self.experiments.iter().all(|e| e.identical)
-    }
-
-    /// Serialises the snapshot. Snapshots taken on hosts with fewer than four hardware
-    /// threads carry an explicit note, so a recorded sub-1x "speedup" reads as what it is
-    /// (thread overhead on a host with nothing to parallelise over) rather than a
-    /// regression.
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("jobs", Json::int(self.jobs)),
-            ("host_parallelism", Json::int(self.host_parallelism)),
-        ];
-        if self.host_parallelism < 4 {
-            pairs.push((
-                "note",
-                Json::str(format!(
-                    "measured on a {}-thread host: parallel speedup needs hardware \
-                     parallelism; the >=2x criterion is asserted by \
-                     tests/engine_determinism.rs on 4+-core machines",
-                    self.host_parallelism
-                )),
-            ));
-        }
-        pairs.extend(vec![
-            ("instructions", Json::num(self.instructions as f64)),
-            (
-                "workload_limit",
-                match self.workload_limit {
-                    Some(w) => Json::int(w),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "experiments",
-                Json::arr(
-                    self.experiments
-                        .iter()
-                        .map(|e| {
-                            Json::obj(vec![
-                                ("name", Json::str(&e.name)),
-                                ("serial_ms", Json::num(e.serial.as_secs_f64() * 1e3)),
-                                ("parallel_ms", Json::num(e.parallel.as_secs_f64() * 1e3)),
-                                ("speedup", Json::num(e.speedup())),
-                                ("identical_to_serial", Json::Bool(e.identical)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "total_serial_ms",
-                Json::num(self.total_serial().as_secs_f64() * 1e3),
-            ),
-            (
-                "total_parallel_ms",
-                Json::num(self.total_parallel().as_secs_f64() * 1e3),
-            ),
-            ("overall_speedup", Json::num(self.overall_speedup())),
-            ("all_identical_to_serial", Json::Bool(self.all_identical())),
-        ]);
-        BENCH_SCHEMA.document(pairs)
-    }
 }
 
 // ---------------------------------------------------------------------------------------
@@ -1010,61 +888,6 @@ pub fn job_output_from_json(j: &Json) -> Result<JobOutput, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report() -> BenchReport {
-        BenchReport {
-            jobs: 4,
-            host_parallelism: 8,
-            instructions: 40_000,
-            workload_limit: Some(12),
-            experiments: vec![
-                ExperimentBench {
-                    name: "fig7".into(),
-                    serial: Duration::from_millis(4000),
-                    parallel: Duration::from_millis(1000),
-                    identical: true,
-                },
-                ExperimentBench {
-                    name: "tab4".into(),
-                    serial: Duration::from_millis(10),
-                    parallel: Duration::from_millis(10),
-                    identical: true,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn speedups_are_computed_from_totals() {
-        let r = report();
-        assert!((r.experiments[0].speedup() - 4.0).abs() < 1e-9);
-        assert!((r.overall_speedup() - 4010.0 / 1010.0).abs() < 1e-9);
-        assert!(r.all_identical());
-    }
-
-    #[test]
-    fn json_snapshot_has_the_expected_fields() {
-        let text = report().to_json().to_pretty();
-        for field in [
-            "athena-engine-bench-v1",
-            "\"jobs\": 4",
-            "\"name\": \"fig7\"",
-            "serial_ms",
-            "overall_speedup",
-            "all_identical_to_serial",
-        ] {
-            assert!(text.contains(field), "missing {field} in {text}");
-        }
-    }
-
-    #[test]
-    fn sub_four_thread_hosts_get_an_explanatory_note() {
-        let mut r = report();
-        assert!(!r.to_json().to_string().contains("\"note\""));
-        r.host_parallelism = 1;
-        let text = r.to_json().to_string();
-        assert!(text.contains("\"note\":\"measured on a 1-thread host"));
-    }
 
     #[test]
     fn events_schema_agrees_with_the_probe_crate() {

@@ -1,5 +1,5 @@
-//! The help text of the harness binaries, the generator for `docs/CLI.md`, and the
-//! shared failure helpers every binary exits through.
+//! The help text of the harness binaries, the generator for `docs/CLI.md`, the shared
+//! failure helpers every binary exits through, and the report-file writer.
 //!
 //! All CLIs print these constants for `--help`; the `cli_reference` example renders them
 //! into `docs/CLI.md`, and CI regenerates that file and fails on any drift — so the
@@ -21,6 +21,33 @@ pub fn fail(message: impl std::fmt::Display) -> ! {
 pub fn fail_env(message: impl std::fmt::Display) -> ! {
     eprintln!("error: {message}");
     std::process::exit(1);
+}
+
+/// Writes one report file (creating parent directories), announcing it on stdout and —
+/// when an event sink is attached — as a `report_written` event. A directory or file that
+/// cannot be written exits through [`fail_env`].
+pub fn write_file(
+    probe: Option<&athena_engine::ProbeSink>,
+    path: &std::path::Path,
+    contents: &str,
+) {
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                fail_env(format!("cannot create {}: {e}", dir.display()));
+            }
+        }
+    }
+    if let Err(e) = std::fs::write(path, contents) {
+        fail_env(format!("cannot write {}: {e}", path.display()));
+    }
+    if let Some(sink) = probe {
+        sink.emit(&athena_engine::Event::ReportWritten {
+            path: path.display().to_string(),
+            bytes: contents.len(),
+        });
+    }
+    println!("wrote {}", path.display());
 }
 
 /// `figures --help`.
@@ -53,7 +80,7 @@ run options:
                       stay on the coordinator; workers return each cell's wall-clock
                       and phase profile with its result, which the coordinator logs
                       as the cell's events at merge, so --events and --profile
-                      compose with --workers. Incompatible with --bench-report
+                      compose with --workers
   --worker            internal: run as a worker process serving shards on stdin/stdout;
                       spawned by a `--workers` coordinator, never useful by hand
   --trace-dir <DIR>   replay recorded traces from DIR (written by `trace record`):
@@ -72,8 +99,7 @@ result store:
                       every finished cell is cached under its identity hash, and a warm
                       re-run with the same options simulates nothing while producing
                       byte-identical tables; a killed sweep resumes paying only for the
-                      missing cells. Incompatible with --bench-report (cached cells
-                      would corrupt the timings). Inspect the store with `results`
+                      missing cells. Inspect the store with `results`
   --store-policy <P>  how the batch uses the store (default rw): 'rw' reads and writes,
                       'ro' reads but never writes (no writer lock taken), 'refresh'
                       re-simulates everything and overwrites the cached records,
@@ -85,9 +111,6 @@ output:
   --json              also write one <fig>.json per experiment (aggregate table plus
                       per-cell records: label, derived seed, wall-clock, outcome) into
                       --out DIR or results/
-  --bench-report      instead of printing tables: time every selected experiment at
-                      --jobs 1 vs the parallel worker count, verify both tables match
-                      byte-for-byte, and write the BENCH_engine.json snapshot
 
 observability (neither flag changes a table byte — observation is not identity):
   --events <FILE>     write a structured JSONL event log (schema athena-events-v1) of
@@ -206,8 +229,7 @@ run options:
                        leaderboard is byte-identical at any value
   --workers <N>        distribute evaluation across N long-lived worker processes (see
                        `figures --help` for the protocol); the leaderboard is
-                       byte-identical at any worker count. Incompatible with
-                       --bench-report
+                       byte-identical at any worker count
   --worker             internal: run as a worker process serving shards on
                        stdin/stdout; spawned by a `--workers` coordinator
   --trace-dir <DIR>    replay recorded traces from DIR (record them with
@@ -218,8 +240,7 @@ result store:
   --store <DIR>        attach the persistent result store in DIR (see `figures --help`):
                        rung budgets are part of each cell's identity, so re-entering a
                        killed or widened search re-simulates only the unseen
-                       (candidate × workload × budget) cells. Incompatible with
-                       --bench-report
+                       (candidate × workload × budget) cells
   --store-policy <P>   'rw' (default), 'ro', 'refresh' or 'off'
 
 output:
@@ -229,10 +250,6 @@ output:
                        --tuned-config <DIR>/best.json`, which reproduces the claimed
                        speedup exactly under matching options)
   --top <N>            rows of the leaderboard to print (default 10)
-  --bench-report       additionally time the search at --jobs 1 vs the parallel worker
-                       count, verify both leaderboards match byte-for-byte, and write
-                       the BENCH_tune.json snapshot (into --out DIR when given,
-                       otherwise the working directory, next to BENCH_engine.json)
 
 observability:
   --events <FILE>      write a structured JSONL event log (schema athena-events-v1) of
@@ -278,8 +295,8 @@ commands:
              instants for store hits and worker deaths. Writes trace.json next to
              the log unless --out says otherwise
   metrics    print the engine metrics snapshot (schema athena-metrics-v1) embedded
-             in a JSON report (a <fig>.json from `figures --json`, BENCH_sim.json
-             or BENCH_tune.json): counters, latency histograms and per-worker
+             in a JSON report (a <fig>.json from `figures --json` or
+             BENCH_sim.json): counters, latency histograms and per-worker
              utilization
 
 options:
@@ -410,8 +427,12 @@ mod tests {
     #[test]
     fn help_texts_document_the_tuning_subsystem() {
         assert!(FIGURES_HELP.contains("--tuned-config"));
-        for flag in ["--strategy", "--samples", "--objective", "--bench-report"] {
+        for flag in ["--strategy", "--samples", "--objective"] {
             assert!(TUNE_HELP.contains(flag), "missing {flag}");
+        }
+        // Neither CLI times itself: `e2ebench/` is the one bench surface.
+        for help in [FIGURES_HELP, TUNE_HELP] {
+            assert!(!help.contains("--bench-report"));
         }
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! Each field maps onto a `figures` CLI flag (`--instructions`, `--workloads`, `--jobs`,
 //! `--trace-dir`); the CLI additionally offers output-mode flags that never reach the
-//! experiments themselves — `--out DIR` (CSV files), `--json` (per-figure JSON reports
-//! with per-cell records) and `--bench-report` (serial-vs-parallel timing snapshot with a
-//! byte-identity check, written to `BENCH_engine.json`).
+//! experiments themselves — `--out DIR` (CSV files) and `--json` (per-figure JSON reports
+//! with per-cell records).
 
 use std::path::PathBuf;
 

@@ -5,7 +5,6 @@
 //! cargo run --release --bin figures -- --fig fig7
 //! cargo run --release --bin figures -- --all --quick --jobs 4
 //! cargo run --release --bin figures -- --all --quick --json --out results/
-//! cargo run --release --bin figures -- --all --quick --bench-report
 //! cargo run --release --bin figures -- --fig fig7 --trace-dir traces/
 //! cargo run --release --bin figures -- --timeline --quick --out results/
 //! ```
@@ -14,9 +13,7 @@
 //! `--jobs N` sets the engine worker count (default: every hardware thread); `--jobs 1`
 //! is the exact serial path and produces byte-identical tables. `--json` writes one
 //! machine-readable result file per experiment (aggregate table + per-cell records).
-//! `--bench-report` times every selected experiment at `--jobs 1` and at the parallel
-//! worker count, verifies the tables match byte-for-byte, and writes the
-//! `BENCH_engine.json` performance snapshot. `--trace-dir` replays recorded traces
+//! `--trace-dir` replays recorded traces
 //! (written by the `trace` CLI) in place of in-process generation. `--timeline` runs the
 //! windowed-telemetry study (per-cell time series + learning-curve table). `--store DIR`
 //! attaches the persistent result store: finished cells are cached and a warm re-run with
@@ -33,14 +30,13 @@ use std::time::{Duration, Instant};
 
 use athena_engine::json::Json;
 use athena_engine::report::{
-    figure_report, metrics_snapshot_json, phase_profile_json, timeline_report, BenchReport,
-    ExperimentBench, SIM_BENCH_SCHEMA,
+    figure_report, metrics_snapshot_json, phase_profile_json, timeline_report, SIM_BENCH_SCHEMA,
 };
 use athena_engine::{
-    available_parallelism, set_profiling, take_cell, with_recording, CellRecord, Event,
-    PhaseProfile, ProbeSink,
+    available_parallelism, set_profiling, take_cell, with_recording, CellRecord, PhaseProfile,
+    ProbeSink,
 };
-use athena_harness::cli::{fail, fail_env, FIGURES_HELP as HELP};
+use athena_harness::cli::{fail, fail_env, write_file, FIGURES_HELP as HELP};
 use athena_harness::experiments::{experiment_names, run_experiment};
 use athena_harness::timeline::timeline_study;
 use athena_harness::{DistPool, RunOptions, StoreHandle, StorePolicy, WorkerCommand};
@@ -51,16 +47,12 @@ struct Args {
     opts: RunOptions,
     out_dir: Option<PathBuf>,
     json: bool,
-    bench_report: bool,
     timeline: bool,
     /// Hot-path phase profiling (the `--profile` flag): print a per-phase breakdown and
     /// write `BENCH_sim.json` + `profile.folded`.
     profile: bool,
     /// Telemetry window length for `--timeline` (the `--window` flag).
     window: u64,
-    /// The parallel worker count used by `--bench-report` (the `--jobs` flag, or every
-    /// hardware thread when the flag is absent).
-    parallel_jobs: usize,
 }
 
 /// Counts one batch's cache hits: `(simulated, cached)`.
@@ -80,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
     let mut tuned_config: Option<PathBuf> = None;
     let mut out_dir = None;
     let mut json = false;
-    let mut bench_report = false;
     let mut timeline = false;
     let mut window: Option<u64> = None;
     let mut store_dir: Option<PathBuf> = None;
@@ -97,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
             "--all" => all = true,
             "--quick" => quick = true,
             "--json" => json = true,
-            "--bench-report" => bench_report = true,
             "--timeline" => timeline = true,
             "--window" => {
                 let n: u64 = args
@@ -111,20 +101,26 @@ fn parse_args() -> Result<Args, String> {
                 window = Some(n);
             }
             "--instructions" => {
-                instructions = Some(
-                    args.next()
-                        .ok_or("--instructions needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --instructions: {e}"))?,
-                )
+                let n: u64 = args
+                    .next()
+                    .ok_or("--instructions needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad --instructions: {e}"))?;
+                if n == 0 {
+                    return Err("--instructions must be at least 1".to_string());
+                }
+                instructions = Some(n);
             }
             "--workloads" => {
-                workload_limit = Some(
-                    args.next()
-                        .ok_or("--workloads needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --workloads: {e}"))?,
-                )
+                let n: usize = args
+                    .next()
+                    .ok_or("--workloads needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad --workloads: {e}"))?;
+                if n == 0 {
+                    return Err("--workloads must be at least 1".to_string());
+                }
+                workload_limit = Some(n);
             }
             "--jobs" => {
                 let n: usize = args
@@ -194,50 +190,23 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if bench_report && json {
-        return Err(
-            "--bench-report writes only BENCH_engine.json; drop --json or run them separately"
-                .to_string(),
-        );
-    }
-    if bench_report && store_dir.is_some() {
-        return Err(
-            "--bench-report measures simulation wall-clock; a result store would serve \
-             cached cells and corrupt the timings — drop --store"
-                .to_string(),
-        );
-    }
     if store_policy.is_some() && store_dir.is_none() {
         return Err("--store-policy only applies with --store <DIR>".to_string());
     }
-    if timeline && (bench_report || all || !figs.is_empty() || json) {
+    if timeline && (all || !figs.is_empty() || json) {
         return Err(
             "--timeline is a standalone mode and always writes CSV+JSON; \
-                    drop --fig/--all/--json/--bench-report"
+                    drop --fig/--all/--json"
                 .to_string(),
         );
     }
     if window.is_some() && !timeline {
         return Err("--window only applies to --timeline".to_string());
     }
-    if profile && bench_report {
-        return Err(
-            "--bench-report measures raw simulation wall-clock; the profiler's spans \
-             would be part of the measurement — drop --profile"
-                .to_string(),
-        );
-    }
     if profile && timeline {
         return Err(
             "--profile aggregates over figure sweeps; the timeline study has its own \
              output mode — drop one of them"
-                .to_string(),
-        );
-    }
-    if workers.is_some() && bench_report {
-        return Err(
-            "--bench-report times the in-process pool against the serial path; a \
-             distributed run is a different measurement — drop --workers"
                 .to_string(),
         );
     }
@@ -269,8 +238,7 @@ fn parse_args() -> Result<Args, String> {
     }
     opts.trace_dir = trace_dir;
     opts.tuned_config = tuned_config;
-    let parallel_jobs = jobs.unwrap_or_else(available_parallelism);
-    opts.jobs = parallel_jobs;
+    opts.jobs = jobs.unwrap_or_else(available_parallelism);
     let policy = match &store_policy {
         Some(name) => StorePolicy::from_name(name)
             .ok_or_else(|| format!("unknown --store-policy '{name}' (rw, ro, refresh, off)"))?,
@@ -300,11 +268,9 @@ fn parse_args() -> Result<Args, String> {
         opts,
         out_dir,
         json,
-        bench_report,
         timeline,
         profile,
         window: window.unwrap_or(DEFAULT_WINDOW_INSTRUCTIONS),
-        parallel_jobs,
     })
 }
 
@@ -315,87 +281,6 @@ fn open_store(dir: &std::path::Path, policy: StorePolicy) -> StoreHandle {
         Ok(handle) => handle,
         Err(e) => fail_env(format!("result store {}: {e}", dir.display())),
     }
-}
-
-/// Writes one report file (creating parent directories), announcing it on stdout and —
-/// when an event sink is attached — as a `report_written` event.
-fn write_file(probe: Option<&ProbeSink>, path: &std::path::Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                fail_env(format!("cannot create {}: {e}", dir.display()));
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(path, contents) {
-        fail_env(format!("cannot write {}: {e}", path.display()));
-    }
-    if let Some(sink) = probe {
-        sink.emit(&Event::ReportWritten {
-            path: path.display().to_string(),
-            bytes: contents.len(),
-        });
-    }
-    println!("wrote {}", path.display());
-}
-
-/// `--bench-report`: every selected experiment at `--jobs 1` vs the parallel worker count,
-/// with a byte-identity check between the two tables.
-fn run_bench_report(args: &Args) {
-    let mut experiments = Vec::new();
-    for fig in &args.figs {
-        let serial_opts = args.opts.clone().with_jobs(1);
-        let start = Instant::now();
-        let Some(serial_table) = run_experiment(fig, &serial_opts) else {
-            fail(format!("unknown experiment '{fig}' (see --list)"));
-        };
-        let serial = start.elapsed();
-
-        let parallel_opts = args.opts.clone().with_jobs(args.parallel_jobs);
-        let start = Instant::now();
-        let parallel_table = run_experiment(fig, &parallel_opts).expect("known experiment");
-        let parallel = start.elapsed();
-
-        let identical = serial_table.to_csv() == parallel_table.to_csv();
-        println!(
-            "{fig}: serial {serial:.1?}, parallel {parallel:.1?} ({} jobs), speedup {:.2}x, \
-             identical: {identical}",
-            args.parallel_jobs,
-            serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9),
-        );
-        experiments.push(ExperimentBench {
-            name: fig.clone(),
-            serial,
-            parallel,
-            identical,
-        });
-    }
-    let report = BenchReport {
-        jobs: args.parallel_jobs,
-        host_parallelism: available_parallelism(),
-        instructions: args.opts.instructions,
-        workload_limit: args.opts.workload_limit,
-        experiments,
-    };
-    println!(
-        "overall: {:.2}x speedup with {} jobs, all tables identical to serial: {}",
-        report.overall_speedup(),
-        report.jobs,
-        report.all_identical()
-    );
-    if !report.all_identical() {
-        fail_env("parallel tables diverged from the serial run");
-    }
-    // `--out DIR` relocates the snapshot; by default it lands in the working directory.
-    let path = match &args.out_dir {
-        Some(dir) => dir.join("BENCH_engine.json"),
-        None => PathBuf::from("BENCH_engine.json"),
-    };
-    write_file(
-        args.opts.probe.as_ref(),
-        &path,
-        &report.to_json().to_pretty(),
-    );
 }
 
 /// `--timeline`: the windowed-telemetry study. Prints the learning-curve table and writes
@@ -591,10 +476,6 @@ fn main() {
     };
     if args.profile {
         set_profiling(true);
-    }
-    if args.bench_report {
-        run_bench_report(&args);
-        return;
     }
     if args.timeline {
         run_timeline(&args);

@@ -933,7 +933,7 @@ fn run_metrics(args: &Args) {
             )),
             None => fail_env(format!(
                 "report {}: no 'metrics' object (expected a figures --json report, \
-                 BENCH_sim.json, BENCH_tune.json, or a bare snapshot)",
+                 BENCH_sim.json, or a bare snapshot)",
                 path.display()
             )),
         }

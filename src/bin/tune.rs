@@ -5,13 +5,10 @@
 //! cargo run --release --bin tune -- --quick --jobs 4
 //! cargo run --release --bin tune -- --strategy halving --samples 16 --rungs 3
 //! cargo run --release --bin tune -- --quick --trace-dir traces/
-//! cargo run --release --bin tune -- --quick --bench-report
 //! ```
 //!
 //! Writes `leaderboard.csv`, `leaderboard.json` (schema `athena-tune-v1`) and `best.json`
-//! (the winning configuration) into `--out` (default `results/tune`); `--bench-report`
-//! drops its `BENCH_tune.json` snapshot next to `BENCH_engine.json` in the working
-//! directory unless `--out` relocates it. The leaderboard is
+//! (the winning configuration) into `--out` (default `results/tune`). The leaderboard is
 //! byte-identical at any `--jobs` value and under `--trace-dir` replay; the winning
 //! configuration, fed back through `figures --fig tuned --tuned-config .../best.json`
 //! with matching options, reproduces its claimed speedup exactly. Run `tune --help` for
@@ -20,10 +17,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use athena_engine::json::Json;
-use athena_engine::report::{metrics_snapshot_json, TUNE_BENCH_SCHEMA};
 use athena_engine::{available_parallelism, with_recording};
-use athena_harness::cli::{fail, fail_env, TUNE_HELP as HELP};
+use athena_harness::cli::{fail, fail_env, write_file, TUNE_HELP as HELP};
 use athena_harness::experiments::tuning_set;
 use athena_harness::{DistPool, ProbeSink, RunOptions, StoreHandle, StorePolicy, WorkerCommand};
 use athena_tune::{tune, DesignSpace, Leaderboard, Objective, TuneOptions, TuneStrategy};
@@ -33,14 +28,9 @@ struct Args {
     strategy: TuneStrategy,
     run: RunOptions,
     tune_opts: TuneOptions,
-    /// `--out`, when given. Leaderboard files default to `results/tune/`; the
-    /// `--bench-report` snapshot defaults to the working directory (`BENCH_tune.json`,
-    /// matching `figures --bench-report`); an explicit `--out` relocates both.
+    /// `--out`, when given; leaderboard files default to `results/tune/`.
     out_dir: Option<PathBuf>,
     top: usize,
-    bench_report: bool,
-    /// The parallel worker count (`--jobs`, or every hardware thread).
-    parallel_jobs: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -57,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
     let mut objective = Objective::Speedup;
     let mut out_dir: Option<PathBuf> = None;
     let mut top = 10usize;
-    let mut bench_report = false;
     let mut store_dir: Option<PathBuf> = None;
     let mut store_policy: Option<String> = None;
     let mut events: Option<PathBuf> = None;
@@ -71,13 +60,14 @@ fn parse_args() -> Result<Args, String> {
         };
         match arg.as_str() {
             "--quick" => quick = true,
-            "--bench-report" => bench_report = true,
             "--instructions" => {
-                instructions = Some(
-                    value("--instructions")?
-                        .parse()
-                        .map_err(|e| format!("bad --instructions: {e}"))?,
-                )
+                let n: u64 = value("--instructions")?
+                    .parse()
+                    .map_err(|e| format!("bad --instructions: {e}"))?;
+                if n == 0 {
+                    return Err("--instructions must be at least 1".to_string());
+                }
+                instructions = Some(n);
             }
             "--workloads" => {
                 workload_limit = Some(
@@ -168,20 +158,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
 
-    if bench_report && store_dir.is_some() {
-        return Err(
-            "--bench-report measures search wall-clock; a result store would serve \
-             cached cells and corrupt the timings — drop --store"
-                .to_string(),
-        );
-    }
-    if workers.is_some() && bench_report {
-        return Err(
-            "--bench-report times the in-process pool against the serial path; a \
-             distributed run is a different measurement — drop --workers"
-                .to_string(),
-        );
-    }
     if store_policy.is_some() && store_dir.is_none() {
         return Err("--store-policy only applies with --store <DIR>".to_string());
     }
@@ -197,8 +173,7 @@ fn parse_args() -> Result<Args, String> {
         run.workload_limit = Some(w);
     }
     run.trace_dir = trace_dir;
-    let parallel_jobs = jobs.unwrap_or_else(available_parallelism);
-    run.jobs = parallel_jobs;
+    run.jobs = jobs.unwrap_or_else(available_parallelism);
 
     let space = if quick {
         DesignSpace::quick()
@@ -260,29 +235,7 @@ fn parse_args() -> Result<Args, String> {
         tune_opts,
         out_dir,
         top,
-        bench_report,
-        parallel_jobs,
     })
-}
-
-fn write_file(probe: Option<&ProbeSink>, path: &std::path::Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                fail_env(format!("cannot create {}: {e}", dir.display()));
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(path, contents) {
-        fail_env(format!("cannot write {}: {e}", path.display()));
-    }
-    if let Some(sink) = probe {
-        sink.emit(&athena_engine::Event::ReportWritten {
-            path: path.display().to_string(),
-            bytes: contents.len(),
-        });
-    }
-    println!("wrote {}", path.display());
 }
 
 fn print_summary(board: &Leaderboard, top: usize) {
@@ -321,74 +274,6 @@ fn print_summary(board: &Leaderboard, top: usize) {
         best.objective,
         best.speedup,
         board.evaluations,
-    );
-}
-
-/// `--bench-report`: the same search at `--jobs 1` and at the parallel worker count, a
-/// byte-identity check between the two leaderboards, and a `BENCH_tune.json` snapshot.
-fn run_bench_report(args: &Args, board: &Leaderboard, parallel_wall: std::time::Duration) {
-    // The serial verification pass is not part of the observed run: it would interleave a
-    // second batch of events into the same log and double the profile counts. The metrics
-    // snapshot is taken here, before that pass, for the same reason.
-    let metrics = metrics_snapshot_json(&athena_engine::metrics().snapshot());
-    let mut serial_opts = args.tune_opts.clone().with_jobs(1);
-    serial_opts.probe = None;
-    serial_opts.progress = false;
-    let start = Instant::now();
-    let serial = tune(
-        &args.space,
-        &args.strategy,
-        &tuning_set(&args.run),
-        &serial_opts,
-    );
-    let serial_wall = start.elapsed();
-    let identical = serial.to_csv() == board.to_csv()
-        && serial.to_json().to_string() == board.to_json().to_string();
-    let speedup = serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-9);
-    println!(
-        "bench: serial {serial_wall:.1?}, parallel {parallel_wall:.1?} ({} jobs), \
-         speedup {speedup:.2}x, identical: {identical}",
-        args.parallel_jobs
-    );
-    if !identical {
-        fail_env("parallel leaderboard diverged from the serial run");
-    }
-    let host = available_parallelism();
-    let mut pairs = vec![
-        ("jobs", Json::int(args.parallel_jobs)),
-        ("host_parallelism", Json::int(host)),
-    ];
-    if host < 4 {
-        pairs.push((
-            "note",
-            Json::str(format!(
-                "measured on a {host}-thread host: parallel speedup needs hardware \
-                 parallelism; determinism (identical leaderboards) is the asserted \
-                 property here and in tests/tune_determinism.rs"
-            )),
-        ));
-    }
-    pairs.extend(vec![
-        ("instructions", Json::num(board.instructions as f64)),
-        ("workloads", Json::int(board.workloads.len())),
-        ("candidates", Json::int(board.entries.len())),
-        ("evaluations", Json::int(board.evaluations)),
-        ("serial_ms", Json::num(serial_wall.as_secs_f64() * 1e3)),
-        ("parallel_ms", Json::num(parallel_wall.as_secs_f64() * 1e3)),
-        ("speedup", Json::num(speedup)),
-        ("identical_to_serial", Json::Bool(identical)),
-        ("metrics", metrics),
-    ]);
-    write_file(
-        args.run.probe.as_ref(),
-        // An explicit --out relocates the snapshot; by default it lands in the working
-        // directory, next to BENCH_engine.json (so the committed root copy regenerates
-        // from the README's `tune --quick --bench-report` as-is).
-        &match &args.out_dir {
-            Some(dir) => dir.join("BENCH_tune.json"),
-            None => PathBuf::from("BENCH_tune.json"),
-        },
-        &TUNE_BENCH_SCHEMA.document(pairs).to_pretty(),
     );
 }
 
@@ -439,7 +324,4 @@ fn main() {
         &dir.join("best.json"),
         &board.best_json().to_pretty(),
     );
-    if args.bench_report {
-        run_bench_report(&args, &board, wall);
-    }
 }

@@ -1,5 +1,6 @@
 //! Shared helpers for the cross-process integration tests (`dist_determinism`,
-//! `dist_faults`, `dist_probe`, the `results` CLI regression tests).
+//! `dist_faults`, `dist_probe`, the `results` CLI regression tests, the `end_to_end`
+//! usage-error test).
 //!
 //! The CLIs (`figures`, `tune`, `trace`, `results`) are bin targets of this umbrella
 //! package, so Cargo builds them before running its integration tests and hands each test

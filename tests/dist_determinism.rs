@@ -1,8 +1,9 @@
 //! Distributed-execution determinism acceptance tests (ISSUE 9):
 //!
-//! * every `figures --all --quick` table is byte-identical across the in-process pool,
-//!   one worker process and four worker processes — real subprocesses, spawned by the
-//!   coordinator and fed job shards over stdin/stdout;
+//! * every `figures --all --quick` table is byte-identical across the serial path
+//!   (`--jobs 1`), the in-process pool at `--jobs 4`, one worker process and four worker
+//!   processes — real subprocesses, spawned by the coordinator and fed job shards over
+//!   stdin/stdout;
 //! * the identity holds under `--trace-dir` replay and against a store warmed by a
 //!   distributed run (which then simulates nothing);
 //! * `tune --quick` leaderboards are byte-identical at any worker count.
@@ -14,6 +15,7 @@ use std::fs;
 
 mod common;
 
+use athena_repro::harness::experiments::experiment_names;
 use common::{assert_same_bytes, run_bin, temp_dir, text};
 
 const BUDGET: &[&str] = &["--quick", "--instructions", "8000", "--workloads", "4"];
@@ -36,12 +38,22 @@ fn expect_success(out: &std::process::Output, what: &str) {
 #[test]
 fn all_quick_tables_are_byte_identical_at_any_worker_count() {
     let root = temp_dir("det-all");
-    let dirs = [root.join("inproc"), root.join("w1"), root.join("w4")];
-    let runs: [&[&str]; 3] = [&[], &["--workers", "1"], &["--workers", "4"]];
-    for (dir, workers) in dirs.iter().zip(runs) {
+    let dirs = [
+        root.join("j1"),
+        root.join("j4"),
+        root.join("w1"),
+        root.join("w4"),
+    ];
+    let runs: [&[&str]; 4] = [
+        &["--jobs", "1"],
+        &["--jobs", "4"],
+        &["--workers", "1"],
+        &["--workers", "4"],
+    ];
+    for (dir, executor) in dirs.iter().zip(runs) {
         let dir_s = dir.to_str().unwrap();
         let mut extra: Vec<&str> = vec!["--all", "--out", dir_s];
-        extra.extend_from_slice(workers);
+        extra.extend_from_slice(executor);
         expect_success(&figures(&extra), &format!("figures --all into {dir_s}"));
     }
 
@@ -51,13 +63,15 @@ fn all_quick_tables_are_byte_identical_at_any_worker_count() {
         .filter(|n| n.ends_with(".csv"))
         .collect();
     tables.sort();
-    assert!(
-        tables.len() >= 20,
+    assert_eq!(
+        tables.len(),
+        experiment_names().len(),
         "--all writes every experiment table, got {tables:?}"
     );
     for name in &tables {
-        assert_same_bytes(&dirs[0].join(name), &dirs[1].join(name));
-        assert_same_bytes(&dirs[0].join(name), &dirs[2].join(name));
+        for other in &dirs[1..] {
+            assert_same_bytes(&dirs[0].join(name), &other.join(name));
+        }
     }
     fs::remove_dir_all(&root).unwrap();
 }

@@ -4,6 +4,8 @@
 
 use athena_repro::prelude::*;
 
+mod common;
+
 const INSTRUCTIONS: u64 = 60_000;
 
 fn find(name: &str) -> WorkloadSpec {
@@ -206,5 +208,35 @@ fn quick_figure_experiments_produce_consistent_tables() {
             assert_eq!(values.len(), table.columns.len());
             assert!(values.iter().all(|v| v.is_finite()));
         }
+    }
+}
+
+#[test]
+fn zero_run_lengths_are_usage_errors() {
+    // A zero-instruction or zero-workload run prints vacuous tables (every speedup 1.0),
+    // so each CLI rejects it up front with the usage-error exit code.
+    let cases: [(&str, &[&str], &str); 3] = [
+        (
+            "figures",
+            &["--fig", "fig7", "--quick", "--workloads", "0"],
+            "--workloads must be at least 1",
+        ),
+        (
+            "figures",
+            &["--fig", "fig7", "--quick", "--instructions", "0"],
+            "--instructions must be at least 1",
+        ),
+        (
+            "tune",
+            &["--quick", "--instructions", "0"],
+            "--instructions must be at least 1",
+        ),
+    ];
+    for (bin, args, message) in cases {
+        let out = common::run_bin(bin, args, &[]);
+        let stderr = common::text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed a table");
     }
 }
