@@ -25,7 +25,7 @@ fn cache_bench(c: &mut Criterion) {
         let mut addr = 0u64;
         b.iter(|| {
             addr = addr.wrapping_add(4096) & 0xff_ffff;
-            if !cache.lookup(addr, 0x400).is_hit() {
+            if !cache.lookup(addr).is_hit() {
                 cache.fill(addr, false, 0x400, 0);
             }
             std::hint::black_box(cache.occupancy() > 0)
@@ -56,7 +56,7 @@ fn cache_soa_bench(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % lines;
-            std::hint::black_box(cache.lookup((i as u64) << 6, 0x400).is_hit())
+            std::hint::black_box(cache.lookup((i as u64) << 6).is_hit())
         })
     });
     // Victim-selection cost: a thrashing working set, so every lookup misses and every
@@ -66,7 +66,7 @@ fn cache_soa_bench(c: &mut Criterion) {
         let mut addr = 0u64;
         b.iter(|| {
             addr = addr.wrapping_add(64 * 64).wrapping_add(64) & 0xfff_ffff;
-            if !cache.lookup(addr, 0x400).is_hit() {
+            if !cache.lookup(addr).is_hit() {
                 cache.fill(addr, false, 0x400, 0);
             }
             std::hint::black_box(cache.misses())

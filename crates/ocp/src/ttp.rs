@@ -7,8 +7,7 @@
 //! metadata comparable to the L2 capacity), which is why Athena's evaluation treats TTP as
 //! the expensive-but-accurate end of the OCP spectrum.
 
-use std::collections::HashSet;
-
+use athena_sim::fastmap::FxHashSet;
 use athena_sim::{CacheLevel, LoadContext, OffChipPredictor};
 
 const LINE: u64 = 64;
@@ -19,7 +18,7 @@ const TRACK_CAP: usize = 1 << 16;
 /// The tag-tracking off-chip predictor.
 #[derive(Debug, Clone, Default)]
 pub struct Ttp {
-    resident: HashSet<u64>,
+    resident: FxHashSet<u64>,
     predictions: u64,
     off_chip_predictions: u64,
 }

@@ -6,8 +6,7 @@
 //! issues only the deltas whose historical coverage exceeds a confidence threshold. Compared
 //! to IPCP it issues fewer but more accurate prefetches.
 
-use std::collections::HashMap;
-
+use athena_sim::fastmap::FxHashMap;
 use athena_sim::{AccessEvent, CacheLevel, PrefetchRequest, Prefetcher};
 
 const LINE: u64 = 64;
@@ -24,7 +23,7 @@ struct PcEntry {
     /// Recent line addresses accessed by this PC (most recent last).
     history: Vec<u64>,
     /// Candidate deltas and how many times each covered an access.
-    delta_hits: HashMap<i64, u32>,
+    delta_hits: FxHashMap<i64, u32>,
     accesses_since_eval: u32,
     total_accesses: u32,
     /// Deltas currently selected for prefetching, best first.
@@ -34,7 +33,7 @@ struct PcEntry {
 /// The Berti prefetcher (L1D).
 #[derive(Debug, Clone)]
 pub struct Berti {
-    table: HashMap<u64, PcEntry>,
+    table: FxHashMap<u64, PcEntry>,
     degree: u32,
     max_degree: u32,
 }
@@ -43,11 +42,28 @@ impl Berti {
     /// Creates a Berti prefetcher with its default aggressiveness (degree 4).
     pub fn new() -> Self {
         Self {
-            table: HashMap::new(),
+            table: FxHashMap::default(),
             degree: 4,
             max_degree: 4,
         }
     }
+}
+
+/// The (at most four) deltas whose coverage `hits / denom` reaches the threshold, best
+/// first. The order is total — coverage descending, then delta ascending — so the choice
+/// between equally-covered deltas does not depend on the order `hits` yields them in, which
+/// for a hash map depends on its insertion and growth history.
+fn select_deltas(hits: impl Iterator<Item = (i64, u32)>, denom: f32) -> Vec<i64> {
+    let mut scored: Vec<(i64, f32)> = hits
+        .map(|(d, hits)| (d, hits as f32 / denom))
+        .filter(|&(_, cov)| cov >= COVERAGE_THRESHOLD)
+        .collect();
+    scored.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    scored.into_iter().map(|(d, _)| d).take(4).collect()
 }
 
 impl Default for Berti {
@@ -88,23 +104,10 @@ impl Prefetcher for Berti {
 
         // Periodically re-select the best deltas.
         if entry.accesses_since_eval >= EVAL_PERIOD {
-            let denom = entry.accesses_since_eval as f32;
-            let mut scored: Vec<(i64, f32)> = entry
-                .delta_hits
-                .iter()
-                .map(|(&d, &hits)| (d, hits as f32 / denom))
-                .filter(|&(_, cov)| cov >= COVERAGE_THRESHOLD)
-                .collect();
-            // Total order: coverage descending, then delta ascending. The tiebreak matters
-            // for determinism — `delta_hits` is a HashMap whose iteration order varies per
-            // instance, so equally-covered deltas would otherwise be selected in a random
-            // order and simulation results would differ from run to run.
-            scored.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            entry.best_deltas = scored.into_iter().map(|(d, _)| d).take(4).collect();
+            entry.best_deltas = select_deltas(
+                entry.delta_hits.iter().map(|(&d, &hits)| (d, hits)),
+                entry.accesses_since_eval as f32,
+            );
             entry.delta_hits.clear();
             entry.accesses_since_eval = 0;
         }
@@ -199,22 +202,21 @@ mod tests {
 
     #[test]
     fn equally_covered_deltas_are_selected_deterministically() {
-        // Alternating +1/+2-line steps give the deltas +1, +2 and +3 near-equal coverage,
-        // which exercises the sort's tiebreak. Two fresh instances (each with its own
-        // randomly-seeded HashMap state) must still emit identical prefetch streams.
-        let run = || {
-            let mut p = Berti::new();
-            let mut emitted = Vec::new();
-            let mut addr = 0x40_0000u64;
-            for i in 0..200u64 {
-                addr += if i % 2 == 0 { 64 } else { 128 };
-                let mut out = Vec::new();
-                p.on_access(&ev(0x700, addr), &mut out);
-                emitted.extend(out.into_iter().map(|r| r.addr));
-            }
-            emitted
-        };
-        assert_eq!(run(), run());
+        // Six deltas above the threshold, four of them tied: the tiebreak, not the order
+        // the delta table yields them in, must decide which four are kept.
+        let hits = [
+            (5, 20),
+            (-3, 20),
+            (2, 30),
+            (7, 20),
+            (1, 20),
+            (9, 3),
+            (4, 20),
+        ];
+        let forward = select_deltas(hits.iter().copied(), 32.0);
+        let backward = select_deltas(hits.iter().rev().copied(), 32.0);
+        assert_eq!(forward, vec![2, -3, 1, 4]);
+        assert_eq!(forward, backward);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! * **GS (global stream)** — the PC participates in a dense forward/backward stream across
 //!   PCs within a region; prefetch the next lines in the stream direction.
 
-use std::collections::HashMap;
-
+use athena_sim::fastmap::FxHashMap;
 use athena_sim::{AccessEvent, CacheLevel, PrefetchRequest, Prefetcher};
 
 const LINE: u64 = 64;
@@ -38,9 +37,9 @@ struct RegionEntry {
 /// The IPCP prefetcher (L1D).
 #[derive(Debug, Clone)]
 pub struct Ipcp {
-    ip_table: HashMap<u64, IpEntry>,
+    ip_table: FxHashMap<u64, IpEntry>,
     /// CPLX delta predictor: signature -> (predicted stride, confidence).
-    cplx_table: HashMap<u16, (i64, u8)>,
+    cplx_table: FxHashMap<u16, (i64, u8)>,
     /// Small set of recently observed regions for global-stream detection.
     regions: Vec<RegionEntry>,
     degree: u32,
@@ -51,8 +50,8 @@ impl Ipcp {
     /// Creates an IPCP prefetcher with the paper's default aggressiveness (degree 4).
     pub fn new() -> Self {
         Self {
-            ip_table: HashMap::new(),
-            cplx_table: HashMap::new(),
+            ip_table: FxHashMap::default(),
+            cplx_table: FxHashMap::default(),
             regions: vec![RegionEntry::default(); 16],
             degree: 4,
             max_degree: 4,
@@ -143,7 +142,6 @@ impl Prefetcher for Ipcp {
             }
         }
         entry.last_line = line;
-        let _ = entry;
 
         let degree = u64::from(self.degree);
         if let Some(stride) = class_cs {

@@ -9,8 +9,7 @@
 //! the original design's feature vaults, and are updated online from prefetch-usefulness
 //! feedback delivered by the memory hierarchy.
 
-use std::collections::HashMap;
-
+use athena_sim::fastmap::FxHashMap;
 use athena_sim::{AccessEvent, CacheLevel, PrefetchRequest, Prefetcher};
 
 const LINE: u64 = 64;
@@ -42,8 +41,8 @@ pub struct Pythia {
     vault1: Vec<[f32; ACTIONS.len()]>,
     vault2: Vec<[f32; ACTIONS.len()]>,
     /// Outstanding prefetches: line -> (state, action index) awaiting a reward.
-    inflight: HashMap<u64, (StateSig, usize)>,
-    last_line_by_page: HashMap<u64, u64>,
+    inflight: FxHashMap<u64, (StateSig, usize)>,
+    last_line_by_page: FxHashMap<u64, u64>,
     delta_history_sig: u64,
     rng_state: u64,
     degree: u32,
@@ -59,8 +58,8 @@ impl Pythia {
         Self {
             vault1: vec![[0.0; ACTIONS.len()]; VAULT_SIZE],
             vault2: vec![[0.0; ACTIONS.len()]; VAULT_SIZE],
-            inflight: HashMap::new(),
-            last_line_by_page: HashMap::new(),
+            inflight: FxHashMap::default(),
+            last_line_by_page: FxHashMap::default(),
             delta_history_sig: 0,
             rng_state: 0x243f_6a88_85a3_08d3,
             degree: 4,
@@ -112,8 +111,9 @@ impl Pythia {
         self.vault2[s.vault2_index][a] += delta / 2.0;
     }
 
-    fn best_actions(&self, s: &StateSig) -> Vec<(usize, f32)> {
-        let mut scored: Vec<(usize, f32)> = (0..ACTIONS.len()).map(|a| (a, self.q(s, a))).collect();
+    /// Every action with its Q-value, best first; ties keep action order (stable sort).
+    fn best_actions(&self, s: &StateSig) -> [(usize, f32); ACTIONS.len()] {
+        let mut scored: [(usize, f32); ACTIONS.len()] = std::array::from_fn(|a| (a, self.q(s, a)));
         scored.sort_by(|x, y| y.1.partial_cmp(&x.1).unwrap_or(std::cmp::Ordering::Equal));
         scored
     }
@@ -152,19 +152,21 @@ impl Prefetcher for Pythia {
         // epsilon-greedy action selection.
         let explore = self.next_rand() % EPSILON_DEN < EPSILON_NUM;
         let ranked = self.best_actions(&state);
-        let chosen: Vec<usize> = if explore {
-            vec![(self.next_rand() as usize) % ACTIONS.len()]
+        let mut chosen = [0usize; ACTIONS.len()];
+        let mut n_chosen = 0;
+        if explore {
+            chosen[0] = (self.next_rand() as usize) % ACTIONS.len();
+            n_chosen = 1;
         } else {
-            ranked
-                .iter()
-                .take(self.degree as usize)
-                .filter(|&&(a, q)| ACTIONS[a] != 0 && q > 0.0 || ranked[0].0 == a)
-                .map(|&(a, _)| a)
-                .collect()
-        };
+            for &(a, q) in ranked.iter().take(self.degree as usize) {
+                if ACTIONS[a] != 0 && q > 0.0 || ranked[0].0 == a {
+                    chosen[n_chosen] = a;
+                    n_chosen += 1;
+                }
+            }
+        }
 
-        let mut issued_any = false;
-        for a in chosen {
+        for &a in &chosen[..n_chosen] {
             let offset = ACTIONS[a];
             if offset == 0 {
                 // Chose "no prefetch": reward immediately based on whether the demand hit.
@@ -183,12 +185,10 @@ impl Prefetcher for Pythia {
             let target_line = target as u64;
             out.push(PrefetchRequest::new(target_line * LINE));
             self.issued += 1;
-            issued_any = true;
             if self.inflight.len() < INFLIGHT_CAP {
                 self.inflight.insert(target_line * LINE, (state, a));
             }
         }
-        let _ = issued_any;
     }
 
     fn on_prefetch_hit(&mut self, line_addr: u64) {

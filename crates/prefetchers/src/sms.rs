@@ -5,8 +5,7 @@
 //! region offset)`. When the same trigger touches a new region, SMS replays the recorded
 //! footprint as prefetches, capturing spatially correlated but non-strided patterns.
 
-use std::collections::HashMap;
-
+use athena_sim::fastmap::FxHashMap;
 use athena_sim::{AccessEvent, CacheLevel, PrefetchRequest, Prefetcher};
 
 const LINE: u64 = 64;
@@ -29,7 +28,7 @@ pub struct Sms {
     /// Regions currently being observed (accumulation phase).
     active: Vec<Option<ActiveGeneration>>,
     /// Learned footprints: (pc, trigger offset) -> line bitmap within the region.
-    patterns: HashMap<u64, u32>,
+    patterns: FxHashMap<u64, u32>,
     degree: u32,
     max_degree: u32,
 }
@@ -40,7 +39,7 @@ impl Sms {
     pub fn new() -> Self {
         Self {
             active: vec![None; ACTIVE_GENERATIONS],
-            patterns: HashMap::new(),
+            patterns: FxHashMap::default(),
             degree: 16,
             max_degree: 16,
         }

@@ -8,8 +8,7 @@
 //! perceptron that inspects every proposal (features: signature, delta, depth, trigger PC)
 //! and vetoes the ones that historically turned out useless.
 
-use std::collections::HashMap;
-
+use athena_sim::fastmap::FxHashMap;
 use athena_sim::{AccessEvent, CacheLevel, PrefetchRequest, Prefetcher};
 
 const LINE: u64 = 64;
@@ -47,15 +46,15 @@ struct PpfFeatures {
 /// The SPP+PPF prefetcher (L2C).
 #[derive(Debug, Clone)]
 pub struct SppPpf {
-    pages: HashMap<u64, PageEntry>,
-    patterns: HashMap<u16, PatternEntry>,
+    pages: FxHashMap<u64, PageEntry>,
+    patterns: FxHashMap<u16, PatternEntry>,
     /// Perceptron weight tables, one per feature.
     ppf_sig: Vec<i32>,
     ppf_delta: Vec<i32>,
     ppf_depth: Vec<i32>,
     ppf_pc: Vec<i32>,
     /// Outstanding prefetches awaiting usefulness feedback: line addr -> features.
-    inflight: HashMap<u64, PpfFeatures>,
+    inflight: FxHashMap<u64, PpfFeatures>,
     degree: u32,
     max_degree: u32,
 }
@@ -64,13 +63,13 @@ impl SppPpf {
     /// Creates an SPP+PPF prefetcher with its default lookahead depth (8).
     pub fn new() -> Self {
         Self {
-            pages: HashMap::new(),
-            patterns: HashMap::new(),
+            pages: FxHashMap::default(),
+            patterns: FxHashMap::default(),
             ppf_sig: vec![1; PPF_TABLE_SIZE],
             ppf_delta: vec![1; PPF_TABLE_SIZE],
             ppf_depth: vec![1; PPF_TABLE_SIZE],
             ppf_pc: vec![1; PPF_TABLE_SIZE],
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             degree: 8,
             max_degree: 8,
         }

@@ -1,7 +1,6 @@
 //! Classic per-PC stride prefetcher (reference prediction table).
 
-use std::collections::HashMap;
-
+use athena_sim::fastmap::FxHashMap;
 use athena_sim::{AccessEvent, CacheLevel, PrefetchRequest, Prefetcher};
 
 const LINE: i64 = 64;
@@ -19,7 +18,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     level: CacheLevel,
-    table: HashMap<u64, Entry>,
+    table: FxHashMap<u64, Entry>,
     degree: u32,
     max_degree: u32,
 }
@@ -29,7 +28,7 @@ impl StridePrefetcher {
     pub fn new(level: CacheLevel) -> Self {
         Self {
             level,
-            table: HashMap::new(),
+            table: FxHashMap::default(),
             degree: 4,
             max_degree: 4,
         }

@@ -242,9 +242,9 @@ impl Cache {
         ((pc >> 2) ^ (pc >> 13)) as usize % SHIP_TABLE_SIZE
     }
 
-    /// Looks up `addr` as a demand access from `pc`, updating replacement and prefetch-use
-    /// metadata. Returns whether the access hit.
-    pub fn lookup(&mut self, addr: u64, pc: u64) -> LookupOutcome {
+    /// Looks up `addr` as a demand access, updating replacement and prefetch-use metadata.
+    /// Returns whether the access hit.
+    pub fn lookup(&mut self, addr: u64) -> LookupOutcome {
         self.accesses += 1;
         self.lru_clock += 1;
         let line_addr = addr & !(LINE_SIZE - 1);
@@ -263,7 +263,6 @@ impl Cache {
             // SHiP: the signature that filled this line produced a re-reference.
             let sig = self.signature[i] as usize % SHIP_TABLE_SIZE;
             self.ship_table[sig] = (self.ship_table[sig] + 1).min(3);
-            let _ = pc;
             return LookupOutcome::Hit {
                 first_use_of_prefetch: first_use,
                 ready_cycle: self.ready[i],
@@ -478,9 +477,9 @@ mod tests {
     #[test]
     fn miss_then_fill_then_hit() {
         let mut c = tiny_cache(Replacement::Lru);
-        assert_eq!(c.lookup(0x1000, 0x400), LookupOutcome::Miss);
+        assert_eq!(c.lookup(0x1000), LookupOutcome::Miss);
         assert!(c.fill(0x1000, false, 0x400, 0).is_none());
-        assert!(c.lookup(0x1000, 0x400).is_hit());
+        assert!(c.lookup(0x1000).is_hit());
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
@@ -489,8 +488,8 @@ mod tests {
     fn same_line_different_bytes_hit() {
         let mut c = tiny_cache(Replacement::Lru);
         c.fill(0x1000, false, 0, 0);
-        assert!(c.lookup(0x103f, 0).is_hit());
-        assert!(!c.lookup(0x1040, 0).is_hit());
+        assert!(c.lookup(0x103f).is_hit());
+        assert!(!c.lookup(0x1040).is_hit());
     }
 
     #[test]
@@ -503,7 +502,7 @@ mod tests {
         }
         // Touch lines 1..3 so line 0 is LRU.
         for i in 1..4u64 {
-            assert!(c.lookup(i * stride, 0).is_hit());
+            assert!(c.lookup(i * stride).is_hit());
         }
         let ev = c.fill(4 * stride, false, 0, 0).expect("set was full");
         assert_eq!(ev.line_addr, 0);
@@ -515,14 +514,14 @@ mod tests {
     fn prefetch_first_use_is_reported_once() {
         let mut c = tiny_cache(Replacement::Lru);
         c.fill(0x2000, true, 0x77, 0);
-        match c.lookup(0x2000, 0x77) {
+        match c.lookup(0x2000) {
             LookupOutcome::Hit {
                 first_use_of_prefetch,
                 ..
             } => assert!(first_use_of_prefetch),
             LookupOutcome::Miss => panic!("expected hit"),
         }
-        match c.lookup(0x2000, 0x77) {
+        match c.lookup(0x2000) {
             LookupOutcome::Hit {
                 first_use_of_prefetch,
                 ..
@@ -576,7 +575,7 @@ mod tests {
         let mut c = tiny_cache(Replacement::Ship);
         for i in 0..64u64 {
             c.fill(i * LINE_SIZE, i % 3 == 0, 0x400 + (i % 7), 0);
-            c.lookup(i * LINE_SIZE, 0x400 + (i % 7));
+            c.lookup(i * LINE_SIZE);
         }
         assert!(c.occupancy() <= 8);
     }
@@ -587,7 +586,7 @@ mod tests {
         c.fill(0x1000, true, 0, 0);
         assert!(c.fill(0x1000, false, 0, 0).is_none());
         // The demand refill clears the prefetch flag.
-        match c.lookup(0x1000, 0) {
+        match c.lookup(0x1000) {
             LookupOutcome::Hit {
                 first_use_of_prefetch,
                 ..

@@ -7,15 +7,14 @@
 //! for loads), and instructions retire in order at up to `commit_width` per cycle. A load
 //! whose trace record is marked dependent on the previous load cannot issue its memory
 //! request before that load completes, which is how pointer-chasing (latency-bound) code is
-//! expressed.
-
-use std::collections::VecDeque;
+//! expressed. The ROB and commit windows are fixed [`Ring`]s sized once at construction.
 
 use crate::batch::StepBatch;
 use crate::branch::GsharePredictor;
 use crate::config::SimConfig;
 use crate::dram::DramStats;
 use crate::hierarchy::MemoryHierarchy;
+use crate::ring::Ring;
 use crate::stats::{EpochStats, SimStats};
 use crate::trace::{InstrKind, TraceRecord, TraceSource};
 use crate::traits::{Coordinator, CoordinatorTelemetry, OffChipPredictor, Prefetcher};
@@ -62,14 +61,15 @@ impl SimResult {
 /// Used directly by [`Simulator`] for single-core runs and by
 /// [`crate::multicore::MultiCoreSimulator`] for round-robin multi-core runs.
 pub struct CoreEngine {
-    rob_size: usize,
     issue_width: u64,
-    commit_width: usize,
     epoch_len: u64,
     mispredict_penalty: u64,
 
-    rob: VecDeque<u64>,
-    recent_retires: VecDeque<u64>,
+    /// Retire cycles of the instructions in the reorder buffer, `rob_size` of them (at
+    /// least one).
+    rob: Ring,
+    /// Retire cycles of the last `commit_width` instructions (at least one).
+    recent_retires: Ring,
     fetch_cycle: u64,
     issued_this_cycle: u64,
     last_alloc_cycle: u64,
@@ -94,13 +94,11 @@ impl CoreEngine {
     /// Creates a fresh engine for a core described by `config`.
     pub fn new(config: &SimConfig) -> Self {
         Self {
-            rob_size: config.core.rob_size,
             issue_width: u64::from(config.core.issue_width.max(1)),
-            commit_width: config.core.commit_width.max(1) as usize,
             epoch_len: config.epoch_len.max(1),
             mispredict_penalty: config.core.mispredict_penalty,
-            rob: VecDeque::with_capacity(config.core.rob_size),
-            recent_retires: VecDeque::with_capacity(config.core.commit_width as usize),
+            rob: Ring::new(config.core.rob_size),
+            recent_retires: Ring::new(config.core.commit_width as usize),
             fetch_cycle: 0,
             issued_this_cycle: 0,
             last_alloc_cycle: 0,
@@ -139,12 +137,8 @@ impl CoreEngine {
 
     /// Processes one trace record against `hierarchy`.
     pub fn step(&mut self, record: TraceRecord, hierarchy: &mut MemoryHierarchy) {
-        // --- allocate into the ROB ---
-        let rob_free_cycle = if self.rob.len() >= self.rob_size {
-            self.rob.pop_front().unwrap_or(0)
-        } else {
-            0
-        };
+        // --- allocate into the ROB: wait for the oldest entry to retire once it is full ---
+        let rob_free_cycle = self.rob.oldest_if_full().unwrap_or(0);
         let mut alloc = self.fetch_cycle.max(rob_free_cycle);
         if alloc == self.last_alloc_cycle {
             self.issued_this_cycle += 1;
@@ -192,15 +186,12 @@ impl CoreEngine {
 
         // --- retire in order, bounded by commit width ---
         let mut retire = completion.max(self.last_retire);
-        if self.recent_retires.len() >= self.commit_width {
-            if let Some(&old) = self.recent_retires.front() {
-                retire = retire.max(old + 1);
-            }
-            self.recent_retires.pop_front();
+        if let Some(old) = self.recent_retires.oldest_if_full() {
+            retire = retire.max(old + 1);
         }
-        self.recent_retires.push_back(retire);
+        self.recent_retires.push(retire);
         self.last_retire = retire;
-        self.rob.push_back(retire);
+        self.rob.push(retire);
         self.retired += 1;
 
         // --- epoch boundary ---
@@ -313,6 +304,8 @@ impl Simulator {
     /// `core_step` spans open once per batch instead of once per instruction (the record
     /// *sequence* and every step are identical either way — trace generation does not
     /// observe simulator state, so prefetching records cannot change a result byte).
+    /// Routing unprofiled runs through the batches too measured slower; see
+    /// `docs/OPTIMIZATION_LOG.md`.
     pub fn run<T: TraceSource>(&mut self, mut trace: T, max_instructions: u64) -> SimResult {
         let mut engine = CoreEngine::new(&self.config);
         if self.agent_telemetry {

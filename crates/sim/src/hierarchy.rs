@@ -14,13 +14,13 @@
 //!   `ocp_issue_latency` cycles, hiding the on-chip lookup serialisation.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::cache::{Cache, CacheLevel, EvictedLine, LookupOutcome};
 use crate::config::SimConfig;
 use crate::dram::{Dram, DramRequestKind, DramStats};
 use crate::fastmap::{FxHashMap, FxHashSet};
+use crate::ring::RecentPages;
 use crate::stats::EpochStats;
 use crate::trace::{line_of, line_offset_in_page, page_of};
 use crate::traits::{
@@ -50,6 +50,9 @@ pub struct MemoryHierarchy {
     dram: Rc<RefCell<Dram>>,
 
     prefetchers: Vec<Box<dyn Prefetcher>>,
+    /// Attach indices of the prefetchers at each level, indexed by `CacheLevel as usize`,
+    /// in attach order. A prefetcher's level is read once, when it is attached.
+    prefetchers_at: [Vec<usize>; 3],
     ocp: Option<Box<dyn OffChipPredictor>>,
     coordinator: Option<Box<dyn Coordinator>>,
     decision: CoordinationDecision,
@@ -67,7 +70,7 @@ pub struct MemoryHierarchy {
     /// usefulness feedback routing.
     prefetch_provenance: FxHashMap<u64, usize>,
     /// Recently touched pages, for the `first_access_to_page` OCP feature.
-    recent_pages: VecDeque<u64>,
+    recent_pages: RecentPages,
     /// Rolling hash of the last few load PCs, for OCP context features.
     recent_pc_hash: u64,
 
@@ -103,6 +106,7 @@ impl MemoryHierarchy {
             llc,
             dram,
             prefetchers: Vec::new(),
+            prefetchers_at: Default::default(),
             ocp: None,
             coordinator: None,
             decision: CoordinationDecision::all_on(&[]),
@@ -111,7 +115,7 @@ impl MemoryHierarchy {
             pollution_victims: FxHashSet::default(),
             dram_prefetch_provenance: FxHashMap::default(),
             prefetch_provenance: FxHashMap::default(),
-            recent_pages: VecDeque::with_capacity(64),
+            recent_pages: RecentPages::default(),
             recent_pc_hash: 0,
             pf_batches: Vec::new(),
             pf_pool: Vec::new(),
@@ -122,6 +126,7 @@ impl MemoryHierarchy {
 
     /// Attaches a prefetcher. Prefetchers are triggered in attach order.
     pub fn attach_prefetcher(&mut self, prefetcher: Box<dyn Prefetcher>) {
+        self.prefetchers_at[prefetcher.level() as usize].push(self.prefetchers.len());
         self.prefetchers.push(prefetcher);
         let degrees: Vec<u32> = self.prefetchers.iter().map(|p| p.max_degree()).collect();
         self.decision = CoordinationDecision::all_on(&degrees);
@@ -201,20 +206,12 @@ impl MemoryHierarchy {
     }
 
     fn load_context(&mut self, pc: u64, addr: u64) -> LoadContext {
-        let page = page_of(addr);
-        let first = !self.recent_pages.contains(&page);
-        if first {
-            if self.recent_pages.len() >= 64 {
-                self.recent_pages.pop_front();
-            }
-            self.recent_pages.push_back(page);
-        }
         LoadContext {
             pc,
             addr,
             line_offset_in_page: line_offset_in_page(addr) as u8,
             byte_offset: (addr & 63) as u8,
-            first_access_to_page: first,
+            first_access_to_page: self.recent_pages.touch(page_of(addr)),
             recent_pc_hash: self.recent_pc_hash,
         }
     }
@@ -248,9 +245,9 @@ impl MemoryHierarchy {
         // --- L1D ---
         let l1 = {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
-            self.l1d.lookup(addr, pc)
+            self.l1d.lookup(addr)
         };
-        self.feedback_prefetch_use(CacheLevel::L1d, line, &l1, cycle);
+        self.feedback_prefetch_use(line, &l1, cycle);
         self.trigger_prefetchers(CacheLevel::L1d, pc, addr, cycle, &l1, false);
         let l1_latency = self.l1d.latency();
         if let LookupOutcome::Hit { ready_cycle, .. } = l1 {
@@ -266,9 +263,9 @@ impl MemoryHierarchy {
         let l2_lookup_cycle = cycle + l1_latency;
         let l2 = {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
-            self.l2c.lookup(addr, pc)
+            self.l2c.lookup(addr)
         };
-        self.feedback_prefetch_use(CacheLevel::L2c, line, &l2, l2_lookup_cycle);
+        self.feedback_prefetch_use(line, &l2, l2_lookup_cycle);
         self.trigger_prefetchers(CacheLevel::L2c, pc, addr, l2_lookup_cycle, &l2, false);
         let l2_latency = self.l2c.latency();
         if let LookupOutcome::Hit { ready_cycle, .. } = l2 {
@@ -286,9 +283,9 @@ impl MemoryHierarchy {
         let llc_lookup_cycle = l2_lookup_cycle + l2_latency;
         let llc = {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
-            self.llc.lookup(addr, pc)
+            self.llc.lookup(addr)
         };
-        self.feedback_prefetch_use(CacheLevel::Llc, line, &llc, llc_lookup_cycle);
+        self.feedback_prefetch_use(line, &llc, llc_lookup_cycle);
         let llc_latency = self.llc.latency();
         if let LookupOutcome::Hit { ready_cycle, .. } = llc {
             let completion = (llc_lookup_cycle + llc_latency).max(ready_cycle);
@@ -370,9 +367,9 @@ impl MemoryHierarchy {
 
         let l1 = {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
-            self.l1d.lookup(addr, pc)
+            self.l1d.lookup(addr)
         };
-        self.feedback_prefetch_use(CacheLevel::L1d, line, &l1, cycle);
+        self.feedback_prefetch_use(line, &l1, cycle);
         self.trigger_prefetchers(CacheLevel::L1d, pc, addr, cycle, &l1, true);
         if l1.is_hit() {
             self.l1d.mark_dirty(addr);
@@ -385,10 +382,10 @@ impl MemoryHierarchy {
         // prefetch's timeliness is judged identically for loads and stores.
         let l2 = {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
-            self.l2c.lookup(addr, pc)
+            self.l2c.lookup(addr)
         };
         let l2_lookup_cycle = cycle + self.l1d.latency();
-        self.feedback_prefetch_use(CacheLevel::L2c, line, &l2, l2_lookup_cycle);
+        self.feedback_prefetch_use(line, &l2, l2_lookup_cycle);
         self.trigger_prefetchers(CacheLevel::L2c, pc, addr, cycle, &l2, true);
         if l2.is_hit() {
             self.fill_level(CacheLevel::L1d, line, false, pc, cycle);
@@ -399,10 +396,10 @@ impl MemoryHierarchy {
 
         let llc = {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
-            self.llc.lookup(addr, pc)
+            self.llc.lookup(addr)
         };
         let llc_lookup_cycle = l2_lookup_cycle + self.l2c.latency();
-        self.feedback_prefetch_use(CacheLevel::Llc, line, &llc, llc_lookup_cycle);
+        self.feedback_prefetch_use(line, &llc, llc_lookup_cycle);
         if llc.is_hit() {
             self.fill_level(CacheLevel::L2c, line, false, pc, cycle);
             self.fill_level(CacheLevel::L1d, line, false, pc, cycle);
@@ -430,13 +427,7 @@ impl MemoryHierarchy {
     /// `lookup_cycle` is the cycle the demand looked this level up: a first use whose data
     /// is still in flight at that point is useful but *late* (the demand stalls on the
     /// prefetch instead of missing outright).
-    fn feedback_prefetch_use(
-        &mut self,
-        level: CacheLevel,
-        line: u64,
-        outcome: &LookupOutcome,
-        lookup_cycle: u64,
-    ) {
+    fn feedback_prefetch_use(&mut self, line: u64, outcome: &LookupOutcome, lookup_cycle: u64) {
         if let LookupOutcome::Hit {
             first_use_of_prefetch: true,
             ready_cycle,
@@ -453,7 +444,6 @@ impl MemoryHierarchy {
             }
             // A DRAM-sourced prefetch that got used is not "inaccurate" for Figure 3.
             self.dram_prefetch_provenance.remove(&line);
-            let _ = level;
         }
     }
 
@@ -490,10 +480,7 @@ impl MemoryHierarchy {
         // prefetchers in attach order, requests in production order — is unchanged).
         let mut batches = std::mem::take(&mut self.pf_batches);
         let mut pool = std::mem::take(&mut self.pf_pool);
-        for (idx, p) in self.prefetchers.iter_mut().enumerate() {
-            if p.level() != level {
-                continue;
-            }
+        for &idx in &self.prefetchers_at[level as usize] {
             if !self
                 .decision
                 .prefetcher_enable
@@ -504,7 +491,7 @@ impl MemoryHierarchy {
                 continue;
             }
             let mut out = pool.pop().unwrap_or_default();
-            p.on_access(&ev, &mut out);
+            self.prefetchers[idx].on_access(&ev, &mut out);
             if !out.is_empty() {
                 batches.push((idx, out));
             } else {
@@ -607,20 +594,6 @@ impl MemoryHierarchy {
         if self.prefetch_provenance.len() < TRACKING_SET_CAP {
             self.prefetch_provenance.insert(line, idx);
         }
-    }
-
-    /// Queries the OCP's confidence that the line containing `addr` would be served off-chip
-    /// if fetched right now. Used by the TLP filter.
-    pub fn ocp_confidence_for(&mut self, pc: u64, addr: u64) -> f32 {
-        let ctx = LoadContext {
-            pc,
-            addr,
-            line_offset_in_page: line_offset_in_page(addr) as u8,
-            byte_offset: (addr & 63) as u8,
-            first_access_to_page: false,
-            recent_pc_hash: self.recent_pc_hash,
-        };
-        self.ocp.as_mut().map(|o| o.confidence(&ctx)).unwrap_or(0.0)
     }
 
     /// The system configuration this hierarchy was built from.

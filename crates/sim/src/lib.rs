@@ -48,6 +48,7 @@ pub mod dram;
 pub mod fastmap;
 pub mod hierarchy;
 pub mod multicore;
+pub mod ring;
 pub mod stats;
 pub mod trace;
 pub mod traits;

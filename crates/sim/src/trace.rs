@@ -21,7 +21,13 @@ pub struct TraceRecord {
 }
 
 /// The classes of instruction the timing model distinguishes.
+///
+/// The discriminant is a full word (`repr(u64)`) so a record is copied as whole words.
+/// With a one-byte tag, moving an `Option<TraceRecord>` through the stack split the 23
+/// bytes behind the tag into overlapping 16- and 8-byte moves, and the profiled batch
+/// loop stalled on a failed store-to-load forward for every record it fetched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u64)]
 pub enum InstrKind {
     /// A non-memory, non-branch instruction. Completes in one cycle.
     Alu,

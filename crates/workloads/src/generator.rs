@@ -96,7 +96,9 @@ pub struct TraceGenerator {
     /// Per-pattern scratch state.
     current_node: u64,
     burst_remaining: u32,
+    /// The current group of instructions, oldest first; `next` reads it at `cursor`.
     pending: Vec<TraceRecord>,
+    cursor: usize,
 }
 
 impl TraceGenerator {
@@ -111,6 +113,7 @@ impl TraceGenerator {
             current_node: seed % 97,
             burst_remaining: 0,
             pending: Vec::new(),
+            cursor: 0,
         }
     }
 
@@ -151,8 +154,10 @@ impl TraceGenerator {
         }
     }
 
-    /// Generates the next group of instructions for the current pattern into `pending`.
+    /// Replaces `pending` with the next group of instructions for the current pattern.
     fn refill(&mut self) {
+        self.pending.clear();
+        self.cursor = 0;
         match self.pattern {
             Pattern::Stream {
                 footprint,
@@ -341,20 +346,21 @@ impl TraceGenerator {
                 }
             }
         }
-        // Oldest first.
-        self.pending.reverse();
     }
 }
 
 impl Iterator for TraceGenerator {
     type Item = TraceRecord;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceRecord> {
-        if self.pending.is_empty() {
+        if self.cursor >= self.pending.len() {
             self.refill();
         }
         self.instr_count += 1;
-        self.pending.pop()
+        let record = self.pending.get(self.cursor).copied();
+        self.cursor += 1;
+        record
     }
 }
 

@@ -1,11 +1,14 @@
 //! Property-based tests (proptest) on the core data structures and simulator invariants.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 
 use athena_repro::athena::{BloomFilter, CompositeReward, QvStore, RewardWeights};
 use athena_repro::prelude::{
     all_workloads, simulate, CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig, WorkloadSpec,
 };
+use athena_repro::sim::ring::{RecentPages, Ring, RECENT_PAGES};
 use athena_repro::sim::{
     Cache, CacheConfig, CacheLevel, Dram, DramRequestKind, EpochStats, Replacement, SimConfig,
     SimStats, Simulator, TraceRecord,
@@ -117,8 +120,142 @@ fn small_cache(ways: usize, sets: usize) -> Cache {
     )
 }
 
+/// One simulated instruction for the window models: cycles until the front end fetches
+/// the next instruction, and cycles from allocation to completion.
+type WindowStep = (u64, u64);
+
+/// The core's ROB and commit windows as `CoreEngine::step` kept them in `VecDeque`s before
+/// the rings replaced them, reduced to the window arithmetic. Returns each instruction's
+/// `(rob_free_cycle, retire)`.
+fn deque_windows(rob_size: usize, commit_width: u32, steps: &[WindowStep]) -> Vec<(u64, u64)> {
+    let commit_width = commit_width.max(1) as usize;
+    let mut rob: VecDeque<u64> = VecDeque::with_capacity(rob_size);
+    let mut recent_retires: VecDeque<u64> = VecDeque::with_capacity(commit_width);
+    let (mut fetch, mut last_retire) = (0u64, 0u64);
+    let mut out = Vec::with_capacity(steps.len());
+    for &(gap, latency) in steps {
+        let rob_free_cycle = if rob.len() >= rob_size {
+            rob.pop_front().unwrap_or(0)
+        } else {
+            0
+        };
+        let alloc = fetch.max(rob_free_cycle);
+        fetch = alloc + gap;
+        let mut retire = (alloc + latency).max(last_retire);
+        if recent_retires.len() >= commit_width {
+            if let Some(&old) = recent_retires.front() {
+                retire = retire.max(old + 1);
+            }
+            recent_retires.pop_front();
+        }
+        recent_retires.push_back(retire);
+        last_retire = retire;
+        rob.push_back(retire);
+        out.push((rob_free_cycle, retire));
+    }
+    out
+}
+
+/// The same window arithmetic over the [`Ring`]s, exactly as `CoreEngine::step` uses them.
+fn ring_windows(rob_size: usize, commit_width: u32, steps: &[WindowStep]) -> Vec<(u64, u64)> {
+    let mut rob = Ring::new(rob_size);
+    let mut recent_retires = Ring::new(commit_width as usize);
+    let (mut fetch, mut last_retire) = (0u64, 0u64);
+    let mut out = Vec::with_capacity(steps.len());
+    for &(gap, latency) in steps {
+        let rob_free_cycle = rob.oldest_if_full().unwrap_or(0);
+        let alloc = fetch.max(rob_free_cycle);
+        fetch = alloc + gap;
+        let mut retire = (alloc + latency).max(last_retire);
+        if let Some(old) = recent_retires.oldest_if_full() {
+            retire = retire.max(old + 1);
+        }
+        recent_retires.push(retire);
+        last_retire = retire;
+        rob.push(retire);
+        out.push((rob_free_cycle, retire));
+    }
+    out
+}
+
+/// The hierarchy's first-access-to-page filter as a scanned `VecDeque`, before
+/// [`RecentPages`] replaced it.
+fn deque_first_touches(pages: &[u64]) -> Vec<bool> {
+    let mut recent: VecDeque<u64> = VecDeque::with_capacity(64);
+    pages
+        .iter()
+        .map(|&page| {
+            let first = !recent.contains(&page);
+            if first {
+                if recent.len() >= 64 {
+                    recent.pop_front();
+                }
+                recent.push_back(page);
+            }
+            first
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The ROB and commit rings reproduce the `VecDeque` windows they replaced, for the
+    /// drawn configuration and for the corner sizes: a zero-sized ROB behaves as one entry,
+    /// and a zero commit width as one.
+    #[test]
+    fn rob_and_commit_rings_match_the_deque_windows(
+        steps in prop::collection::vec((0u64..4, 1u64..300), 1..400),
+        rob_size in 0usize..48,
+        commit_width in 0u32..8,
+    ) {
+        let configs = [
+            (rob_size, commit_width),
+            (0, 1),
+            (1, 1),
+            (0, commit_width),
+            (rob_size, 1),
+            (rob_size, 0),
+        ];
+        for (rob, width) in configs {
+            let reference = deque_windows(rob, width, &steps);
+            prop_assert_eq!(
+                ring_windows(rob, width, &steps),
+                reference,
+                "rob_size={} commit_width={}", rob, width
+            );
+        }
+    }
+
+    /// The page filter answers every access as the scanned window did, over page streams
+    /// that both revisit remembered pages and evict old ones.
+    #[test]
+    fn recent_pages_match_the_deque_filter(
+        pages in prop::collection::vec(0u64..(RECENT_PAGES as u64 * 3 / 2), 1..2_000),
+    ) {
+        let pages: Vec<u64> = pages.iter().map(|p| p << 12).collect();
+        let mut filter = RecentPages::default();
+        let firsts: Vec<bool> = pages.iter().map(|&p| filter.touch(p)).collect();
+        prop_assert_eq!(firsts, deque_first_touches(&pages));
+    }
+
+    /// Through the whole simulator, a zero-sized ROB and a zero commit width behave as
+    /// one entry each.
+    #[test]
+    fn zero_window_sizes_simulate_as_one(seed in 0u64..1_000, n in 2_000u64..5_000) {
+        let run = |rob_size: usize, commit_width: u32| {
+            let mut config = SimConfig::tiny();
+            config.core.rob_size = rob_size;
+            config.core.commit_width = commit_width;
+            let generator = TraceGenerator::new(
+                Pattern::Stream { footprint: 1 << 22, loads_per_iter: 3 },
+                seed,
+            );
+            Simulator::new(config).run(generator, n)
+        };
+        prop_assert_eq!(run(0, 4), run(1, 4));
+        prop_assert_eq!(run(64, 0), run(64, 1));
+    }
 
     /// The cache never holds more lines than its capacity, and a line that was just filled
     /// is always found by a probe.
@@ -145,7 +282,7 @@ proptest! {
     ) {
         let mut cache = small_cache(4, 4);
         for addr in &addrs {
-            cache.lookup(*addr, 0x400);
+            cache.lookup(*addr);
             cache.fill(*addr, false, 0x400, 0);
         }
         prop_assert_eq!(cache.hits() + cache.misses(), cache.accesses());

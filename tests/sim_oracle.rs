@@ -21,11 +21,19 @@ use athena_repro::engine::default_athena_config;
 use athena_repro::harness::experiments::workload_set;
 use athena_repro::prelude::*;
 use athena_repro::sim::DramStats;
+use athena_repro::sim::InstrKind;
 use athena_repro::sim::SimStats;
-use athena_repro::workloads::WorkloadMix;
+use athena_repro::workloads::{tuning_workloads, WorkloadMix};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/sim_oracle.txt");
 const HEADER: &str = "# athena-sim-oracle-v1";
+
+const TRACE_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/trace_digests.txt"
+);
+/// Records folded into each workload's trace digest.
+const TRACE_DIGEST_RECORDS: usize = 50_000;
 
 /// Every coordination policy the harness can instantiate, including one explicit
 /// `AthenaWith` configuration and one `Fixed` combination.
@@ -493,4 +501,73 @@ fn the_committed_fixture_is_present_and_well_formed() {
             "cell `{key}` carries no epoch digest"
         );
     }
+}
+
+/// Order-sensitive FNV digest of the first [`TRACE_DIGEST_RECORDS`] records of `spec`'s
+/// trace: every field of every record, with a tag per instruction kind.
+fn trace_digest(spec: &WorkloadSpec) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for rec in spec.trace().take(TRACE_DIGEST_RECORDS) {
+        let (tag, addr, flag) = match rec.kind {
+            InstrKind::Alu => (0, 0, false),
+            InstrKind::Load {
+                addr,
+                dep_on_recent_load,
+            } => (1, addr, dep_on_recent_load),
+            InstrKind::Store { addr } => (2, addr, false),
+            InstrKind::Branch { taken } => (3, 0, taken),
+        };
+        for x in [rec.pc, tag, addr, u64::from(flag)] {
+            fnv_u64(&mut h, x);
+        }
+    }
+    h
+}
+
+/// One `<suite>/<name> seed=<seed> <digest>` line per evaluation and tuning workload.
+fn trace_digest_lines() -> Vec<String> {
+    all_workloads()
+        .iter()
+        .chain(tuning_workloads().iter())
+        .map(|w| {
+            format!(
+                "{}/{} seed={} {:016x}",
+                w.suite,
+                w.name,
+                w.seed,
+                trace_digest(w)
+            )
+        })
+        .collect()
+}
+
+/// The workload generators feed every simulation cell; a generator refactor must emit the
+/// same record stream. The fixture was generated before the generator's read cursor
+/// replaced its reverse-then-pop buffer and is never regenerated.
+#[test]
+fn workload_trace_streams_match_their_golden_digests() {
+    let fixture = std::fs::read_to_string(TRACE_FIXTURE)
+        .unwrap_or_else(|e| panic!("cannot read the trace-digest fixture {TRACE_FIXTURE}: {e}"));
+    let golden: Vec<&str> = fixture
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    let current = trace_digest_lines();
+    assert_eq!(
+        golden.len(),
+        120,
+        "the fixture must pin all 100 evaluation and 20 tuning workloads"
+    );
+    let diff: Vec<String> = golden
+        .iter()
+        .zip(&current)
+        .filter(|(want, got)| **want != got.as_str())
+        .map(|(want, got)| format!("fixture: {want}\ncurrent: {got}"))
+        .collect();
+    assert_eq!(current.len(), golden.len(), "workload count changed");
+    assert!(
+        diff.is_empty(),
+        "trace streams drifted from the golden digests:\n{}",
+        diff.join("\n")
+    );
 }
