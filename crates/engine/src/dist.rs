@@ -82,12 +82,13 @@ use std::time::{Duration, Instant};
 use athena_probe::{metrics, CellOrigin, Event, PhaseProfile, ProbeSink};
 use athena_store::fnv64;
 
+use crate::codec::{get, u64_json, Codec};
 use crate::exec::{run_cell, CellOutcome};
 use crate::job::{Job, JobOutput};
 use crate::json::Json;
 use crate::report::{
-    phase_profile_from_json, phase_profile_json, u64_json, u64_value, DIST_DONE_SCHEMA,
-    DIST_HELLO_SCHEMA, DIST_RESULT_SCHEMA, DIST_SHARD_SCHEMA, RESULT_RECORD_SCHEMA,
+    DIST_DONE_SCHEMA, DIST_HELLO_SCHEMA, DIST_RESULT_SCHEMA, DIST_SHARD_SCHEMA,
+    RESULT_RECORD_SCHEMA,
 };
 use crate::store::{record_key, StoreHandle};
 use crate::wire::{job_from_json, job_json};
@@ -726,26 +727,21 @@ fn decode_result(worker: usize, doc: &Json, jobs: &[Job]) -> (usize, CellOutcome
         "distributed worker #{worker}: result frame does not declare schema '{}'",
         DIST_RESULT_SCHEMA.id()
     );
-    let index = doc
-        .get("index")
-        .and_then(u64_value)
-        .unwrap_or_else(|| panic!("distributed worker #{worker}: result has no cell index"))
-        as usize;
+    let index: usize = get(doc, "index")
+        .unwrap_or_else(|e| panic!("distributed worker #{worker}: result has no cell index: {e}"));
     let job = jobs.get(index).unwrap_or_else(|| {
         panic!("distributed worker #{worker} answered cell {index}, which does not exist")
     });
-    let wall = doc
-        .get("wall_nanos")
-        .and_then(u64_value)
+    let wall = get(doc, "wall_nanos")
         .map(Duration::from_nanos)
-        .unwrap_or_else(|| {
+        .unwrap_or_else(|e| {
             panic!(
                 "distributed worker #{worker}: result for cell {index} has no integer \
-                 'wall_nanos'"
+                 'wall_nanos': {e}"
             )
         });
     let profile = doc.get("profile").map(|p| {
-        phase_profile_from_json(p).unwrap_or_else(|e| {
+        PhaseProfile::decode(p).unwrap_or_else(|e| {
             panic!("distributed worker #{worker}: cell {index} sent an undecodable profile: {e}")
         })
     });
@@ -929,10 +925,7 @@ pub fn serve() {
             .and_then(Json::as_array)
             .expect("worker: shard has no 'cells' array");
         for (nth, cell) in cells.iter().enumerate() {
-            let index = cell
-                .get("index")
-                .and_then(u64_value)
-                .expect("worker: shard cell has no index");
+            let index: u64 = get(cell, "index").expect("worker: shard cell has no index");
             let job = job_from_json(cell.get("job").expect("worker: shard cell has no job"))
                 .unwrap_or_else(|e| panic!("worker: cannot reconstruct cell {index}: {e}"));
             let faulty = faults
@@ -949,7 +942,7 @@ pub fn serve() {
                 ("wall_nanos", u64_json(outcome.wall.as_nanos() as u64)),
             ];
             if let Some(profile) = &outcome.profile {
-                fields.push(("profile", phase_profile_json(profile)));
+                fields.push(("profile", profile.encode()));
             }
             match &outcome.output {
                 Ok(output) => fields.push(("record", StoreHandle::record_doc(&job, output))),
@@ -1110,7 +1103,7 @@ mod tests {
         let doc = result_doc(vec![
             ("index", u64_json(0)),
             ("wall_nanos", u64_json(5_000_001)),
-            ("profile", phase_profile_json(&profile)),
+            ("profile", profile.encode()),
             ("record", StoreHandle::record_doc(&jobs[0], &output)),
         ]);
         let (index, cell) = decode_result(7, &doc, &jobs);

@@ -50,6 +50,16 @@ pub enum SeedPolicy {
     Derived,
 }
 
+impl SeedPolicy {
+    /// The policy's one spelling, shared by the wire format and the store's variant hash.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SeedPolicy::Config => "config",
+            SeedPolicy::Derived => "derived",
+        }
+    }
+}
+
 /// The workload side of a cell: a generated workload, a multi-core mix, or an on-disk
 /// trace file.
 #[derive(Debug, Clone, PartialEq)]

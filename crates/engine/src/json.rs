@@ -438,9 +438,12 @@ fn write_num(f: &mut fmt::Formatter<'_>, v: f64) -> fmt::Result {
     if !v.is_finite() {
         return write!(f, "null");
     }
-    // Integral values within f64's exact range print without a fractional part; everything
-    // else uses Rust's shortest round-trip float formatting, which is valid JSON.
-    if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 {
+    // Integral values within f64's exact range print without a fractional part (negative
+    // zero as `-0`, which parses back to the same bits); everything else uses Rust's
+    // shortest round-trip float formatting, which is valid JSON.
+    if v == 0.0 && v.is_sign_negative() {
+        write!(f, "-0")
+    } else if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 {
         write!(f, "{}", v as i64)
     } else {
         write!(f, "{v}")
@@ -515,6 +518,16 @@ mod tests {
         assert_eq!(Json::num(-2.25).to_string(), "-2.25");
         assert_eq!(Json::num(f64::NAN).to_string(), "null");
         assert_eq!(Json::num(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn negative_zero_round_trips_bit_exactly() {
+        assert_eq!(Json::num(-0.0).to_string(), "-0");
+        assert_eq!(Json::num(0.0).to_string(), "0");
+        for v in [-0.0f64, 0.0] {
+            let back = Json::parse(&Json::num(v).to_string()).unwrap();
+            assert_eq!(back.as_f64().map(f64::to_bits), Some(v.to_bits()));
+        }
     }
 
     #[test]

@@ -33,6 +33,18 @@ pub enum PrefetcherKind {
 }
 
 impl PrefetcherKind {
+    /// Every prefetcher kind, in declaration order.
+    pub const ALL: [PrefetcherKind; 8] = [
+        PrefetcherKind::Ipcp,
+        PrefetcherKind::Berti,
+        PrefetcherKind::Pythia,
+        PrefetcherKind::SppPpf,
+        PrefetcherKind::Mlop,
+        PrefetcherKind::Sms,
+        PrefetcherKind::NextLine,
+        PrefetcherKind::Stride,
+    ];
+
     /// Instantiates the prefetcher.
     pub fn build(&self) -> Box<dyn Prefetcher> {
         match self {
@@ -74,6 +86,9 @@ pub enum OcpKind {
 }
 
 impl OcpKind {
+    /// Every off-chip predictor kind, in declaration order.
+    pub const ALL: [OcpKind; 3] = [OcpKind::Popet, OcpKind::Hmp, OcpKind::Ttp];
+
     /// Instantiates the predictor.
     pub fn build(&self) -> Box<dyn OffChipPredictor> {
         match self {
@@ -330,19 +345,14 @@ mod tests {
 
     #[test]
     fn every_kind_builds() {
-        for p in [
-            PrefetcherKind::Ipcp,
-            PrefetcherKind::Berti,
-            PrefetcherKind::Pythia,
-            PrefetcherKind::SppPpf,
-            PrefetcherKind::Mlop,
-            PrefetcherKind::Sms,
-            PrefetcherKind::NextLine,
-            PrefetcherKind::Stride,
-        ] {
-            assert_eq!(p.build().name(), p.name());
+        for p in PrefetcherKind::ALL {
+            let built = p.build();
+            assert_eq!(built.name(), p.name());
+            assert!(built.max_degree() >= 1, "{}", p.name());
+            assert!(built.degree() >= 1, "{}", p.name());
+            assert!(built.degree() <= built.max_degree(), "{}", p.name());
         }
-        for o in [OcpKind::Popet, OcpKind::Hmp, OcpKind::Ttp] {
+        for o in OcpKind::ALL {
             assert_eq!(o.build().name(), o.name());
         }
         for c in [
@@ -355,6 +365,17 @@ mod tests {
         ] {
             let _ = c.build();
             let _ = c.build_seeded(42);
+        }
+    }
+
+    #[test]
+    fn paper_prefetchers_sit_at_their_levels() {
+        for p in PrefetcherKind::ALL {
+            let expected = match p {
+                PrefetcherKind::Ipcp | PrefetcherKind::Berti => CacheLevel::L1d,
+                _ => CacheLevel::L2c,
+            };
+            assert_eq!(p.build().level(), expected, "{}", p.name());
         }
     }
 

@@ -54,6 +54,7 @@ mod kinds;
 mod record;
 mod table;
 
+pub mod codec;
 pub mod dist;
 pub mod json;
 pub mod pool;

@@ -13,10 +13,11 @@ use std::time::Duration;
 use athena_sim::DramStats;
 use athena_telemetry::Timeline;
 
+use crate::codec::{u64_json, Codec};
 use crate::exec::CellResult;
 use crate::job::JobOutput;
 use crate::json::Json;
-use crate::report::{dram_stats_json, timeline_json};
+use crate::report::timeline_json;
 
 thread_local! {
     static RECORDER: RefCell<Option<Vec<CellRecord>>> = const { RefCell::new(None) };
@@ -69,17 +70,17 @@ impl CellRecord {
             pairs.push(("error", Json::str(e)));
         }
         if let Some(d) = &self.dram {
-            pairs.push(("dram", dram_stats_json(d)));
+            pairs.push(("dram", d.encode()));
         }
         if let Some(t) = &self.timeline {
             pairs.push(("timeline", timeline_json(t)));
         }
         if let Some(p) = &self.profile {
-            pairs.push(("profile", crate::report::phase_profile_json(p)));
+            pairs.push(("profile", p.encode()));
         }
         if let Some(origin) = self.origin {
             pairs.push(("worker", Json::int(origin.worker)));
-            pairs.push(("pid", crate::report::u64_json(origin.pid)));
+            pairs.push(("pid", u64_json(origin.pid)));
         }
         Json::obj(pairs)
     }

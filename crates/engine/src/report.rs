@@ -2,6 +2,10 @@
 //! the `BENCH_sim.json` phase-profile pieces, and the lossless result serialisation the
 //! result store records are written in.
 //!
+//! The lossless half is a set of field tables for the one codec ([`crate::codec`]): one
+//! table per result type generates both its encoder and its decoder. Only the phase
+//! profile, a map keyed by phase name, is written by hand.
+//!
 //! Every JSON document this workspace emits is identified by a [`Schema`] — a shared
 //! (name, version) constant rendered as the document's leading `"schema"` field. All
 //! writers (here, in the tune crate and in the result store) go through
@@ -10,11 +14,13 @@
 
 use std::time::Duration;
 
+use athena_probe::{Phase, PhaseProfile};
 use athena_sim::{
     CoordinatorTelemetry, DramStats, EpochStats, MultiCoreResult, SimResult, SimStats,
 };
 use athena_telemetry::{Timeline, WindowMetrics, WindowSample};
 
+use crate::codec::{codec_array, codec_enum, codec_object, get, u64_json, Codec};
 use crate::job::{JobOutput, RunResult};
 use crate::json::Json;
 use crate::record::CellRecord;
@@ -121,53 +127,38 @@ pub fn figure_report(
     ])
 }
 
-/// Serialises a hot-path phase profile: one object per non-empty phase (in hierarchy
-/// order) with call count and self-time nanoseconds, plus the phase-disjoint total. Used
-/// by the per-cell report records and the `BENCH_sim.json` aggregate.
-pub fn phase_profile_json(p: &athena_probe::PhaseProfile) -> Json {
-    Json::obj(vec![
-        (
-            "phases",
-            Json::obj(
-                p.stats()
-                    .map(|s| {
-                        (
-                            s.phase.name(),
-                            Json::obj(vec![
-                                ("calls", u64_json(s.calls)),
-                                ("nanos", u64_json(s.nanos)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        ("total_nanos", u64_json(p.total_nanos())),
-    ])
-}
-
-/// Parses a [`phase_profile_json`] document back into a profile — the deserialisation
-/// half the distributed coordinator uses when a worker's per-cell profile arrives inside
-/// its `RESULT` frame. Lossless: re-serialising the parsed profile gives the same bytes.
-pub fn phase_profile_from_json(doc: &Json) -> Result<athena_probe::PhaseProfile, String> {
-    let Some(Json::Obj(phases)) = doc.get("phases") else {
-        return Err("profile has no 'phases' object".to_string());
-    };
-    let mut profile = athena_probe::PhaseProfile::new();
-    for (name, stat) in phases {
-        let phase = athena_probe::Phase::from_name(name)
-            .ok_or_else(|| format!("unknown phase '{name}'"))?;
-        let calls = stat
-            .get("calls")
-            .and_then(u64_value)
-            .ok_or_else(|| format!("phase '{name}' has no 'calls'"))?;
-        let nanos = stat
-            .get("nanos")
-            .and_then(u64_value)
-            .ok_or_else(|| format!("phase '{name}' has no 'nanos'"))?;
-        profile.add(phase, calls, nanos);
+/// A hot-path phase profile: one object per non-empty phase (in hierarchy order) with call
+/// count and self-time nanoseconds, plus the phase-disjoint total. Used by the per-cell
+/// report records, the `BENCH_sim.json` aggregate and the distributed `RESULT` frame.
+/// Written by hand because it is a map keyed by phase name; decoding ignores the derived
+/// total, and re-encoding a decoded profile gives the same bytes.
+impl Codec for PhaseProfile {
+    fn encode(&self) -> Json {
+        let phases = self
+            .stats()
+            .map(|s| {
+                let counts = vec![("calls", u64_json(s.calls)), ("nanos", u64_json(s.nanos))];
+                (s.phase.name(), Json::obj(counts))
+            })
+            .collect();
+        Json::obj(vec![
+            ("phases", Json::obj(phases)),
+            ("total_nanos", u64_json(self.total_nanos())),
+        ])
     }
-    Ok(profile)
+
+    fn decode(doc: &Json) -> Result<Self, String> {
+        let Some(Json::Obj(phases)) = doc.get("phases") else {
+            return Err("profile has no 'phases' object".to_string());
+        };
+        let mut profile = PhaseProfile::new();
+        for (name, stat) in phases {
+            let phase = Phase::from_name(name).ok_or_else(|| format!("unknown phase '{name}'"))?;
+            let count = |key: &str| get(stat, key).map_err(|e| format!("phase '{name}': {e}"));
+            profile.add(phase, count("calls")?, count("nanos")?);
+        }
+        Ok(profile)
+    }
 }
 
 /// Serialises a metrics-registry snapshot under [`METRICS_SCHEMA`]: counters and
@@ -333,556 +324,147 @@ pub fn timeline_report(workload: &str, coordinator: &str, seed: u64, t: &Timelin
 //
 // The report serialisers above are presentation formats: they round counters through f64
 // and derive per-window metrics. A store record must instead reconstruct the *exact*
-// `JobOutput` a fresh simulation would have produced, so these functions serialise every
-// field of `RunResult` / `MultiCoreResult` bit-exactly: u64 counters beyond f64's exact
-// integer range fall back to hex strings ([`Json::hex`]), raw f64s rely on Rust's
-// shortest-round-trip formatting (which parses back to the same bits), and structs are
-// destructured exhaustively so adding a field is a compile error here rather than a
-// silently lossy record.
+// `JobOutput` a fresh simulation would have produced, so every type below goes through
+// the one codec (`crate::codec`): one field table per type generates both directions.
 // ---------------------------------------------------------------------------------------
 
-/// Serialises a `u64` losslessly: a plain number inside f64's exact integer range, a hex
-/// string beyond it.
-pub(crate) fn u64_json(v: u64) -> Json {
-    if v < (1u64 << 53) {
-        Json::num(v as f64)
-    } else {
-        Json::hex(v)
-    }
-}
+codec_array!(EpochStats {
+    epoch_index,
+    instructions,
+    cycles,
+    loads,
+    stores,
+    branches,
+    branch_mispredicts,
+    l1d_misses,
+    l2c_misses,
+    llc_misses,
+    llc_miss_latency_sum,
+    prefetches_issued,
+    prefetches_useful,
+    prefetches_late,
+    prefetch_fills_from_dram,
+    pollution_misses,
+    ocp_predictions,
+    ocp_correct,
+    loads_off_chip,
+    dram_demand_requests,
+    dram_prefetch_requests,
+    dram_ocp_requests,
+    dram_writeback_requests,
+    dram_busy_cycles,
+});
 
-/// Reads a `u64` written by [`u64_json`] (plain integral number or hex string).
-pub(crate) fn u64_value(j: &Json) -> Option<u64> {
-    if let Some(v) = j.as_hex_u64() {
-        return Some(v);
-    }
-    let f = j.as_f64()?;
-    if f.fract() == 0.0 && (0.0..9_007_199_254_740_992.0).contains(&f) {
-        Some(f as u64)
-    } else {
-        None
-    }
-}
+codec_object!(SimStats {
+    instructions,
+    cycles,
+    loads,
+    stores,
+    branches,
+    branch_mispredicts,
+    l1d_misses,
+    l2c_misses,
+    llc_misses,
+    llc_miss_latency_sum,
+    prefetches_issued,
+    prefetches_useful,
+    prefetches_late,
+    prefetch_fills_from_dram,
+    prefetch_fills_from_dram_unused,
+    pollution_misses,
+    ocp_predictions,
+    ocp_correct,
+    loads_off_chip,
+    dram_total_requests,
+    dram_demand_requests,
+    dram_prefetch_requests,
+    dram_ocp_requests,
+    epochs,
+});
 
-fn u64_field(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(u64_value)
-        .ok_or_else(|| format!("missing or non-u64 field '{key}'"))
-}
+codec_object!(DramStats {
+    total_requests,
+    demand_requests,
+    prefetch_requests,
+    ocp_requests,
+    writeback_requests,
+    row_hits,
+    row_misses,
+    bus_busy_cycles,
+    demand_latency_sum,
+});
 
-fn f64_field(j: &Json, key: &str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-}
+codec_object!(CoordinatorTelemetry {
+    epsilon,
+    updates,
+    q_mean,
+    q_min,
+    q_max,
+    action_histogram,
+});
 
-fn str_field<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
+codec_object!(WindowSample {
+    index,
+    start_instruction,
+    epochs,
+    stats,
+    agent,
+});
 
-/// One epoch's counters as a fixed-order 24-element array (compact: a timeline-bearing
-/// record holds thousands of these). The destructuring is exhaustive on purpose.
-fn epoch_stats_json(s: &EpochStats) -> Json {
-    let EpochStats {
-        epoch_index,
-        instructions,
-        cycles,
-        loads,
-        stores,
-        branches,
-        branch_mispredicts,
-        l1d_misses,
-        l2c_misses,
-        llc_misses,
-        llc_miss_latency_sum,
-        prefetches_issued,
-        prefetches_useful,
-        prefetches_late,
-        prefetch_fills_from_dram,
-        pollution_misses,
-        ocp_predictions,
-        ocp_correct,
-        loads_off_chip,
-        dram_demand_requests,
-        dram_prefetch_requests,
-        dram_ocp_requests,
-        dram_writeback_requests,
-        dram_busy_cycles,
-    } = *s;
-    Json::arr(
-        [
-            epoch_index,
-            instructions,
-            cycles,
-            loads,
-            stores,
-            branches,
-            branch_mispredicts,
-            l1d_misses,
-            l2c_misses,
-            llc_misses,
-            llc_miss_latency_sum,
-            prefetches_issued,
-            prefetches_useful,
-            prefetches_late,
-            prefetch_fills_from_dram,
-            pollution_misses,
-            ocp_predictions,
-            ocp_correct,
-            loads_off_chip,
-            dram_demand_requests,
-            dram_prefetch_requests,
-            dram_ocp_requests,
-            dram_writeback_requests,
-            dram_busy_cycles,
-        ]
-        .iter()
-        .map(|&v| u64_json(v))
-        .collect(),
-    )
-}
+// The lossless timeline: raw window counters and cumulative agent snapshots, unlike the
+// report-oriented [`timeline_json`], which derives metrics and per-window action deltas.
+codec_object!(Timeline {
+    window_instructions,
+    windows,
+});
 
-fn epoch_stats_from_json(j: &Json) -> Result<EpochStats, String> {
-    let items = j
-        .as_array()
-        .ok_or_else(|| "epoch stats must be an array".to_string())?;
-    let values: Vec<u64> = items
-        .iter()
-        .map(u64_value)
-        .collect::<Option<_>>()
-        .ok_or_else(|| "epoch stats hold a non-u64 entry".to_string())?;
-    let [epoch_index, instructions, cycles, loads, stores, branches, branch_mispredicts, l1d_misses, l2c_misses, llc_misses, llc_miss_latency_sum, prefetches_issued, prefetches_useful, prefetches_late, prefetch_fills_from_dram, pollution_misses, ocp_predictions, ocp_correct, loads_off_chip, dram_demand_requests, dram_prefetch_requests, dram_ocp_requests, dram_writeback_requests, dram_busy_cycles] =
-        values[..]
-    else {
-        return Err(format!(
-            "epoch stats hold {} entries, expected 24",
-            values.len()
-        ));
-    };
-    Ok(EpochStats {
-        epoch_index,
-        instructions,
-        cycles,
-        loads,
-        stores,
-        branches,
-        branch_mispredicts,
-        l1d_misses,
-        l2c_misses,
-        llc_misses,
-        llc_miss_latency_sum,
-        prefetches_issued,
-        prefetches_useful,
-        prefetches_late,
-        prefetch_fills_from_dram,
-        pollution_misses,
-        ocp_predictions,
-        ocp_correct,
-        loads_off_chip,
-        dram_demand_requests,
-        dram_prefetch_requests,
-        dram_ocp_requests,
-        dram_writeback_requests,
-        dram_busy_cycles,
-    })
-}
+codec_object!(RunResult {
+    workload,
+    instructions,
+    cycles,
+    ipc,
+    stats,
+    dram,
+    epochs,
+    timeline,
+});
 
-fn sim_stats_json(s: &SimStats) -> Json {
-    let SimStats {
-        instructions,
-        cycles,
-        loads,
-        stores,
-        branches,
-        branch_mispredicts,
-        l1d_misses,
-        l2c_misses,
-        llc_misses,
-        llc_miss_latency_sum,
-        prefetches_issued,
-        prefetches_useful,
-        prefetches_late,
-        prefetch_fills_from_dram,
-        prefetch_fills_from_dram_unused,
-        pollution_misses,
-        ocp_predictions,
-        ocp_correct,
-        loads_off_chip,
-        dram_total_requests,
-        dram_demand_requests,
-        dram_prefetch_requests,
-        dram_ocp_requests,
-        epochs,
-    } = *s;
-    Json::obj(vec![
-        ("instructions", u64_json(instructions)),
-        ("cycles", u64_json(cycles)),
-        ("loads", u64_json(loads)),
-        ("stores", u64_json(stores)),
-        ("branches", u64_json(branches)),
-        ("branch_mispredicts", u64_json(branch_mispredicts)),
-        ("l1d_misses", u64_json(l1d_misses)),
-        ("l2c_misses", u64_json(l2c_misses)),
-        ("llc_misses", u64_json(llc_misses)),
-        ("llc_miss_latency_sum", u64_json(llc_miss_latency_sum)),
-        ("prefetches_issued", u64_json(prefetches_issued)),
-        ("prefetches_useful", u64_json(prefetches_useful)),
-        ("prefetches_late", u64_json(prefetches_late)),
-        (
-            "prefetch_fills_from_dram",
-            u64_json(prefetch_fills_from_dram),
-        ),
-        (
-            "prefetch_fills_from_dram_unused",
-            u64_json(prefetch_fills_from_dram_unused),
-        ),
-        ("pollution_misses", u64_json(pollution_misses)),
-        ("ocp_predictions", u64_json(ocp_predictions)),
-        ("ocp_correct", u64_json(ocp_correct)),
-        ("loads_off_chip", u64_json(loads_off_chip)),
-        ("dram_total_requests", u64_json(dram_total_requests)),
-        ("dram_demand_requests", u64_json(dram_demand_requests)),
-        ("dram_prefetch_requests", u64_json(dram_prefetch_requests)),
-        ("dram_ocp_requests", u64_json(dram_ocp_requests)),
-        ("epochs", u64_json(epochs)),
-    ])
-}
+codec_object!(SimResult {
+    instructions,
+    cycles,
+    stats,
+    dram,
+    epochs,
+    agent_epochs,
+});
 
-fn sim_stats_from_json(j: &Json) -> Result<SimStats, String> {
-    Ok(SimStats {
-        instructions: u64_field(j, "instructions")?,
-        cycles: u64_field(j, "cycles")?,
-        loads: u64_field(j, "loads")?,
-        stores: u64_field(j, "stores")?,
-        branches: u64_field(j, "branches")?,
-        branch_mispredicts: u64_field(j, "branch_mispredicts")?,
-        l1d_misses: u64_field(j, "l1d_misses")?,
-        l2c_misses: u64_field(j, "l2c_misses")?,
-        llc_misses: u64_field(j, "llc_misses")?,
-        llc_miss_latency_sum: u64_field(j, "llc_miss_latency_sum")?,
-        prefetches_issued: u64_field(j, "prefetches_issued")?,
-        prefetches_useful: u64_field(j, "prefetches_useful")?,
-        prefetches_late: u64_field(j, "prefetches_late")?,
-        prefetch_fills_from_dram: u64_field(j, "prefetch_fills_from_dram")?,
-        prefetch_fills_from_dram_unused: u64_field(j, "prefetch_fills_from_dram_unused")?,
-        pollution_misses: u64_field(j, "pollution_misses")?,
-        ocp_predictions: u64_field(j, "ocp_predictions")?,
-        ocp_correct: u64_field(j, "ocp_correct")?,
-        loads_off_chip: u64_field(j, "loads_off_chip")?,
-        dram_total_requests: u64_field(j, "dram_total_requests")?,
-        dram_demand_requests: u64_field(j, "dram_demand_requests")?,
-        dram_prefetch_requests: u64_field(j, "dram_prefetch_requests")?,
-        dram_ocp_requests: u64_field(j, "dram_ocp_requests")?,
-        epochs: u64_field(j, "epochs")?,
-    })
-}
+codec_object!(MultiCoreResult { cores });
 
-/// Serialises a DRAM-channel snapshot losslessly. Also used by the per-cell report
-/// records ([`CellRecord::to_json`]) — one serialiser, two documents.
-pub(crate) fn dram_stats_json(d: &DramStats) -> Json {
-    let DramStats {
-        total_requests,
-        demand_requests,
-        prefetch_requests,
-        ocp_requests,
-        writeback_requests,
-        row_hits,
-        row_misses,
-        bus_busy_cycles,
-        demand_latency_sum,
-    } = *d;
-    Json::obj(vec![
-        ("total_requests", u64_json(total_requests)),
-        ("demand_requests", u64_json(demand_requests)),
-        ("prefetch_requests", u64_json(prefetch_requests)),
-        ("ocp_requests", u64_json(ocp_requests)),
-        ("writeback_requests", u64_json(writeback_requests)),
-        ("row_hits", u64_json(row_hits)),
-        ("row_misses", u64_json(row_misses)),
-        ("bus_busy_cycles", u64_json(bus_busy_cycles)),
-        ("demand_latency_sum", u64_json(demand_latency_sum)),
-    ])
-}
-
-fn dram_stats_from_json(j: &Json) -> Result<DramStats, String> {
-    Ok(DramStats {
-        total_requests: u64_field(j, "total_requests")?,
-        demand_requests: u64_field(j, "demand_requests")?,
-        prefetch_requests: u64_field(j, "prefetch_requests")?,
-        ocp_requests: u64_field(j, "ocp_requests")?,
-        writeback_requests: u64_field(j, "writeback_requests")?,
-        row_hits: u64_field(j, "row_hits")?,
-        row_misses: u64_field(j, "row_misses")?,
-        bus_busy_cycles: u64_field(j, "bus_busy_cycles")?,
-        demand_latency_sum: u64_field(j, "demand_latency_sum")?,
-    })
-}
-
-fn agent_telemetry_json(a: &CoordinatorTelemetry) -> Json {
-    let CoordinatorTelemetry {
-        epsilon,
-        updates,
-        q_mean,
-        q_min,
-        q_max,
-        action_histogram,
-    } = a;
-    Json::obj(vec![
-        ("epsilon", Json::num(*epsilon)),
-        ("updates", u64_json(*updates)),
-        ("q_mean", Json::num(*q_mean)),
-        ("q_min", Json::num(*q_min)),
-        ("q_max", Json::num(*q_max)),
-        (
-            "action_histogram",
-            Json::arr(action_histogram.iter().map(|&c| u64_json(c)).collect()),
-        ),
-    ])
-}
-
-fn agent_telemetry_from_json(j: &Json) -> Result<CoordinatorTelemetry, String> {
-    let histogram = j
-        .get("action_histogram")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "missing 'action_histogram' array".to_string())?
-        .iter()
-        .map(u64_value)
-        .collect::<Option<_>>()
-        .ok_or_else(|| "non-u64 action_histogram entry".to_string())?;
-    Ok(CoordinatorTelemetry {
-        epsilon: f64_field(j, "epsilon")?,
-        updates: u64_field(j, "updates")?,
-        q_mean: f64_field(j, "q_mean")?,
-        q_min: f64_field(j, "q_min")?,
-        q_max: f64_field(j, "q_max")?,
-        action_histogram: histogram,
-    })
-}
-
-/// Serialises a timeline losslessly (raw window counters and cumulative agent snapshots —
-/// unlike the report-oriented [`timeline_json`], which derives presentation metrics and
-/// per-window action deltas).
-fn timeline_data_json(t: &Timeline) -> Json {
-    let windows = t
-        .windows
-        .iter()
-        .map(|w| {
-            let WindowSample {
-                index,
-                start_instruction,
-                epochs,
-                stats,
-                agent,
-            } = w;
-            Json::obj(vec![
-                ("index", u64_json(*index)),
-                ("start_instruction", u64_json(*start_instruction)),
-                ("epochs", u64_json(*epochs)),
-                ("stats", epoch_stats_json(stats)),
-                (
-                    "agent",
-                    match agent {
-                        Some(a) => agent_telemetry_json(a),
-                        None => Json::Null,
-                    },
-                ),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("window_instructions", u64_json(t.window_instructions)),
-        ("windows", Json::arr(windows)),
-    ])
-}
-
-fn timeline_data_from_json(j: &Json) -> Result<Timeline, String> {
-    let windows = j
-        .get("windows")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "missing 'windows' array".to_string())?
-        .iter()
-        .map(|w| {
-            Ok(WindowSample {
-                index: u64_field(w, "index")?,
-                start_instruction: u64_field(w, "start_instruction")?,
-                epochs: u64_field(w, "epochs")?,
-                stats: epoch_stats_from_json(
-                    w.get("stats")
-                        .ok_or_else(|| "missing 'stats'".to_string())?,
-                )?,
-                agent: match w.get("agent") {
-                    None | Some(Json::Null) => None,
-                    Some(a) => Some(agent_telemetry_from_json(a)?),
-                },
-            })
-        })
-        .collect::<Result<_, String>>()?;
-    Ok(Timeline {
-        window_instructions: u64_field(j, "window_instructions")?,
-        windows,
-    })
-}
-
-fn epochs_json(epochs: &[EpochStats]) -> Json {
-    Json::arr(epochs.iter().map(epoch_stats_json).collect())
-}
-
-fn epochs_from_json(j: &Json, key: &str) -> Result<Vec<EpochStats>, String> {
-    j.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("missing '{key}' array"))?
-        .iter()
-        .map(epoch_stats_from_json)
-        .collect()
-}
+codec_enum!(JobOutput {
+    Single(result) = "single",
+    Multi(..cores) = "multi",
+});
 
 /// Serialises one single-core result bit-exactly; [`run_result_from_json`] inverts it.
 pub fn run_result_json(r: &RunResult) -> Json {
-    let RunResult {
-        workload,
-        instructions,
-        cycles,
-        ipc,
-        stats,
-        dram,
-        epochs,
-        timeline,
-    } = r;
-    Json::obj(vec![
-        ("workload", Json::str(workload)),
-        ("instructions", u64_json(*instructions)),
-        ("cycles", u64_json(*cycles)),
-        ("ipc", Json::num(*ipc)),
-        ("stats", sim_stats_json(stats)),
-        ("dram", dram_stats_json(dram)),
-        ("epochs", epochs_json(epochs)),
-        (
-            "timeline",
-            match timeline {
-                Some(t) => timeline_data_json(t),
-                None => Json::Null,
-            },
-        ),
-    ])
+    r.encode()
 }
 
 /// Reconstructs the exact [`RunResult`] serialised by [`run_result_json`].
 pub fn run_result_from_json(j: &Json) -> Result<RunResult, String> {
-    Ok(RunResult {
-        workload: str_field(j, "workload")?.to_string(),
-        instructions: u64_field(j, "instructions")?,
-        cycles: u64_field(j, "cycles")?,
-        ipc: f64_field(j, "ipc")?,
-        stats: sim_stats_from_json(
-            j.get("stats")
-                .ok_or_else(|| "missing 'stats'".to_string())?,
-        )?,
-        dram: dram_stats_from_json(j.get("dram").ok_or_else(|| "missing 'dram'".to_string())?)?,
-        epochs: epochs_from_json(j, "epochs")?,
-        timeline: match j.get("timeline") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(timeline_data_from_json(t)?),
-        },
-    })
-}
-
-fn sim_result_json(r: &SimResult) -> Json {
-    let SimResult {
-        instructions,
-        cycles,
-        stats,
-        dram,
-        epochs,
-        agent_epochs,
-    } = r;
-    Json::obj(vec![
-        ("instructions", u64_json(*instructions)),
-        ("cycles", u64_json(*cycles)),
-        ("stats", sim_stats_json(stats)),
-        ("dram", dram_stats_json(dram)),
-        ("epochs", epochs_json(epochs)),
-        (
-            "agent_epochs",
-            Json::arr(
-                agent_epochs
-                    .iter()
-                    .map(|a| match a {
-                        Some(a) => agent_telemetry_json(a),
-                        None => Json::Null,
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn sim_result_from_json(j: &Json) -> Result<SimResult, String> {
-    let agent_epochs = j
-        .get("agent_epochs")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "missing 'agent_epochs' array".to_string())?
-        .iter()
-        .map(|a| match a {
-            Json::Null => Ok(None),
-            other => agent_telemetry_from_json(other).map(Some),
-        })
-        .collect::<Result<_, String>>()?;
-    Ok(SimResult {
-        instructions: u64_field(j, "instructions")?,
-        cycles: u64_field(j, "cycles")?,
-        stats: sim_stats_from_json(
-            j.get("stats")
-                .ok_or_else(|| "missing 'stats'".to_string())?,
-        )?,
-        dram: dram_stats_from_json(j.get("dram").ok_or_else(|| "missing 'dram'".to_string())?)?,
-        epochs: epochs_from_json(j, "epochs")?,
-        agent_epochs,
-    })
+    RunResult::decode(j)
 }
 
 /// Serialises a job's full output — single- or multi-core — bit-exactly;
 /// [`job_output_from_json`] inverts it. This is the payload format of result-store
 /// records ([`RESULT_RECORD_SCHEMA`]).
 pub fn job_output_json(output: &JobOutput) -> Json {
-    match output {
-        JobOutput::Single(r) => Json::obj(vec![
-            ("kind", Json::str("single")),
-            ("result", run_result_json(r)),
-        ]),
-        JobOutput::Multi(m) => {
-            let MultiCoreResult { cores } = m;
-            Json::obj(vec![
-                ("kind", Json::str("multi")),
-                (
-                    "cores",
-                    Json::arr(cores.iter().map(sim_result_json).collect()),
-                ),
-            ])
-        }
-    }
+    output.encode()
 }
 
 /// Reconstructs the exact [`JobOutput`] serialised by [`job_output_json`].
 pub fn job_output_from_json(j: &Json) -> Result<JobOutput, String> {
-    match str_field(j, "kind")? {
-        "single" => Ok(JobOutput::Single(Box::new(run_result_from_json(
-            j.get("result")
-                .ok_or_else(|| "missing 'result'".to_string())?,
-        )?))),
-        "multi" => {
-            let cores = j
-                .get("cores")
-                .and_then(Json::as_array)
-                .ok_or_else(|| "missing 'cores' array".to_string())?
-                .iter()
-                .map(sim_result_from_json)
-                .collect::<Result<_, String>>()?;
-            Ok(JobOutput::Multi(MultiCoreResult { cores }))
-        }
-        other => Err(format!("unknown output kind '{other}'")),
-    }
+    JobOutput::decode(j)
 }
 
 #[cfg(test)]
@@ -904,7 +486,7 @@ mod tests {
         p.record(Phase::Dram, 250);
         p.record(Phase::CoreStep, 1_000);
         p.record(Phase::Dispatch, 50);
-        let text = phase_profile_json(&p).to_string();
+        let text = p.encode().to_string();
         assert_eq!(
             text,
             "{\"phases\":{\"core_step\":{\"calls\":1,\"nanos\":1000},\
@@ -919,17 +501,12 @@ mod tests {
         let mut p = PhaseProfile::new();
         p.record(Phase::Dram, 250);
         p.record(Phase::CoreStep, 1_000);
-        let parsed =
-            phase_profile_from_json(&Json::parse(&phase_profile_json(&p).to_string()).unwrap())
-                .unwrap();
-        assert_eq!(
-            phase_profile_json(&parsed).to_string(),
-            phase_profile_json(&p).to_string()
-        );
-        assert!(phase_profile_from_json(&Json::parse("{}").unwrap()).is_err());
+        let parsed = PhaseProfile::decode(&Json::parse(&p.encode().to_string()).unwrap()).unwrap();
+        assert_eq!(parsed.encode().to_string(), p.encode().to_string());
+        assert!(PhaseProfile::decode(&Json::parse("{}").unwrap()).is_err());
         let bad =
             Json::parse("{\"phases\":{\"no_such_phase\":{\"calls\":1,\"nanos\":2}}}").unwrap();
-        assert!(phase_profile_from_json(&bad)
+        assert!(PhaseProfile::decode(&bad)
             .unwrap_err()
             .contains("no_such_phase"));
     }

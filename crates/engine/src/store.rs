@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use athena_store::{RecordKey, ResultStore, StoreError, StorePolicy};
 
-use crate::job::{Job, JobOutput, SeedPolicy};
+use crate::job::{Job, JobOutput};
 use crate::json::Json;
 use crate::report::{job_output_from_json, job_output_json, RESULT_RECORD_SCHEMA};
 use crate::seed::SeedHasher;
@@ -37,10 +37,7 @@ use crate::seed::SeedHasher;
 /// `(identity, variant)` so a telemetry run never shadows a plain run of the same cell.
 pub fn variant_hash(job: &Job) -> u64 {
     let mut h = SeedHasher::new();
-    h.write_str(match job.seed_policy {
-        SeedPolicy::Config => "config",
-        SeedPolicy::Derived => "derived",
-    });
+    h.write_str(job.seed_policy.name());
     match job.telemetry {
         None => h.write_str("none"),
         Some(t) => {

@@ -15,71 +15,67 @@
 //!   rejects any payload whose transmitted identity disagrees — a lossy wire format is a
 //!   protocol error, never a silently different result.
 //!
-//! Every struct this module serialises is destructured exhaustively, so a field added to
-//! a job constituent later is a compile error here rather than a silently lossy wire.
+//! Both families go through the one codec ([`crate::codec`]): each type below has one
+//! field table that generates its encoder and decoder and destructures it exhaustively,
+//! so a field added to a job constituent later is a compile error here rather than a
+//! silently lossy wire. Only the irregular parts are written by hand: the cache level's
+//! `&'static str` name, the hex seeds, the `"config"` wrapper [`config_from_json`]
+//! accepts, [`CoordinatorKind`]'s payload-carrying variants and the identity tripwire.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use athena_core::{AthenaConfig, Feature, RewardWeights};
 use athena_sim::{CacheConfig, CoreConfig, DramConfig, Replacement, SimConfig};
 use athena_workloads::{MixCategory, Pattern, Suite, WorkloadMix, WorkloadSpec};
 
+use crate::codec::{codec_enum, codec_names, codec_object, field, get, hex, Codec};
 use crate::job::{FileWorkload, Job, SeedPolicy, TelemetrySpec, WorkloadRef};
 use crate::json::Json;
 use crate::kinds::{CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
-use crate::report::{u64_json, u64_value};
 
 // ---------------------------------------------------------------------------------------
-// AthenaConfig round trip (moved here from the tune crate, which re-exports it: the
-// distributed protocol ships explicit Athena configurations inside jobs, so the
-// serialiser has to live below both consumers).
+// AthenaConfig round trip (the tune crate re-exports it: the distributed protocol ships
+// explicit Athena configurations inside jobs, so the codec lives below both consumers).
 // ---------------------------------------------------------------------------------------
+
+codec_names!(
+    Feature,
+    "feature",
+    Feature::all_candidates().iter().copied(),
+    Feature::short_name
+);
+
+impl Codec for RewardWeights {
+    fn encode(&self) -> Json {
+        self.as_array().to_vec().encode()
+    }
+    fn decode(j: &Json) -> Result<Self, String> {
+        let weights = Vec::<f64>::decode(j)?;
+        let found = weights.len();
+        let weights = weights
+            .try_into()
+            .map_err(|_| format!("must hold 5 values, found {found}"))?;
+        Ok(RewardWeights::from_array(weights))
+    }
+}
+
+codec_object!(AthenaConfig {
+    alpha,
+    gamma,
+    epsilon,
+    tau,
+    features,
+    reward_weights,
+    use_uncorrelated_reward,
+    planes,
+    rows_per_plane,
+    q_step,
+    seed with hex,
+});
 
 /// Serialises a configuration as a JSON object.
 pub fn config_to_json(cfg: &AthenaConfig) -> Json {
-    Json::obj(vec![
-        ("alpha", Json::num(cfg.alpha)),
-        ("gamma", Json::num(cfg.gamma)),
-        ("epsilon", Json::num(cfg.epsilon)),
-        ("tau", Json::num(cfg.tau)),
-        (
-            "features",
-            Json::arr(
-                cfg.features
-                    .iter()
-                    .map(|f| Json::str(f.short_name()))
-                    .collect(),
-            ),
-        ),
-        (
-            "reward_weights",
-            Json::arr(
-                cfg.reward_weights
-                    .as_array()
-                    .iter()
-                    .map(|&w| Json::num(w))
-                    .collect(),
-            ),
-        ),
-        (
-            "use_uncorrelated_reward",
-            Json::Bool(cfg.use_uncorrelated_reward),
-        ),
-        ("planes", Json::int(cfg.planes)),
-        ("rows_per_plane", Json::int(cfg.rows_per_plane)),
-        ("q_step", Json::num(cfg.q_step)),
-        ("seed", Json::hex(cfg.seed)),
-    ])
-}
-
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn num_field(doc: &Json, key: &str) -> Result<f64, String> {
-    field(doc, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field '{key}' is not a number"))
+    cfg.encode()
 }
 
 /// Deserialises a configuration from a JSON object produced by [`config_to_json`].
@@ -88,46 +84,7 @@ fn num_field(doc: &Json, key: &str) -> Result<f64, String> {
 /// `"config"` key (e.g. the `best.json` the tune CLI writes, which carries the claimed
 /// scores alongside).
 pub fn config_from_json(doc: &Json) -> Result<AthenaConfig, String> {
-    let doc = doc.get("config").unwrap_or(doc);
-    let features = field(doc, "features")?
-        .as_array()
-        .ok_or("field 'features' is not an array")?
-        .iter()
-        .map(|f| {
-            let name = f.as_str().ok_or("feature names must be strings")?;
-            Feature::from_short_name(name).ok_or_else(|| format!("unknown feature '{name}'"))
-        })
-        .collect::<Result<Vec<Feature>, String>>()?;
-    let weights = field(doc, "reward_weights")?
-        .as_array()
-        .ok_or("field 'reward_weights' is not an array")?;
-    if weights.len() != 5 {
-        return Err(format!(
-            "reward_weights must hold 5 values, found {}",
-            weights.len()
-        ));
-    }
-    let mut lambda = [0.0; 5];
-    for (slot, w) in lambda.iter_mut().zip(weights) {
-        *slot = w.as_f64().ok_or("reward weights must be numbers")?;
-    }
-    Ok(AthenaConfig {
-        alpha: num_field(doc, "alpha")?,
-        gamma: num_field(doc, "gamma")?,
-        epsilon: num_field(doc, "epsilon")?,
-        tau: num_field(doc, "tau")?,
-        features,
-        reward_weights: RewardWeights::from_array(lambda),
-        use_uncorrelated_reward: field(doc, "use_uncorrelated_reward")?
-            .as_bool()
-            .ok_or("field 'use_uncorrelated_reward' is not a boolean")?,
-        planes: num_field(doc, "planes")? as usize,
-        rows_per_plane: num_field(doc, "rows_per_plane")? as usize,
-        q_step: num_field(doc, "q_step")?,
-        seed: field(doc, "seed")?
-            .as_hex_u64()
-            .ok_or("field 'seed' is not a \"0x…\" hex string")?,
-    })
+    AthenaConfig::decode(doc.get("config").unwrap_or(doc))
 }
 
 /// Loads a configuration from a JSON file (bare or `"config"`-wrapped; see
@@ -144,534 +101,222 @@ pub fn load_config(path: impl AsRef<Path>) -> Result<AthenaConfig, String> {
 // Job wire serialisation.
 // ---------------------------------------------------------------------------------------
 
-/// Reads a `u64` field written by [`u64_json`] (plain integral number or hex string).
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    u64_value(field(doc, key)?).ok_or_else(|| format!("field '{key}' is not a u64"))
-}
+codec_enum!(Pattern {
+    Stream { footprint, loads_per_iter } = "stream",
+    Strided { footprint, stride } = "strided",
+    Spatial { regions, footprint_mask } = "spatial",
+    PointerChase { nodes, burst_pct } = "pointer-chase",
+    HashProbe { footprint, locality_pct } = "hash-probe",
+    GraphFrontier { vertices, neighbours } = "graph-frontier",
+    MixedPhase { phase_len, stream_footprint, chase_nodes } = "mixed-phase",
+    ComputeBranchy { hot_bytes, cold_bytes, cold_pct, hard_branch_pct } = "compute-branchy",
+});
 
-fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    field(doc, key)?
-        .as_str()
-        .ok_or_else(|| format!("field '{key}' is not a string"))
-}
+codec_names!(
+    Suite,
+    "suite",
+    [
+        Suite::Spec,
+        Suite::Parsec,
+        Suite::Ligra,
+        Suite::Cvp,
+        Suite::GoogleLike
+    ],
+    ToString::to_string
+);
 
-fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
-    field(doc, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field '{key}' is not a boolean"))
-}
+codec_object!(WorkloadSpec {
+    name,
+    suite,
+    pattern,
+    seed,
+    designed_friendly,
+});
 
-fn usize_field(doc: &Json, key: &str) -> Result<usize, String> {
-    Ok(u64_field(doc, key)? as usize)
-}
+codec_names!(
+    MixCategory,
+    "mix category",
+    [
+        MixCategory::PrefetcherAdverse,
+        MixCategory::PrefetcherFriendly,
+        MixCategory::Random
+    ],
+    ToString::to_string
+);
 
-fn u32_field(doc: &Json, key: &str) -> Result<u32, String> {
-    u64_field(doc, key)?
-        .try_into()
-        .map_err(|_| format!("field '{key}' does not fit in u32"))
-}
+codec_object!(WorkloadMix {
+    category,
+    name,
+    workloads,
+});
 
-fn pattern_json(p: &Pattern) -> Json {
-    match *p {
-        Pattern::Stream {
-            footprint,
-            loads_per_iter,
-        } => Json::obj(vec![
-            ("kind", Json::str("stream")),
-            ("footprint", u64_json(footprint)),
-            ("loads_per_iter", u64_json(loads_per_iter as u64)),
-        ]),
-        Pattern::Strided { footprint, stride } => Json::obj(vec![
-            ("kind", Json::str("strided")),
-            ("footprint", u64_json(footprint)),
-            ("stride", u64_json(stride)),
-        ]),
-        Pattern::Spatial {
-            regions,
-            footprint_mask,
-        } => Json::obj(vec![
-            ("kind", Json::str("spatial")),
-            ("regions", u64_json(regions)),
-            ("footprint_mask", u64_json(footprint_mask as u64)),
-        ]),
-        Pattern::PointerChase { nodes, burst_pct } => Json::obj(vec![
-            ("kind", Json::str("pointer-chase")),
-            ("nodes", u64_json(nodes)),
-            ("burst_pct", u64_json(burst_pct as u64)),
-        ]),
-        Pattern::HashProbe {
-            footprint,
-            locality_pct,
-        } => Json::obj(vec![
-            ("kind", Json::str("hash-probe")),
-            ("footprint", u64_json(footprint)),
-            ("locality_pct", u64_json(locality_pct as u64)),
-        ]),
-        Pattern::GraphFrontier {
-            vertices,
-            neighbours,
-        } => Json::obj(vec![
-            ("kind", Json::str("graph-frontier")),
-            ("vertices", u64_json(vertices)),
-            ("neighbours", u64_json(neighbours as u64)),
-        ]),
-        Pattern::MixedPhase {
-            phase_len,
-            stream_footprint,
-            chase_nodes,
-        } => Json::obj(vec![
-            ("kind", Json::str("mixed-phase")),
-            ("phase_len", u64_json(phase_len)),
-            ("stream_footprint", u64_json(stream_footprint)),
-            ("chase_nodes", u64_json(chase_nodes)),
-        ]),
-        Pattern::ComputeBranchy {
-            hot_bytes,
-            cold_bytes,
-            cold_pct,
-            hard_branch_pct,
-        } => Json::obj(vec![
-            ("kind", Json::str("compute-branchy")),
-            ("hot_bytes", u64_json(hot_bytes)),
-            ("cold_bytes", u64_json(cold_bytes)),
-            ("cold_pct", u64_json(cold_pct as u64)),
-            ("hard_branch_pct", u64_json(hard_branch_pct as u64)),
-        ]),
+codec_object!(FileWorkload { name, path });
+
+codec_enum!(WorkloadRef {
+    Single(spec) = "single",
+    Multi(..mix) = "multi",
+    File(..file) = "file",
+});
+
+codec_names!(
+    Replacement,
+    "replacement policy",
+    [Replacement::Lru, Replacement::Ship],
+    |r: &Replacement| match r {
+        Replacement::Lru => "lru",
+        Replacement::Ship => "ship",
+    }
+);
+
+/// `CacheConfig::name` is a `&'static str`; the engine only ever ships the three hierarchy
+/// levels, so decoding maps them back to their static spellings rather than leak.
+mod cache_name {
+    use crate::json::Json;
+
+    pub fn encode(name: &&'static str) -> Json {
+        Json::str(*name)
+    }
+
+    pub fn decode(j: &Json) -> Result<&'static str, String> {
+        let name = j.as_str().ok_or("not a string")?;
+        ["L1D", "L2C", "LLC"]
+            .into_iter()
+            .find(|level| *level == name)
+            .ok_or_else(|| format!("unknown cache name '{name}'"))
     }
 }
 
-fn pattern_from_json(doc: &Json) -> Result<Pattern, String> {
-    Ok(match str_field(doc, "kind")? {
-        "stream" => Pattern::Stream {
-            footprint: u64_field(doc, "footprint")?,
-            loads_per_iter: u32_field(doc, "loads_per_iter")?,
-        },
-        "strided" => Pattern::Strided {
-            footprint: u64_field(doc, "footprint")?,
-            stride: u64_field(doc, "stride")?,
-        },
-        "spatial" => Pattern::Spatial {
-            regions: u64_field(doc, "regions")?,
-            footprint_mask: u32_field(doc, "footprint_mask")?,
-        },
-        "pointer-chase" => Pattern::PointerChase {
-            nodes: u64_field(doc, "nodes")?,
-            burst_pct: u32_field(doc, "burst_pct")?,
-        },
-        "hash-probe" => Pattern::HashProbe {
-            footprint: u64_field(doc, "footprint")?,
-            locality_pct: u32_field(doc, "locality_pct")?,
-        },
-        "graph-frontier" => Pattern::GraphFrontier {
-            vertices: u64_field(doc, "vertices")?,
-            neighbours: u32_field(doc, "neighbours")?,
-        },
-        "mixed-phase" => Pattern::MixedPhase {
-            phase_len: u64_field(doc, "phase_len")?,
-            stream_footprint: u64_field(doc, "stream_footprint")?,
-            chase_nodes: u64_field(doc, "chase_nodes")?,
-        },
-        "compute-branchy" => Pattern::ComputeBranchy {
-            hot_bytes: u64_field(doc, "hot_bytes")?,
-            cold_bytes: u64_field(doc, "cold_bytes")?,
-            cold_pct: u32_field(doc, "cold_pct")?,
-            hard_branch_pct: u32_field(doc, "hard_branch_pct")?,
-        },
-        other => return Err(format!("unknown pattern kind '{other}'")),
-    })
-}
+codec_object!(CacheConfig {
+    name with cache_name,
+    size_bytes,
+    ways,
+    latency,
+    mshrs,
+    replacement,
+});
 
-fn suite_name(s: Suite) -> &'static str {
-    match s {
-        Suite::Spec => "SPEC",
-        Suite::Parsec => "PARSEC",
-        Suite::Ligra => "Ligra",
-        Suite::Cvp => "CVP",
-        Suite::GoogleLike => "Google",
+codec_object!(CoreConfig {
+    issue_width,
+    commit_width,
+    rob_size,
+    mispredict_penalty,
+    frequency_ghz,
+});
+
+codec_object!(DramConfig {
+    bandwidth_gbps,
+    banks,
+    row_buffer_bytes,
+    trcd_ns,
+    trp_ns,
+    tcas_ns,
+});
+
+codec_object!(SimConfig {
+    core,
+    l1d,
+    l2c,
+    llc,
+    dram,
+    ocp_issue_latency,
+    epoch_len,
+    coordinator_update_latency,
+});
+
+codec_names!(
+    PrefetcherKind,
+    "prefetcher",
+    PrefetcherKind::ALL,
+    PrefetcherKind::name
+);
+codec_names!(OcpKind, "off-chip predictor", OcpKind::ALL, OcpKind::name);
+
+codec_object!(SystemConfig {
+    sim,
+    prefetchers,
+    ocp,
+});
+
+impl Codec for CoordinatorKind {
+    fn encode(&self) -> Json {
+        let mut pairs = vec![("kind", Json::str(self.name()))];
+        match self {
+            CoordinatorKind::Fixed { ocp, prefetchers } => {
+                pairs.push(("ocp", ocp.encode()));
+                pairs.push(("prefetchers", prefetchers.encode()));
+            }
+            CoordinatorKind::AthenaWith(cfg) => pairs.push(("config", cfg.encode())),
+            _ => {}
+        }
+        Json::obj(pairs)
     }
-}
 
-fn suite_from_name(name: &str) -> Result<Suite, String> {
-    Ok(match name {
-        "SPEC" => Suite::Spec,
-        "PARSEC" => Suite::Parsec,
-        "Ligra" => Suite::Ligra,
-        "CVP" => Suite::Cvp,
-        "Google" => Suite::GoogleLike,
-        other => return Err(format!("unknown suite '{other}'")),
-    })
-}
-
-fn workload_spec_json(spec: &WorkloadSpec) -> Json {
-    let WorkloadSpec {
-        name,
-        suite,
-        pattern,
-        seed,
-        designed_friendly,
-    } = spec;
-    Json::obj(vec![
-        ("name", Json::str(name)),
-        ("suite", Json::str(suite_name(*suite))),
-        ("pattern", pattern_json(pattern)),
-        ("seed", u64_json(*seed)),
-        ("designed_friendly", Json::Bool(*designed_friendly)),
-    ])
-}
-
-fn workload_spec_from_json(doc: &Json) -> Result<WorkloadSpec, String> {
-    Ok(WorkloadSpec {
-        name: str_field(doc, "name")?.to_string(),
-        suite: suite_from_name(str_field(doc, "suite")?)?,
-        pattern: pattern_from_json(field(doc, "pattern")?)?,
-        seed: u64_field(doc, "seed")?,
-        designed_friendly: bool_field(doc, "designed_friendly")?,
-    })
-}
-
-fn mix_category_name(c: MixCategory) -> &'static str {
-    match c {
-        MixCategory::PrefetcherAdverse => "prefetcher-adverse",
-        MixCategory::PrefetcherFriendly => "prefetcher-friendly",
-        MixCategory::Random => "random",
-    }
-}
-
-fn mix_category_from_name(name: &str) -> Result<MixCategory, String> {
-    Ok(match name {
-        "prefetcher-adverse" => MixCategory::PrefetcherAdverse,
-        "prefetcher-friendly" => MixCategory::PrefetcherFriendly,
-        "random" => MixCategory::Random,
-        other => return Err(format!("unknown mix category '{other}'")),
-    })
-}
-
-fn cache_config_json(c: &CacheConfig) -> Json {
-    let CacheConfig {
-        name,
-        size_bytes,
-        ways,
-        latency,
-        mshrs,
-        replacement,
-    } = *c;
-    Json::obj(vec![
-        ("name", Json::str(name)),
-        ("size_bytes", u64_json(size_bytes)),
-        ("ways", Json::int(ways)),
-        ("latency", u64_json(latency)),
-        ("mshrs", Json::int(mshrs)),
-        (
-            "replacement",
-            Json::str(match replacement {
-                Replacement::Lru => "lru",
-                Replacement::Ship => "ship",
+    fn decode(j: &Json) -> Result<Self, String> {
+        use CoordinatorKind::*;
+        let kind = field(j, "kind")?
+            .as_str()
+            .ok_or("field 'kind': not a string")?;
+        // One representative per variant, so `name()` stays the only spelling.
+        let fixed = Fixed {
+            ocp: false,
+            prefetchers: false,
+        };
+        let configured = AthenaWith(AthenaConfig::default());
+        let variants = [
+            Baseline,
+            OcpOnly,
+            PrefetchersOnly,
+            Naive,
+            fixed,
+            Hpac,
+            Mab,
+            Tlp,
+            Athena,
+            configured,
+        ];
+        match variants.into_iter().find(|v| v.name() == kind) {
+            Some(Fixed { .. }) => Ok(Fixed {
+                ocp: get(j, "ocp")?,
+                prefetchers: get(j, "prefetchers")?,
             }),
-        ),
-    ])
-}
-
-fn cache_config_from_json(doc: &Json) -> Result<CacheConfig, String> {
-    // `CacheConfig::name` is a `&'static str`; the engine only ever ships the three
-    // hierarchy levels, so map them back to their static spellings rather than leak.
-    let name = match str_field(doc, "name")? {
-        "L1D" => "L1D",
-        "L2C" => "L2C",
-        "LLC" => "LLC",
-        other => return Err(format!("unknown cache name '{other}'")),
-    };
-    Ok(CacheConfig {
-        name,
-        size_bytes: u64_field(doc, "size_bytes")?,
-        ways: usize_field(doc, "ways")?,
-        latency: u64_field(doc, "latency")?,
-        mshrs: usize_field(doc, "mshrs")?,
-        replacement: match str_field(doc, "replacement")? {
-            "lru" => Replacement::Lru,
-            "ship" => Replacement::Ship,
-            other => return Err(format!("unknown replacement policy '{other}'")),
-        },
-    })
-}
-
-fn sim_config_json(c: &SimConfig) -> Json {
-    let SimConfig {
-        core,
-        l1d,
-        l2c,
-        llc,
-        dram,
-        ocp_issue_latency,
-        epoch_len,
-        coordinator_update_latency,
-    } = c;
-    let CoreConfig {
-        issue_width,
-        commit_width,
-        rob_size,
-        mispredict_penalty,
-        frequency_ghz,
-    } = *core;
-    let DramConfig {
-        bandwidth_gbps,
-        banks,
-        row_buffer_bytes,
-        trcd_ns,
-        trp_ns,
-        tcas_ns,
-    } = *dram;
-    Json::obj(vec![
-        (
-            "core",
-            Json::obj(vec![
-                ("issue_width", u64_json(issue_width as u64)),
-                ("commit_width", u64_json(commit_width as u64)),
-                ("rob_size", Json::int(rob_size)),
-                ("mispredict_penalty", u64_json(mispredict_penalty)),
-                ("frequency_ghz", Json::num(frequency_ghz)),
-            ]),
-        ),
-        ("l1d", cache_config_json(l1d)),
-        ("l2c", cache_config_json(l2c)),
-        ("llc", cache_config_json(llc)),
-        (
-            "dram",
-            Json::obj(vec![
-                ("bandwidth_gbps", Json::num(bandwidth_gbps)),
-                ("banks", Json::int(banks)),
-                ("row_buffer_bytes", u64_json(row_buffer_bytes)),
-                ("trcd_ns", Json::num(trcd_ns)),
-                ("trp_ns", Json::num(trp_ns)),
-                ("tcas_ns", Json::num(tcas_ns)),
-            ]),
-        ),
-        ("ocp_issue_latency", u64_json(*ocp_issue_latency)),
-        ("epoch_len", u64_json(*epoch_len)),
-        (
-            "coordinator_update_latency",
-            u64_json(*coordinator_update_latency),
-        ),
-    ])
-}
-
-fn sim_config_from_json(doc: &Json) -> Result<SimConfig, String> {
-    let core = field(doc, "core")?;
-    let dram = field(doc, "dram")?;
-    Ok(SimConfig {
-        core: CoreConfig {
-            issue_width: u32_field(core, "issue_width")?,
-            commit_width: u32_field(core, "commit_width")?,
-            rob_size: usize_field(core, "rob_size")?,
-            mispredict_penalty: u64_field(core, "mispredict_penalty")?,
-            frequency_ghz: num_field(core, "frequency_ghz")?,
-        },
-        l1d: cache_config_from_json(field(doc, "l1d")?)?,
-        l2c: cache_config_from_json(field(doc, "l2c")?)?,
-        llc: cache_config_from_json(field(doc, "llc")?)?,
-        dram: DramConfig {
-            bandwidth_gbps: num_field(dram, "bandwidth_gbps")?,
-            banks: usize_field(dram, "banks")?,
-            row_buffer_bytes: u64_field(dram, "row_buffer_bytes")?,
-            trcd_ns: num_field(dram, "trcd_ns")?,
-            trp_ns: num_field(dram, "trp_ns")?,
-            tcas_ns: num_field(dram, "tcas_ns")?,
-        },
-        ocp_issue_latency: u64_field(doc, "ocp_issue_latency")?,
-        epoch_len: u64_field(doc, "epoch_len")?,
-        coordinator_update_latency: u64_field(doc, "coordinator_update_latency")?,
-    })
-}
-
-fn prefetcher_from_name(name: &str) -> Result<PrefetcherKind, String> {
-    Ok(match name {
-        "ipcp" => PrefetcherKind::Ipcp,
-        "berti" => PrefetcherKind::Berti,
-        "pythia" => PrefetcherKind::Pythia,
-        "spp+ppf" => PrefetcherKind::SppPpf,
-        "mlop" => PrefetcherKind::Mlop,
-        "sms" => PrefetcherKind::Sms,
-        "next-line" => PrefetcherKind::NextLine,
-        "stride" => PrefetcherKind::Stride,
-        other => return Err(format!("unknown prefetcher '{other}'")),
-    })
-}
-
-fn ocp_from_name(name: &str) -> Result<OcpKind, String> {
-    Ok(match name {
-        "popet" => OcpKind::Popet,
-        "hmp" => OcpKind::Hmp,
-        "ttp" => OcpKind::Ttp,
-        other => return Err(format!("unknown off-chip predictor '{other}'")),
-    })
-}
-
-fn system_config_json(c: &SystemConfig) -> Json {
-    let SystemConfig {
-        sim,
-        prefetchers,
-        ocp,
-    } = c;
-    Json::obj(vec![
-        ("sim", sim_config_json(sim)),
-        (
-            "prefetchers",
-            Json::arr(prefetchers.iter().map(|p| Json::str(p.name())).collect()),
-        ),
-        (
-            "ocp",
-            match ocp {
-                Some(o) => Json::str(o.name()),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn system_config_from_json(doc: &Json) -> Result<SystemConfig, String> {
-    let prefetchers = field(doc, "prefetchers")?
-        .as_array()
-        .ok_or("field 'prefetchers' is not an array")?
-        .iter()
-        .map(|p| prefetcher_from_name(p.as_str().ok_or("prefetcher names must be strings")?))
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(SystemConfig {
-        sim: sim_config_from_json(field(doc, "sim")?)?,
-        prefetchers,
-        ocp: match doc.get("ocp") {
-            None | Some(Json::Null) => None,
-            Some(o) => Some(ocp_from_name(
-                o.as_str().ok_or("field 'ocp' is not a string")?,
-            )?),
-        },
-    })
-}
-
-fn coordinator_json(c: &CoordinatorKind) -> Json {
-    let mut pairs = vec![("kind", Json::str(c.name()))];
-    match c {
-        CoordinatorKind::Fixed { ocp, prefetchers } => {
-            pairs.push(("ocp", Json::Bool(*ocp)));
-            pairs.push(("prefetchers", Json::Bool(*prefetchers)));
-        }
-        CoordinatorKind::AthenaWith(cfg) => pairs.push(("config", config_to_json(cfg))),
-        _ => {}
-    }
-    Json::obj(pairs)
-}
-
-fn coordinator_from_json(doc: &Json) -> Result<CoordinatorKind, String> {
-    Ok(match str_field(doc, "kind")? {
-        "baseline" => CoordinatorKind::Baseline,
-        "ocp-only" => CoordinatorKind::OcpOnly,
-        "prefetchers-only" => CoordinatorKind::PrefetchersOnly,
-        "naive" => CoordinatorKind::Naive,
-        "fixed" => CoordinatorKind::Fixed {
-            ocp: bool_field(doc, "ocp")?,
-            prefetchers: bool_field(doc, "prefetchers")?,
-        },
-        "hpac" => CoordinatorKind::Hpac,
-        "mab" => CoordinatorKind::Mab,
-        "tlp" => CoordinatorKind::Tlp,
-        "athena" => CoordinatorKind::Athena,
-        "athena*" => CoordinatorKind::AthenaWith(config_from_json(field(doc, "config")?)?),
-        other => return Err(format!("unknown coordinator '{other}'")),
-    })
-}
-
-fn workload_ref_json(cell: &WorkloadRef) -> Json {
-    match cell {
-        WorkloadRef::Single(spec) => Json::obj(vec![
-            ("kind", Json::str("single")),
-            ("spec", workload_spec_json(spec)),
-        ]),
-        WorkloadRef::Multi(mix) => {
-            let WorkloadMix {
-                category,
-                name,
-                workloads,
-            } = mix;
-            Json::obj(vec![
-                ("kind", Json::str("multi")),
-                ("category", Json::str(mix_category_name(*category))),
-                ("name", Json::str(name)),
-                (
-                    "workloads",
-                    Json::arr(workloads.iter().map(workload_spec_json).collect()),
-                ),
-            ])
-        }
-        WorkloadRef::File(file) => {
-            let FileWorkload { name, path } = file;
-            Json::obj(vec![
-                ("kind", Json::str("file")),
-                ("name", Json::str(name)),
-                ("path", Json::str(path.display().to_string())),
-            ])
+            Some(AthenaWith(_)) => Ok(AthenaWith(get(j, "config")?)),
+            Some(unit) => Ok(unit),
+            None => Err(format!("unknown coordinator '{kind}'")),
         }
     }
 }
 
-fn workload_ref_from_json(doc: &Json) -> Result<WorkloadRef, String> {
-    Ok(match str_field(doc, "kind")? {
-        "single" => WorkloadRef::Single(workload_spec_from_json(field(doc, "spec")?)?),
-        "multi" => WorkloadRef::Multi(WorkloadMix {
-            category: mix_category_from_name(str_field(doc, "category")?)?,
-            name: str_field(doc, "name")?.to_string(),
-            workloads: field(doc, "workloads")?
-                .as_array()
-                .ok_or("field 'workloads' is not an array")?
-                .iter()
-                .map(workload_spec_from_json)
-                .collect::<Result<_, String>>()?,
-        }),
-        "file" => WorkloadRef::File(FileWorkload {
-            name: str_field(doc, "name")?.to_string(),
-            path: PathBuf::from(str_field(doc, "path")?),
-        }),
-        other => return Err(format!("unknown workload kind '{other}'")),
-    })
-}
+codec_names!(
+    SeedPolicy,
+    "seed policy",
+    [SeedPolicy::Config, SeedPolicy::Derived],
+    SeedPolicy::name
+);
+
+codec_object!(TelemetrySpec {
+    window_instructions
+});
+
+codec_object!(Job {
+    experiment,
+    cell,
+    config,
+    coordinator,
+    instructions,
+    seed with hex,
+    seed_policy,
+    telemetry,
+});
 
 /// Serialises a whole job — every field, bit-exactly — for shipping to a worker process.
-/// The transmitted `identity` is the sender's [`Job::identity_hash`]; [`job_from_json`]
+/// The trailing `identity` is the sender's [`Job::identity_hash`]; [`job_from_json`]
 /// re-derives it on the receiving side and rejects a mismatch.
 pub fn job_json(job: &Job) -> Json {
-    let Job {
-        experiment,
-        cell,
-        config,
-        coordinator,
-        instructions,
-        seed,
-        seed_policy,
-        telemetry,
-    } = job;
-    Json::obj(vec![
-        ("experiment", Json::str(experiment)),
-        ("cell", workload_ref_json(cell)),
-        ("config", system_config_json(config)),
-        ("coordinator", coordinator_json(coordinator)),
-        ("instructions", u64_json(*instructions)),
-        ("seed", Json::hex(*seed)),
-        (
-            "seed_policy",
-            Json::str(match seed_policy {
-                SeedPolicy::Config => "config",
-                SeedPolicy::Derived => "derived",
-            }),
-        ),
-        (
-            "telemetry",
-            match telemetry {
-                Some(t) => Json::obj(vec![(
-                    "window_instructions",
-                    u64_json(t.window_instructions),
-                )]),
-                None => Json::Null,
-            },
-        ),
-        ("identity", Json::hex(job.identity_hash())),
-    ])
+    let mut doc = job.encode();
+    if let Json::Obj(pairs) = &mut doc {
+        pairs.push(("identity".to_string(), Json::hex(job.identity_hash())));
+    }
+    doc
 }
 
 /// Reconstructs the exact [`Job`] serialised by [`job_json`].
@@ -682,30 +327,9 @@ pub fn job_json(job: &Job) -> Json {
 /// field that failed to round-trip exactly surfaces here as a hard error instead of a
 /// silently different result on the worker.
 pub fn job_from_json(doc: &Json) -> Result<Job, String> {
-    let job = Job {
-        experiment: str_field(doc, "experiment")?.to_string(),
-        cell: workload_ref_from_json(field(doc, "cell")?)?,
-        config: system_config_from_json(field(doc, "config")?)?,
-        coordinator: coordinator_from_json(field(doc, "coordinator")?)?,
-        instructions: u64_field(doc, "instructions")?,
-        seed: field(doc, "seed")?
-            .as_hex_u64()
-            .ok_or("field 'seed' is not a \"0x…\" hex string")?,
-        seed_policy: match str_field(doc, "seed_policy")? {
-            "config" => SeedPolicy::Config,
-            "derived" => SeedPolicy::Derived,
-            other => return Err(format!("unknown seed policy '{other}'")),
-        },
-        telemetry: match doc.get("telemetry") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(TelemetrySpec {
-                window_instructions: u64_field(t, "window_instructions")?,
-            }),
-        },
-    };
-    let sent = field(doc, "identity")?
-        .as_hex_u64()
-        .ok_or("field 'identity' is not a \"0x…\" hex string")?;
+    let job = Job::decode(doc)?;
+    let sent =
+        hex::decode(field(doc, "identity")?).map_err(|e| format!("field 'identity': {e}"))?;
     let derived = job.identity_hash();
     if sent != derived {
         return Err(format!(
@@ -783,6 +407,42 @@ mod tests {
         assert!(config_from_json(&bad_feature)
             .unwrap_err()
             .contains("unknown feature"));
+    }
+
+    #[test]
+    fn negative_zero_survives_the_wire_bit_exactly() {
+        let cfg = AthenaConfig {
+            tau: -0.0,
+            ..exotic_config()
+        };
+        let parsed =
+            config_from_json(&Json::parse(&config_to_json(&cfg).to_string()).unwrap()).unwrap();
+        assert_eq!(parsed.tau.to_bits(), (-0.0f64).to_bits());
+        let job = Job::single(
+            "dse",
+            all_workloads()[0].clone(),
+            cd_variants()[0].clone(),
+            CoordinatorKind::AthenaWith(cfg),
+            15_000,
+        );
+        let back = job_from_json(&Json::parse(&job_json(&job).to_string()).unwrap())
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(back.identity_hash(), job.identity_hash());
+    }
+
+    #[test]
+    fn non_integral_counts_are_rejected_with_field_names() {
+        for (key, bad) in [
+            ("planes", "4.5"),
+            ("rows_per_plane", "-1"),
+            ("planes", "1e30"),
+        ] {
+            let text = config_to_json(&exotic_config())
+                .to_string()
+                .replace(&format!("\"{key}\":"), &format!("\"{key}\":{bad},\"was\":"));
+            let err = config_from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains(key), "{key}={bad}: {err}");
+        }
     }
 
     #[test]
@@ -878,8 +538,8 @@ mod tests {
             .chain(athena_workloads::tuning_workloads())
             .chain(athena_workloads::google_like_workloads())
         {
-            let doc = workload_spec_json(&spec);
-            let back = workload_spec_from_json(&Json::parse(&doc.to_string()).unwrap()).unwrap();
+            let doc = spec.encode();
+            let back = WorkloadSpec::decode(&Json::parse(&doc.to_string()).unwrap()).unwrap();
             assert_eq!(back, spec, "workload {} did not round-trip", spec.name);
         }
     }

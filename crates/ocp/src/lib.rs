@@ -12,12 +12,11 @@
 //!   residency of cache-line tags and predicts off-chip when the tag is absent.
 //!
 //! ```
-//! use athena_ocp::{Popet, by_name};
+//! use athena_ocp::Popet;
 //! use athena_sim::OffChipPredictor;
 //!
 //! let p = Popet::new();
 //! assert_eq!(p.name(), "popet");
-//! assert!(by_name("ttp").is_some());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -30,35 +29,3 @@ mod ttp;
 pub use hmp::Hmp;
 pub use popet::Popet;
 pub use ttp::Ttp;
-
-use athena_sim::OffChipPredictor;
-
-/// Creates an off-chip predictor by its canonical lowercase name (`"popet"`, `"hmp"`,
-/// `"ttp"`). Returns `None` for unknown names.
-pub fn by_name(name: &str) -> Option<Box<dyn OffChipPredictor>> {
-    match name {
-        "popet" => Some(Box::new(Popet::new())),
-        "hmp" => Some(Box::new(Hmp::new())),
-        "ttp" => Some(Box::new(Ttp::new())),
-        _ => None,
-    }
-}
-
-/// Names of every OCP this crate provides, in a stable order.
-pub fn all_names() -> &'static [&'static str] {
-    &["popet", "hmp", "ttp"]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn factory_knows_every_name() {
-        for name in all_names() {
-            let p = by_name(name).unwrap_or_else(|| panic!("unknown OCP {name}"));
-            assert_eq!(p.name(), *name);
-        }
-        assert!(by_name("oracle").is_none());
-    }
-}

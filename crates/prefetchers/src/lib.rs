@@ -18,12 +18,12 @@
 //! control (and HPAC-style throttling) can scale it between 1 and `max_degree()`.
 //!
 //! ```
-//! use athena_prefetchers::{Pythia, by_name};
-//! use athena_sim::Prefetcher;
+//! use athena_prefetchers::Pythia;
+//! use athena_sim::{CacheLevel, Prefetcher};
 //!
 //! let p = Pythia::new();
 //! assert_eq!(p.name(), "pythia");
-//! assert!(by_name("spp+ppf").is_some());
+//! assert_eq!(p.level(), CacheLevel::L2c);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,63 +46,3 @@ pub use pythia::Pythia;
 pub use sms::Sms;
 pub use spp_ppf::SppPpf;
 pub use stride::StridePrefetcher;
-
-use athena_sim::{CacheLevel, Prefetcher};
-
-/// Creates a prefetcher by its canonical lowercase name.
-///
-/// Recognised names: `"next-line"`, `"stride"`, `"ipcp"`, `"berti"`, `"pythia"`,
-/// `"spp+ppf"`, `"mlop"`, `"sms"`. Returns `None` for unknown names.
-pub fn by_name(name: &str) -> Option<Box<dyn Prefetcher>> {
-    match name {
-        "next-line" => Some(Box::new(NextLine::new(CacheLevel::L2c, 4))),
-        "stride" => Some(Box::new(StridePrefetcher::new(CacheLevel::L2c))),
-        "ipcp" => Some(Box::new(Ipcp::new())),
-        "berti" => Some(Box::new(Berti::new())),
-        "pythia" => Some(Box::new(Pythia::new())),
-        "spp+ppf" => Some(Box::new(SppPpf::new())),
-        "mlop" => Some(Box::new(Mlop::new())),
-        "sms" => Some(Box::new(Sms::new())),
-        _ => None,
-    }
-}
-
-/// Names of every prefetcher this crate provides, in a stable order.
-pub fn all_names() -> &'static [&'static str] {
-    &[
-        "next-line",
-        "stride",
-        "ipcp",
-        "berti",
-        "pythia",
-        "spp+ppf",
-        "mlop",
-        "sms",
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn factory_knows_every_name() {
-        for name in all_names() {
-            let p = by_name(name).unwrap_or_else(|| panic!("unknown prefetcher {name}"));
-            assert_eq!(p.name(), *name);
-            assert!(p.max_degree() >= 1);
-            assert!(p.degree() >= 1);
-            assert!(p.degree() <= p.max_degree());
-        }
-        assert!(by_name("nonexistent").is_none());
-    }
-
-    #[test]
-    fn paper_prefetchers_sit_at_their_levels() {
-        assert_eq!(by_name("ipcp").unwrap().level(), CacheLevel::L1d);
-        assert_eq!(by_name("berti").unwrap().level(), CacheLevel::L1d);
-        for l2 in ["pythia", "spp+ppf", "mlop", "sms"] {
-            assert_eq!(by_name(l2).unwrap().level(), CacheLevel::L2c, "{l2}");
-        }
-    }
-}

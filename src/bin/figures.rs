@@ -28,9 +28,10 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use athena_engine::codec::Codec;
 use athena_engine::json::Json;
 use athena_engine::report::{
-    figure_report, metrics_snapshot_json, phase_profile_json, timeline_report, SIM_BENCH_SCHEMA,
+    figure_report, metrics_snapshot_json, timeline_report, SIM_BENCH_SCHEMA,
 };
 use athena_engine::{
     available_parallelism, set_profiling, take_cell, with_recording, CellRecord, PhaseProfile,
@@ -349,7 +350,7 @@ impl ProfiledCell {
             ("label", Json::str(&self.label)),
             ("wall_ms", Json::num(self.wall.as_secs_f64() * 1e3)),
             ("coverage", Json::num(self.coverage())),
-            ("profile", phase_profile_json(&self.profile)),
+            ("profile", self.profile.encode()),
         ])
     }
 }
@@ -432,9 +433,9 @@ fn write_profile_report(args: &Args, mut cells: Vec<ProfiledCell>) {
                 ),
             ]),
         ),
-        ("aggregate", phase_profile_json(&total)),
-        ("cell_phases", phase_profile_json(&cell_agg)),
-        ("engine_phases", phase_profile_json(&engine_side)),
+        ("aggregate", total.encode()),
+        ("cell_phases", cell_agg.encode()),
+        ("engine_phases", engine_side.encode()),
         (
             "top_cells",
             Json::arr(top.iter().map(|c| c.to_json()).collect()),

@@ -25,8 +25,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
+use athena_repro::engine::codec::Codec;
 use athena_repro::engine::json::Json;
-use athena_repro::engine::report::phase_profile_from_json;
 use athena_repro::engine::{
     metrics, set_profiling, DistPool, Engine, Job, WorkerCommand, EVENTS_SCHEMA_ID,
     TOPOLOGY_EVENT_KINDS, WALL_CLOCK_FIELDS, WORKER_ATTRIBUTION_FIELDS,
@@ -248,7 +248,7 @@ fn phase_profiles_cross_the_process_boundary() {
             Some(cell.wall.as_secs_f64() * 1e3),
             "{label}: the logged wall_ms is not the result's wall"
         );
-        let logged = phase_profile_from_json(doc.get("profile").unwrap())
+        let logged = PhaseProfile::decode(doc.get("profile").unwrap())
             .unwrap_or_else(|e| panic!("{label}: undecodable logged profile: {e}"));
         assert_eq!(
             Some(logged),
