@@ -320,16 +320,18 @@ bench_gate — simulator hot-path regression gate
 
 usage: bench_gate <BASELINE> <CANDIDATE> [--out <FILE>]
 
-Compares two BENCH_sim.json profiles (written by `figures --profile`) and exits
-non-zero when the hot path regressed. The comparison is host-independent: it checks
-each phase's *share* of the per-cell time (a candidate share must stay within
-baseline*1.10 + 0.02) and, when both profiles cover the same cell grid, each phase's
-call count per cell (within 1%). Absolute nanoseconds are reported but never gated —
-CI runners and developer machines are not comparable clocks.
+Compares two BENCH_sim.json profiles (written by `figures --profile`) taken on the
+same host and exits non-zero when the hot path regressed. It checks each phase's
+*share* of the per-cell time (a candidate share must stay within baseline*1.10 + 0.02)
+and, when both profiles cover the same cell grid, each phase's call count per cell
+(within 1%). Absolute nanoseconds are reported but never gated. A profile with no
+cells, no cell time, or a phase without numeric calls/nanos is an error.
+scripts/profile_gate.sh <BASE_REV> <OUT_DIR> profiles a base revision and the
+working tree on one host and runs this gate on the pair.
 
 arguments:
-  BASELINE             the committed BENCH_sim.json to compare against
-  CANDIDATE            a freshly generated BENCH_sim.json
+  BASELINE             the parent commit's BENCH_sim.json, profiled on this host
+  CANDIDATE            the change's BENCH_sim.json, profiled the same way
 
 options:
   --out <FILE>         also write the comparison table to FILE (for CI artifacts)

@@ -2,7 +2,7 @@
 //!
 //! Every function returns an [`ExperimentTable`] whose rows/series correspond to the bars or
 //! lines of the original figure. The functions take [`RunOptions`] so the same code powers
-//! the full `figures` CLI runs, the Criterion benchmarks (reduced instruction counts) and
+//! the full `figures` CLI runs, the `e2ebench` benchmark (reduced instruction counts) and
 //! the integration tests.
 //!
 //! Reproduction is *trend-level*: the absolute speedups differ from the paper because the

@@ -30,7 +30,7 @@ pub struct RunOptions {
     /// Instructions simulated per workload (the `--instructions` flag).
     pub instructions: u64,
     /// Optional cap on the number of workloads used by suite-wide experiments (the
-    /// `--workloads` flag; useful for quick runs and Criterion benchmarks). `None` means
+    /// `--workloads` flag; useful for quick runs and the `e2ebench` benchmark). `None` means
     /// all workloads. The cap keeps a balanced interleaving of designed-friendly and
     /// designed-adverse workloads — see [`crate::experiments::workload_set`].
     pub workload_limit: Option<usize>,
@@ -92,7 +92,7 @@ impl RunOptions {
         }
     }
 
-    /// Reduced defaults used by Criterion benchmarks and integration tests.
+    /// Reduced defaults used by `--quick`, the `e2ebench` benchmark and integration tests.
     pub fn quick() -> Self {
         Self {
             instructions: 40_000,

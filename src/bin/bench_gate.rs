@@ -1,11 +1,12 @@
 //! `bench_gate` — the simulator hot-path regression gate.
 //!
-//! Compares a freshly generated `BENCH_sim.json` (written by `figures --profile`) against
-//! the committed baseline and fails when any phase's **share** of the per-cell time grows
-//! past the tolerance. Shares, not absolute nanoseconds: CI runners and developer machines
-//! differ wildly in clock speed and contention, but the *distribution* of time across the
+//! Compares two `BENCH_sim.json` profiles (written by `figures --profile`): a baseline from
+//! the parent commit and a candidate from the change, both taken on the same host by
+//! `scripts/profile_gate.sh`. It fails when any phase's **share** of the per-cell time
+//! grows past the tolerance. Shares, not absolute nanoseconds: even on one host the clock
+//! and contention drift between runs, but the *distribution* of time across the
 //! instrumented phases is a property of the code. A phase whose share balloons means the
-//! hot path regressed there, whatever the host.
+//! hot path regressed there.
 //!
 //! A candidate share must satisfy `share <= baseline_share * 1.10 + 0.02` — the
 //! multiplicative term catches regressions in the big phases, the additive floor keeps
@@ -13,9 +14,11 @@
 //!
 //! The gate also checks per-phase **call counts per profiled cell**, which are
 //! deterministic for a fixed experiment grid: a drop means instrumentation was lost, a
-//! rise means a hot-path loop got longer. Counts may differ when the grids differ (the
-//! committed baseline is a `--quick` sweep), so this check only applies when both files
-//! profiled the same cell count.
+//! rise means a hot-path loop got longer. Counts may differ when the grids differ, so this
+//! check only applies when both files profiled the same cell count.
+//!
+//! A profile that covers no cells or no time, or whose phase entries lack a numeric
+//! `calls` or `nanos`, is rejected outright: it would make every share zero and pass.
 
 use athena_engine::json::Json;
 use athena_harness::cli;
@@ -57,13 +60,26 @@ fn load(path: &str) -> Report {
         .get("total_nanos")
         .and_then(Json::as_f64)
         .unwrap_or_else(|| cli::fail(format!("'{path}' has no cell_phases.total_nanos")));
+    if profiled_cells <= 0.0 {
+        cli::fail(format!("'{path}' profiled no cells (profiled_cells is 0)"));
+    }
+    if total_nanos <= 0.0 {
+        cli::fail(format!(
+            "'{path}' recorded no cell time (cell_phases.total_nanos is 0)"
+        ));
+    }
     let phases = match cell_phases.get("phases") {
         Some(Json::Obj(pairs)) => pairs
             .iter()
             .map(|(name, v)| {
-                let calls = v.get("calls").and_then(Json::as_f64).unwrap_or(0.0);
-                let nanos = v.get("nanos").and_then(Json::as_f64).unwrap_or(0.0);
-                (name.clone(), calls, nanos)
+                let field = |key: &str| {
+                    v.get(key).and_then(Json::as_f64).unwrap_or_else(|| {
+                        cli::fail(format!(
+                            "'{path}': phase '{name}' has no numeric '{key}' field"
+                        ))
+                    })
+                };
+                (name.clone(), field("calls"), field("nanos"))
             })
             .collect(),
         _ => cli::fail(format!("'{path}' has no cell_phases.phases object")),
@@ -121,9 +137,9 @@ fn main() {
         report,
         "hot-path phase comparison ({} baseline cells @ {:.2} ms/cell, {} candidate cells @ {:.2} ms/cell)",
         baseline.profiled_cells,
-        baseline.total_nanos / baseline.profiled_cells.max(1.0) / 1e6,
+        baseline.total_nanos / baseline.profiled_cells / 1e6,
         candidate.profiled_cells,
-        candidate.total_nanos / candidate.profiled_cells.max(1.0) / 1e6,
+        candidate.total_nanos / candidate.profiled_cells / 1e6,
     );
     let _ = writeln!(
         report,
@@ -139,11 +155,11 @@ fn main() {
             failures.push(format!("phase '{name}' disappeared from the candidate"));
             continue;
         };
-        let base_share = base_nanos / baseline.total_nanos.max(1.0);
-        let cand_share = cand_nanos / candidate.total_nanos.max(1.0);
+        let base_share = base_nanos / baseline.total_nanos;
+        let cand_share = cand_nanos / candidate.total_nanos;
         let share_ok = cand_share <= base_share * SHARE_FACTOR + SHARE_MARGIN;
-        let base_cpc = base_calls / baseline.profiled_cells.max(1.0);
-        let cand_cpc = cand_calls / candidate.profiled_cells.max(1.0);
+        let base_cpc = base_calls / baseline.profiled_cells;
+        let cand_cpc = cand_calls / candidate.profiled_cells;
         let calls_ok =
             !same_grid || (cand_cpc - base_cpc).abs() <= base_cpc.max(1.0) * CALLS_TOLERANCE;
         let verdict = match (share_ok, calls_ok) {

@@ -1,11 +1,11 @@
 //! Shared helpers for the cross-process integration tests (`dist_determinism`,
-//! `dist_faults`, `dist_probe`, the `results` CLI regression tests, the `end_to_end`
-//! usage-error test).
+//! `dist_faults`, `dist_probe`, the `results` CLI regression tests, the `bench_gate`
+//! tests, the `end_to_end` usage-error test).
 //!
-//! The CLIs (`figures`, `tune`, `trace`, `results`) are bin targets of this umbrella
-//! package, so Cargo builds them before running its integration tests and hands each test
-//! binary their paths as `CARGO_BIN_EXE_<name>` at compile time — the suites always run
-//! the binaries built from the same sources, in the same profile.
+//! The CLIs (`figures`, `tune`, `trace`, `results`, `bench_gate`) are bin targets of this
+//! umbrella package, so Cargo builds them before running its integration tests and hands
+//! each test binary their paths as `CARGO_BIN_EXE_<name>` at compile time — the suites
+//! always run the binaries built from the same sources, in the same profile.
 
 #![allow(dead_code)] // each test binary uses a different subset of these helpers
 
@@ -21,6 +21,7 @@ pub fn harness_bin(name: &str) -> PathBuf {
         "tune" => env!("CARGO_BIN_EXE_tune"),
         "trace" => env!("CARGO_BIN_EXE_trace"),
         "results" => env!("CARGO_BIN_EXE_results"),
+        "bench_gate" => env!("CARGO_BIN_EXE_bench_gate"),
         other => panic!("no CLI binary named '{other}' in this package"),
     })
 }
