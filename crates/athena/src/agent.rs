@@ -199,6 +199,10 @@ impl Coordinator for AthenaAgent {
         "athena"
     }
 
+    fn filters_l1d_prefetches(&self) -> bool {
+        false
+    }
+
     fn attach(&mut self, prefetchers: &[PrefetcherInfo]) {
         self.prefetchers = prefetchers.to_vec();
     }

@@ -21,6 +21,10 @@ impl Coordinator for NaiveAll {
         "naive"
     }
 
+    fn filters_l1d_prefetches(&self) -> bool {
+        false
+    }
+
     fn attach(&mut self, prefetchers: &[PrefetcherInfo]) {
         self.max_degrees = prefetchers.iter().map(|p| p.max_degree).collect();
     }
@@ -91,6 +95,10 @@ impl FixedCombo {
 impl Coordinator for FixedCombo {
     fn name(&self) -> &'static str {
         "fixed"
+    }
+
+    fn filters_l1d_prefetches(&self) -> bool {
+        false
     }
 
     fn attach(&mut self, prefetchers: &[PrefetcherInfo]) {

@@ -85,6 +85,10 @@ impl Coordinator for Hpac {
         "hpac"
     }
 
+    fn filters_l1d_prefetches(&self) -> bool {
+        false
+    }
+
     fn attach(&mut self, prefetchers: &[PrefetcherInfo]) {
         self.max_degrees = prefetchers.iter().map(|p| p.max_degree).collect();
         // Start in the middle of the aggressiveness ladder.

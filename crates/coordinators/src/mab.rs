@@ -91,6 +91,10 @@ impl Coordinator for Mab {
         "mab"
     }
 
+    fn filters_l1d_prefetches(&self) -> bool {
+        false
+    }
+
     fn attach(&mut self, prefetchers: &[PrefetcherInfo]) {
         self.max_degrees = prefetchers.iter().map(|p| p.max_degree).collect();
         let arms = 1usize << (1 + prefetchers.len());

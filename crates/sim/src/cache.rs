@@ -9,12 +9,20 @@
 //! `set * ways + way`) rather than as per-line structs: the hot lookup touches only the
 //! tag array until it has a hit, the tag scan over a set is a branch-free equality sweep
 //! over adjacent words, and the replacement / prefetch metadata arrays stay out of the
-//! cache lines the tag scan pulls in. Invalid slots hold a sentinel tag that no real
-//! address can produce, so the sweep needs no per-way validity test. The observable
-//! semantics — scan order, first-match priority, LRU tie-breaking on the first minimum,
-//! RRIP aging, every counter's update order — are identical to the former array-of-structs
-//! layout, which is what keeps end-of-run statistics byte-identical (pinned by
-//! `tests/sim_oracle.rs`).
+//! cache lines the tag scan pulls in. The observable semantics — scan order, first-match
+//! priority, LRU tie-breaking on the first minimum, RRIP aging, every counter's update
+//! order — are identical to the former array-of-structs layout, which is what keeps
+//! end-of-run statistics byte-identical (pinned by `tests/sim_oracle.rs`).
+//!
+//! Ways fill in index order and no line is ever invalidated, so a per-set fill count says
+//! which lines are valid: ways `0..filled[set]`. The tag sweep covers only those ways and
+//! needs no per-way validity test, and nothing ever reads a way at or beyond the count.
+//! That is what lets a new cache skip initialising its line arrays: a dropped cache hands
+//! its arrays to a small per-thread spare list, and the next cache of the same geometry on
+//! that thread takes them back as they are. Only the fill counts and the SHiP table are
+//! reset. The paper's hierarchy holds about 2 MB of line state and a short cell touches a
+//! small part of it, so initialising that state for every cell would dominate the cell's
+//! set-up cost.
 
 use crate::trace::LINE_SIZE;
 
@@ -113,21 +121,84 @@ pub struct EvictedLine {
     pub evicted_by_prefetch: bool,
 }
 
-/// Tag stored in invalid slots. A real tag is `line_number / sets`, and line numbers are
-/// physical addresses shifted right by 6, so `u64::MAX` can never collide with one: the
-/// tag sweep needs no separate validity test.
-const INVALID_TAG: u64 = u64::MAX;
-
 const SHIP_TABLE_SIZE: usize = 1 << 12;
 const RRPV_MAX: u8 = 3;
 
 // Per-line metadata flag bits (packed into one byte per line).
-const F_VALID: u8 = 1 << 0;
-const F_DIRTY: u8 = 1 << 1;
+const F_DIRTY: u8 = 1 << 0;
 /// Brought in by a prefetch and not yet demanded.
-const F_PREFETCH: u8 = 1 << 2;
+const F_PREFETCH: u8 = 1 << 1;
 /// Demanded at least once while resident.
-const F_USED: u8 = 1 << 3;
+const F_USED: u8 = 1 << 2;
+
+/// Most dropped caches' arrays one thread keeps for reuse. A cell drops three caches per
+/// simulated core; beyond this many the oldest arrays are freed.
+const SPARE_CAP: usize = 32;
+
+/// The state arrays of one cache: its per-set fill counts, its SHiP table and its six
+/// per-line arrays (`sets * ways` long each). The per-line contents of a way at or beyond
+/// its set's fill count are stale, and nothing reads them there.
+struct CacheArrays {
+    filled: Vec<u8>,
+    ship_table: Vec<u8>,
+    tags: Vec<u64>,
+    flags: Vec<u8>,
+    lru: Vec<u64>,
+    rrpv: Vec<u8>,
+    signature: Vec<u16>,
+    ready: Vec<u64>,
+}
+
+thread_local! {
+    /// Arrays of caches dropped on this thread, oldest first.
+    static SPARE_ARRAYS: std::cell::RefCell<Vec<CacheArrays>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+impl CacheArrays {
+    /// Arrays for an empty cache of `sets` × `ways`: the most recently dropped ones of that
+    /// geometry on this thread, or new ones when there are none.
+    fn take(sets: usize, ways: usize) -> Self {
+        let lines = sets * ways;
+        let mut arrays = SPARE_ARRAYS
+            .try_with(|spare| {
+                let mut spare = spare.borrow_mut();
+                let pos = spare
+                    .iter()
+                    .rposition(|a| a.filled.len() == sets && a.tags.len() == lines)?;
+                Some(spare.remove(pos))
+            })
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Self {
+                filled: vec![0; sets],
+                ship_table: vec![0; SHIP_TABLE_SIZE],
+                tags: vec![0; lines],
+                flags: vec![0; lines],
+                lru: vec![0; lines],
+                rrpv: vec![0; lines],
+                signature: vec![0; lines],
+                ready: vec![0; lines],
+            });
+        // The only reset: no way holds a line, and every SHiP counter starts weakly
+        // re-referenced.
+        arrays.filled.fill(0);
+        arrays.ship_table.fill(1);
+        arrays
+    }
+
+    /// Keeps these arrays for the next cache of the same geometry on this thread.
+    fn recycle(self) {
+        // During thread teardown the list may already be gone; the arrays are then freed.
+        let _ = SPARE_ARRAYS.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() == SPARE_CAP {
+                spare.remove(0);
+            }
+            spare.push(self);
+        });
+    }
+}
 
 /// A set-associative cache with exact content simulation.
 ///
@@ -147,6 +218,8 @@ pub struct Cache {
     /// Whether the power-of-two fast path applies; otherwise division is used, producing
     /// the same `(set, tag)` values.
     pow2: bool,
+    /// Valid ways per set: ways `0..filled[set]` hold lines, the rest are empty.
+    filled: Vec<u8>,
     // --- structure-of-arrays line state, indexed by set * ways + way ---
     tags: Vec<u64>,
     flags: Vec<u8>,
@@ -169,10 +242,29 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache with the given configuration at the given level.
+    ///
+    /// # Panics
+    ///
+    /// If `config.ways` is 0 or more than 255 (the per-set fill count is a byte).
     pub fn new(config: CacheConfig, level: CacheLevel) -> Self {
-        let set_count = config.sets();
         let ways = config.ways;
-        let lines = set_count * ways;
+        assert!(
+            (1..=u8::MAX as usize).contains(&ways),
+            "cache {}: ways must be between 1 and {}, got {ways}",
+            config.name,
+            u8::MAX
+        );
+        let set_count = config.sets();
+        let CacheArrays {
+            filled,
+            ship_table,
+            tags,
+            flags,
+            lru,
+            rrpv,
+            signature,
+            ready,
+        } = CacheArrays::take(set_count, ways);
         let pow2 = set_count.is_power_of_two();
         Self {
             config,
@@ -182,14 +274,15 @@ impl Cache {
             set_mask: set_count as u64 - 1,
             set_shift: set_count.trailing_zeros(),
             pow2,
-            tags: vec![INVALID_TAG; lines],
-            flags: vec![0; lines],
-            lru: vec![0; lines],
-            rrpv: vec![RRPV_MAX; lines],
-            signature: vec![0; lines],
-            ready: vec![0; lines],
+            filled,
+            tags,
+            flags,
+            lru,
+            rrpv,
+            signature,
+            ready,
             lru_clock: 0,
-            ship_table: vec![1; SHIP_TABLE_SIZE],
+            ship_table,
             accesses: 0,
             hits: 0,
             misses: 0,
@@ -228,12 +321,11 @@ impl Cache {
         }
     }
 
-    /// Index of the first way in `set` whose tag matches, scanning ways in order.
-    /// Invalid slots hold [`INVALID_TAG`], so a plain equality sweep suffices.
+    /// Index of the first valid way in `set` whose tag matches, scanning ways in order.
     #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
-        self.tags[base..base + self.ways]
+        self.tags[base..base + self.filled[set] as usize]
             .iter()
             .position(|&t| t == tag)
     }
@@ -325,9 +417,10 @@ impl Cache {
             return None;
         }
 
-        let victim_way = self.choose_victim(set);
-        let i = set * self.ways + victim_way;
-        let victim = if self.flags[i] & F_VALID != 0 {
+        // A fill evicts exactly when its set was already full.
+        let full = self.filled[set] as usize == self.ways;
+        let i = set * self.ways + self.choose_victim(set);
+        let victim = if full {
             let f = self.flags[i];
             Some(EvictedLine {
                 line_addr: (self.tags[i] * self.set_count as u64 + set as u64) * LINE_SIZE,
@@ -337,6 +430,7 @@ impl Cache {
                 evicted_by_prefetch: is_prefetch,
             })
         } else {
+            self.filled[set] += 1;
             None
         };
 
@@ -353,7 +447,7 @@ impl Cache {
         let predicted_dead = self.config.replacement == Replacement::Ship
             && self.ship_table[signature as usize % SHIP_TABLE_SIZE] == 0;
         self.tags[i] = tag;
-        self.flags[i] = F_VALID | if is_prefetch { F_PREFETCH } else { F_USED };
+        self.flags[i] = if is_prefetch { F_PREFETCH } else { F_USED };
         self.lru[i] = clock;
         self.rrpv[i] = if predicted_dead || is_prefetch {
             RRPV_MAX - 1
@@ -365,15 +459,14 @@ impl Cache {
         victim
     }
 
+    /// The way a fill into `set` takes: the first empty way while the set is not full,
+    /// otherwise the replacement policy's victim.
     fn choose_victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        // Prefer an invalid way.
-        if let Some(idx) = self.flags[base..base + self.ways]
-            .iter()
-            .position(|&f| f & F_VALID == 0)
-        {
-            return idx;
+        let filled = self.filled[set] as usize;
+        if filled < self.ways {
+            return filled;
         }
+        let base = set * self.ways;
         match self.config.replacement {
             Replacement::Lru => {
                 // First minimum wins, matching `Iterator::min_by_key` on the former
@@ -406,23 +499,9 @@ impl Cache {
         }
     }
 
-    /// Invalidates the line containing `addr` if present (used for back-invalidation in
-    /// multi-level fills and by tests).
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line_addr = addr & !(LINE_SIZE - 1);
-        let (set, tag) = self.index_of(line_addr);
-        if let Some(way) = self.find_way(set, tag) {
-            let i = set * self.ways + way;
-            self.tags[i] = INVALID_TAG;
-            self.flags[i] &= !F_VALID;
-            return true;
-        }
-        false
-    }
-
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & F_VALID != 0).count()
+        self.filled.iter().map(|&n| n as usize).sum()
     }
 
     /// Total lookups performed.
@@ -453,6 +532,22 @@ impl Cache {
     /// Number of prefetched lines evicted without ever being demanded.
     pub fn evicted_unused_prefetches(&self) -> u64 {
         self.evicted_unused_prefetches
+    }
+}
+
+impl Drop for Cache {
+    fn drop(&mut self) {
+        CacheArrays {
+            filled: std::mem::take(&mut self.filled),
+            ship_table: std::mem::take(&mut self.ship_table),
+            tags: std::mem::take(&mut self.tags),
+            flags: std::mem::take(&mut self.flags),
+            lru: std::mem::take(&mut self.lru),
+            rrpv: std::mem::take(&mut self.rrpv),
+            signature: std::mem::take(&mut self.signature),
+            ready: std::mem::take(&mut self.ready),
+        }
+        .recycle();
     }
 }
 
@@ -561,13 +656,54 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
+    fn set_evicts_only_from_its_ways_th_distinct_fill() {
         let mut c = tiny_cache(Replacement::Lru);
-        c.fill(0x3000, false, 0, 0);
-        assert!(c.probe(0x3000));
-        assert!(c.invalidate(0x3000));
-        assert!(!c.probe(0x3000));
-        assert!(!c.invalidate(0x3000));
+        let stride = 2 * LINE_SIZE; // every line below maps to set 0
+        for i in 0..4u64 {
+            assert!(
+                c.fill(i * stride, false, 0, 0).is_none(),
+                "fill {i} evicted"
+            );
+            // Refilling a resident line takes no way.
+            assert!(c.fill(i * stride, false, 0, 0).is_none());
+            assert_eq!(c.occupancy(), i as usize + 1);
+        }
+        // Make way 2 the least recently used.
+        for i in [0u64, 1, 3] {
+            assert!(c.lookup(i * stride).is_hit());
+        }
+        let ev = c.fill(4 * stride, false, 0, 0).expect("fifth fill evicts");
+        assert_eq!(ev.line_addr, 2 * stride);
+        assert_eq!(c.occupancy(), 4);
+        // The other set is untouched and still empty.
+        assert!(c.fill(LINE_SIZE, false, 0, 0).is_none());
+        assert_eq!(c.occupancy(), 5);
+    }
+
+    fn cache_with_ways(ways: usize) -> Cache {
+        Cache::new(
+            CacheConfig {
+                name: "T",
+                size_bytes: 4096 * LINE_SIZE,
+                ways,
+                latency: 1,
+                mshrs: 1,
+                replacement: Replacement::Lru,
+            },
+            CacheLevel::L1d,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "cache T: ways must be between 1 and 255, got 0")]
+    fn zero_ways_is_rejected() {
+        cache_with_ways(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache T: ways must be between 1 and 255, got 256")]
+    fn ways_beyond_the_fill_count_are_rejected() {
+        cache_with_ways(256);
     }
 
     #[test]

@@ -55,6 +55,9 @@ pub struct MemoryHierarchy {
     prefetchers_at: [Vec<usize>; 3],
     ocp: Option<Box<dyn OffChipPredictor>>,
     coordinator: Option<Box<dyn Coordinator>>,
+    /// The attached coordinator's [`Coordinator::filters_l1d_prefetches`], read at attach;
+    /// `false` without a coordinator.
+    filters_l1d_prefetches: bool,
     decision: CoordinationDecision,
 
     epoch: EpochStats,
@@ -109,6 +112,7 @@ impl MemoryHierarchy {
             prefetchers_at: Default::default(),
             ocp: None,
             coordinator: None,
+            filters_l1d_prefetches: false,
             decision: CoordinationDecision::all_on(&[]),
             epoch: EpochStats::default(),
             dram_at_epoch_start: DramStats::default(),
@@ -143,6 +147,7 @@ impl MemoryHierarchy {
         let infos = self.prefetcher_infos();
         coordinator.attach(&infos);
         let initial = coordinator.initial_decision(&infos);
+        self.filters_l1d_prefetches = coordinator.filters_l1d_prefetches();
         self.coordinator = Some(coordinator);
         self.apply_decision(initial);
     }
@@ -521,7 +526,7 @@ impl MemoryHierarchy {
 
         // TLP-style per-request filtering of L1D prefetches: the coordinator may drop a
         // prefetch whose data the OCP believes would come from off-chip main memory.
-        if level == CacheLevel::L1d && self.coordinator.is_some() {
+        if level == CacheLevel::L1d && self.filters_l1d_prefetches {
             let conf = self
                 .ocp
                 .as_mut()
@@ -844,6 +849,45 @@ mod tests {
             true
         }
         fn train(&mut self, _ctx: &LoadContext, _went_off_chip: bool) {}
+    }
+
+    /// A coordinator that drops every L1D prefetch it is asked about.
+    struct DropL1dPrefetches {
+        filters: bool,
+    }
+    impl Coordinator for DropL1dPrefetches {
+        fn name(&self) -> &'static str {
+            "drop-l1d"
+        }
+        fn filters_l1d_prefetches(&self) -> bool {
+            self.filters
+        }
+        fn attach(&mut self, _prefetchers: &[PrefetcherInfo]) {}
+        fn on_epoch_end(&mut self, _stats: &EpochStats) -> CoordinationDecision {
+            CoordinationDecision::all_on(&[4])
+        }
+        fn filter_l1d_prefetch(&mut self, _req: &PrefetchRequest, _conf: f32) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn l1d_filter_is_asked_only_when_the_coordinator_filters() {
+        let issued = |filters: bool| {
+            let mut h = hierarchy();
+            h.attach_prefetcher(Box::new(TestNextLine {
+                degree: 2,
+                level: CacheLevel::L1d,
+            }));
+            h.attach_ocp(Box::new(AlwaysOffChip));
+            h.attach_coordinator(Box::new(DropL1dPrefetches { filters }));
+            for i in 0..50u64 {
+                h.demand_load(0x400, 0x50_0000 + i * 256, i * 20);
+            }
+            h.finish_epoch(&EpochStats::default()).prefetches_issued
+        };
+        assert_eq!(issued(true), 0);
+        assert!(issued(false) > 0);
     }
 
     #[test]

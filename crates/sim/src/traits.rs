@@ -227,6 +227,14 @@ pub trait Coordinator {
     /// Called at the end of every epoch. Returns the decision for the next epoch.
     fn on_epoch_end(&mut self, stats: &EpochStats) -> CoordinationDecision;
 
+    /// Whether this policy reads [`Coordinator::filter_l1d_prefetch`]'s OCP confidence.
+    /// The hierarchy asks once, at attach; on `false` it neither queries the OCP's
+    /// confidence nor calls the filter for L1D prefetches. The default is `true`, so a
+    /// policy (or a wrapper around one) that overrides only the filter is still called.
+    fn filters_l1d_prefetches(&self) -> bool {
+        true
+    }
+
     /// Optional per-request filter for L1D prefetches. `off_chip_confidence` is the OCP's
     /// confidence that the prefetch would be served from main memory. Returning `false`
     /// drops the prefetch. The default keeps every request.

@@ -10,8 +10,8 @@ use athena_repro::prelude::{
 };
 use athena_repro::sim::ring::{RecentPages, Ring, RECENT_PAGES};
 use athena_repro::sim::{
-    Cache, CacheConfig, CacheLevel, Dram, DramRequestKind, EpochStats, Replacement, SimConfig,
-    SimStats, Simulator, TraceRecord,
+    Cache, CacheConfig, CacheLevel, Dram, DramRequestKind, EpochStats, EvictedLine, LookupOutcome,
+    Replacement, SimConfig, SimStats, Simulator, TraceRecord,
 };
 use athena_repro::workloads::{Pattern, TraceGenerator};
 
@@ -106,18 +106,62 @@ fn assert_stats_are_consistent(stats: &SimStats) {
     );
 }
 
-fn small_cache(ways: usize, sets: usize) -> Cache {
+/// A cache of `sets` × `ways` lines; `sets` need not be a power of two.
+fn cache_of(sets: usize, ways: usize, replacement: Replacement) -> Cache {
     Cache::new(
         CacheConfig {
             name: "prop",
-            size_bytes: (ways * sets * 64) as u64,
+            size_bytes: (sets * ways * 64) as u64,
             ways,
             latency: 4,
             mshrs: 8,
-            replacement: Replacement::Lru,
+            replacement,
         },
         CacheLevel::L1d,
     )
+}
+
+/// One cache operation: `(kind, line, pc, ready_cycle)`, where kind 0 is a lookup, 1 a
+/// demand fill, 2 a prefetch fill and 3 a store hit (`mark_dirty`).
+type CacheOp = (u8, u64, u64, u64);
+
+/// What a cache operation returned.
+#[derive(Debug, PartialEq)]
+enum CacheOpResult {
+    Lookup(LookupOutcome),
+    Fill(Option<EvictedLine>),
+    MarkDirty,
+}
+
+/// After each op: its result, a probe of its address, every counter
+/// (accesses, hits, misses, prefetch fills, useful and evicted-unused prefetches) and the
+/// occupancy.
+type CacheStep = (CacheOpResult, bool, [u64; 6], usize);
+
+/// Drives `cache` through `ops`, recording what each op returned and the state it left.
+fn replay_cache_ops(cache: &mut Cache, ops: &[CacheOp]) -> Vec<CacheStep> {
+    ops.iter()
+        .map(|&(kind, line, pc, ready)| {
+            let addr = line * 64 + ready % 64;
+            let result = match kind {
+                0 => CacheOpResult::Lookup(cache.lookup(addr)),
+                1 | 2 => CacheOpResult::Fill(cache.fill(addr, kind == 2, pc, ready)),
+                _ => {
+                    cache.mark_dirty(addr);
+                    CacheOpResult::MarkDirty
+                }
+            };
+            let counters = [
+                cache.accesses(),
+                cache.hits(),
+                cache.misses(),
+                cache.prefetch_fills(),
+                cache.useful_prefetches(),
+                cache.evicted_unused_prefetches(),
+            ];
+            (result, cache.probe(addr), counters, cache.occupancy())
+        })
+        .collect()
 }
 
 /// One simulated instruction for the window models: cycles until the front end fetches
@@ -266,7 +310,7 @@ proptest! {
         sets_pow in 0u32..4,
     ) {
         let sets = 1usize << sets_pow;
-        let mut cache = small_cache(ways, sets);
+        let mut cache = cache_of(sets, ways, Replacement::Lru);
         for (i, addr) in addrs.iter().enumerate() {
             cache.fill(*addr, i % 3 == 0, 0x400 + (i as u64 % 16), 0);
             prop_assert!(cache.probe(*addr), "freshly filled line must be resident");
@@ -280,13 +324,42 @@ proptest! {
     fn cache_counters_are_consistent(
         addrs in prop::collection::vec(0u64..(1 << 16), 1..200),
     ) {
-        let mut cache = small_cache(4, 4);
+        let mut cache = cache_of(4, 4, Replacement::Lru);
         for addr in &addrs {
             cache.lookup(*addr);
             cache.fill(*addr, false, 0x400, 0);
         }
         prop_assert_eq!(cache.hits() + cache.misses(), cache.accesses());
         prop_assert_eq!(cache.accesses(), addrs.len() as u64);
+    }
+
+    /// A cache built on the arrays a dropped cache of the same geometry left on its thread
+    /// behaves exactly like a fresh cache on a new thread, op by op.
+    #[test]
+    fn recycled_cache_matches_a_fresh_one(
+        sets in 1usize..7,
+        ways in 1usize..7,
+        ship in 0u8..2,
+        first in prop::collection::vec((0u8..4, 0u64..96, 0u64..64, 0u64..1_000), 0..300),
+        second in prop::collection::vec((0u8..4, 0u64..96, 0u64..64, 0u64..1_000), 1..300),
+    ) {
+        let replacement = if ship == 1 { Replacement::Ship } else { Replacement::Lru };
+        let recycled = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut dropped = cache_of(sets, ways, replacement);
+                replay_cache_ops(&mut dropped, &first);
+                drop(dropped);
+                replay_cache_ops(&mut cache_of(sets, ways, replacement), &second)
+            })
+            .join()
+            .expect("recycled replay panicked")
+        });
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| replay_cache_ops(&mut cache_of(sets, ways, replacement), &second))
+                .join()
+                .expect("fresh replay panicked")
+        });
+        prop_assert_eq!(recycled, fresh);
     }
 
     /// Bloom filters never produce false negatives and clearing empties them.
