@@ -24,8 +24,10 @@ pub struct QvSummary {
 /// The partitioned Q-value store.
 #[derive(Debug, Clone)]
 pub struct QvStore {
-    /// planes[p][row][action] = quantised partial Q-value.
-    planes: Vec<Vec<Vec<i8>>>,
+    /// The quantised partial Q-values, plane-major then row-major: the entry of
+    /// `(plane, row, action)` sits at [`QvStore::slot`]. One allocation per store.
+    values: Vec<i8>,
+    planes: usize,
     rows_per_plane: usize,
     actions: usize,
     q_step: f64,
@@ -46,7 +48,8 @@ impl QvStore {
         );
         assert!(q_step > 0.0, "q_step must be positive");
         Self {
-            planes: vec![vec![vec![0; actions]; rows_per_plane]; planes],
+            values: vec![0; planes * rows_per_plane * actions],
+            planes,
             rows_per_plane,
             actions,
             q_step,
@@ -61,7 +64,7 @@ impl QvStore {
 
     /// Number of planes.
     pub fn planes(&self) -> usize {
-        self.planes.len()
+        self.planes
     }
 
     /// Number of actions (columns per row).
@@ -71,7 +74,7 @@ impl QvStore {
 
     /// Total storage in bytes (one byte per entry).
     pub fn storage_bytes(&self) -> usize {
-        self.planes.len() * self.rows_per_plane * self.actions
+        self.values.len()
     }
 
     /// Number of SARSA updates applied so far.
@@ -83,23 +86,26 @@ impl QvStore {
     /// thousand bytes; meant to be sampled at telemetry-window granularity, not per access).
     pub fn summary(&self) -> QvSummary {
         let mut s = QvSummary::default();
-        let entries_per_plane = (self.rows_per_plane * self.actions) as f64;
-        for plane in &self.planes {
+        let entries_per_plane = self.rows_per_plane * self.actions;
+        for plane in self.values.chunks_exact(entries_per_plane) {
             let mut sum = 0i64;
             let mut min = i8::MAX;
             let mut max = i8::MIN;
-            for row in plane {
-                for &v in row {
-                    sum += i64::from(v);
-                    min = min.min(v);
-                    max = max.max(v);
-                }
+            for &v in plane {
+                sum += i64::from(v);
+                min = min.min(v);
+                max = max.max(v);
             }
-            s.q_mean += sum as f64 / entries_per_plane * self.q_step;
+            s.q_mean += sum as f64 / entries_per_plane as f64 * self.q_step;
             s.q_min += f64::from(min) * self.q_step;
             s.q_max += f64::from(max) * self.q_step;
         }
         s
+    }
+
+    /// The index into `values` of `(plane, row, action)`.
+    fn slot(&self, plane: usize, row: usize, action: usize) -> usize {
+        (plane * self.rows_per_plane + row) * self.actions + action
     }
 
     /// The hash of `state` for plane `plane`, producing a row index.
@@ -123,10 +129,10 @@ impl QvStore {
     /// Reads the Q-value of `(state, action)` by summing the partial values of every plane.
     pub fn q_value(&self, state: u32, action: usize) -> f64 {
         assert!(action < self.actions, "action {action} out of range");
-        self.planes
-            .iter()
-            .enumerate()
-            .map(|(p, plane)| f64::from(plane[self.row_index(p, state)][action]) * self.q_step)
+        (0..self.planes)
+            .map(|p| {
+                f64::from(self.values[self.slot(p, self.row_index(p, state), action)]) * self.q_step
+            })
             .sum()
     }
 
@@ -168,13 +174,13 @@ impl QvStore {
         let q_sa = self.q_value(state, action);
         let q_next = self.q_value(next_state, next_action);
         let delta = alpha * (reward + gamma * q_next - q_sa);
-        let per_plane = delta / self.planes.len() as f64;
-        for p in 0..self.planes.len() {
-            let row = self.row_index(p, state);
-            let old = f64::from(self.planes[p][row][action]) * self.q_step;
+        let per_plane = delta / self.planes as f64;
+        for p in 0..self.planes {
+            let slot = self.slot(p, self.row_index(p, state), action);
+            let old = f64::from(self.values[slot]) * self.q_step;
             let new = old + per_plane;
             let quantised = (new / self.q_step).round().clamp(-128.0, 127.0) as i8;
-            self.planes[p][row][action] = quantised;
+            self.values[slot] = quantised;
         }
         self.updates += 1;
     }

@@ -10,17 +10,19 @@ use athena_sim::MultiCoreResult;
 
 use crate::dist::DistPool;
 use crate::job::{Job, JobOutput, RunResult};
+use crate::memo::{CellMemo, MemoKey};
 use crate::pool::{available_parallelism, panic_message, parallel_map};
 use crate::record;
 use crate::store::StoreHandle;
 
 /// A parallel experiment executor with a fixed worker count, an optional persistent
-/// result store, an optional distributed worker pool, and optional observability (a
-/// structured event sink and a stderr progress line).
+/// result store, an optional per-run cell memo, an optional distributed worker pool, and
+/// optional observability (a structured event sink and a stderr progress line).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Engine {
     jobs: usize,
     store: Option<StoreHandle>,
+    memo: Option<CellMemo>,
     dist: Option<DistPool>,
     probe: Option<ProbeSink>,
     progress: bool,
@@ -33,6 +35,7 @@ impl Engine {
         Self {
             jobs: jobs.max(1),
             store: None,
+            memo: None,
             dist: None,
             probe: None,
             progress: false,
@@ -50,6 +53,16 @@ impl Engine {
     /// byte-identical either way.
     pub fn with_store(mut self, store: Option<StoreHandle>) -> Self {
         self.store = store;
+        self
+    }
+
+    /// Attaches a per-run cell memo ([`CellMemo`]): a cell the store misses reuses the
+    /// output an earlier batch of the same memo simulated for the same cell, as the
+    /// memo's admission rule allows. Every engine of one run shares one memo; a reused
+    /// output is bit-identical to a fresh one, so tables come out byte-identical either
+    /// way.
+    pub fn with_memo(mut self, memo: Option<CellMemo>) -> Self {
+        self.memo = memo;
         self
     }
 
@@ -102,8 +115,10 @@ impl Engine {
     /// Runs every job and returns one [`CellResult`] per job, in submission order.
     ///
     /// With a result store attached, cells whose results are already stored are served
-    /// from it (with `cached: true` and zero wall-clock) and only the misses are
-    /// simulated; newly simulated successes are persisted back. A job that panics yields
+    /// from it (with `cached: true` and zero wall-clock). With a cell memo attached, a
+    /// store miss whose output the memo kept reuses it (with `reused: true` and zero
+    /// wall-clock). Only the rest are simulated; every output the store did not hold is
+    /// persisted back, reused or simulated alike. A job that panics yields
     /// a `CellResult` with `output: Err(message)` (never persisted); the rest of the
     /// batch completes normally. Cell metadata (label, seed, wall-clock, outcome) is also
     /// forwarded to any active [`record::with_recording`] scope on the calling thread.
@@ -134,9 +149,18 @@ impl Engine {
             }
             None => jobs.iter().map(|_| None).collect(),
         };
+        let sources = self.resolve(&jobs, cached);
+        let hits = sources
+            .iter()
+            .filter(|s| matches!(s, Source::Stored(_)))
+            .count();
+        let reused = sources
+            .iter()
+            .filter(|s| matches!(s, Source::Reused { .. }))
+            .count();
         if let Some(sink) = &self.probe {
-            for (job, hit) in jobs.iter().zip(&cached) {
-                if hit.is_some() {
+            for (job, source) in jobs.iter().zip(&sources) {
+                if let Source::Stored(_) = source {
                     sink.emit(&Event::CellStoreHit {
                         experiment: job.experiment.clone(),
                         label: job.label(),
@@ -145,35 +169,42 @@ impl Engine {
                 }
             }
             if self.store.is_some() {
-                let hits = cached.iter().filter(|hit| hit.is_some()).count();
                 sink.emit(&Event::StoreFetch {
                     hits,
                     misses: jobs.len() - hits,
                 });
             }
-            for (job, hit) in jobs.iter().zip(&cached) {
-                if hit.is_none() {
-                    sink.emit(&Event::CellScheduled {
+            for (job, source) in jobs.iter().zip(&sources) {
+                match source {
+                    Source::Stored(_) => {}
+                    Source::Reused { from, .. } => sink.emit(&Event::CellReused {
                         experiment: job.experiment.clone(),
                         label: job.label(),
                         seed: job.seed,
-                    });
+                        source: from.clone(),
+                    }),
+                    Source::Simulate { .. } => sink.emit(&Event::CellScheduled {
+                        experiment: job.experiment.clone(),
+                        label: job.label(),
+                        seed: job.seed,
+                    }),
                 }
             }
         }
         let misses: Vec<Job> = jobs
             .iter()
-            .zip(&cached)
-            .filter(|(_, hit)| hit.is_none())
+            .zip(&sources)
+            .filter(|(_, source)| matches!(source, Source::Simulate { .. }))
             .map(|(job, _)| job.clone())
             .collect();
         let total = misses.len();
-        let hits = jobs.len() - total;
         metrics().cells_cached.add(hits as u64);
+        metrics().cells_reused.add(reused as u64);
         metrics().cells_simulated.add(total as u64);
         if let Some(pool) = &self.dist {
             // Distributed execution: the misses run on worker processes; everything
-            // around them (store, events, merge, recording) is the same code path below.
+            // around them (store, memo, events, merge, recording) is the same code path
+            // below.
             let remote = pool.run_cells(self.probe.as_ref(), self.progress, &misses);
             if self.progress && !remote.is_empty() {
                 eprintln!();
@@ -182,7 +213,7 @@ impl Engine {
                 .into_iter()
                 .map(|(cell, origin)| (cell, Some(origin)))
                 .collect();
-            return self.merge(jobs, cached, misses, fresh);
+            return self.merge(jobs, sources, fresh);
         }
         let done = AtomicUsize::new(0);
         let batch_start = Instant::now();
@@ -195,7 +226,9 @@ impl Engine {
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                 let elapsed = batch_start.elapsed().as_secs_f64();
                 let eta = elapsed / n as f64 * (total - n) as f64;
-                eprint!("\r[{n}/{total} cells simulated, {hits} cached, ~{eta:.0}s left]  ");
+                eprint!(
+                    "\r[{n}/{total} cells simulated, {hits} cached, {reused} reused, ~{eta:.0}s left]  "
+                );
             }
             cell
         })
@@ -208,28 +241,84 @@ impl Engine {
         if self.progress && total > 0 {
             eprintln!();
         }
-        self.merge(jobs, cached, misses, fresh)
+        self.merge(jobs, sources, fresh)
     }
 
-    /// The shared tail of [`Engine::run`] for both executors: persist newly simulated
-    /// successes, merge outcomes back into submission order, emit per-cell events and
-    /// forward the batch to any active recording scope.
+    /// Decides where each cell's output comes from: the store's hit, else the memo's kept
+    /// output, else a simulation. The memo is consulted here, on the calling thread and
+    /// in submission order, so its decisions do not depend on the executor.
+    fn resolve(&self, jobs: &[Job], cached: Vec<Option<JobOutput>>) -> Vec<Source> {
+        jobs.iter()
+            .zip(cached)
+            .map(|(job, hit)| match (hit, &self.memo) {
+                (Some(output), _) => Source::Stored(output),
+                (None, None) => Source::Simulate { offer: None },
+                (None, Some(memo)) => memo.lookup(job),
+            })
+            .collect()
+    }
+
+    /// The shared tail of [`Engine::run`] for both executors: merge outcomes back into
+    /// submission order, persist every output the store did not already hold, offer
+    /// outputs to the memo, emit per-cell events and forward the batch to any active
+    /// recording scope.
     ///
-    /// `fresh` carries, per miss (in submission order), the cell's outcome and — for a
-    /// cell that ran on a distributed worker — its origin. Every simulated cell's
+    /// `fresh` carries, per simulated cell (in submission order), the cell's outcome and —
+    /// for a cell that ran on a distributed worker — its origin. Every simulated cell's
     /// lifecycle events are built here from its [`CellResult`], whichever executor ran it.
     fn merge(
         &self,
         jobs: Vec<Job>,
-        cached: Vec<Option<JobOutput>>,
-        misses: Vec<Job>,
+        sources: Vec<Source>,
         fresh: Vec<(CellOutcome, Option<CellOrigin>)>,
     ) -> Vec<CellResult> {
+        let mut fresh = fresh.into_iter();
+        let mut offers = Vec::new();
+        let merge_span = athena_probe::span(Phase::Merge);
+        let cells: Vec<CellResult> = jobs
+            .iter()
+            .zip(sources)
+            .enumerate()
+            .map(|(index, (job, source))| {
+                let (output, wall, cached, reused, profile, origin) = match source {
+                    Source::Stored(output) => (Ok(output), Duration::ZERO, true, false, None, None),
+                    Source::Reused { output, .. } => {
+                        (Ok(output), Duration::ZERO, false, true, None, None)
+                    }
+                    Source::Simulate { offer } => {
+                        offers.extend(offer.map(|key| (index, key)));
+                        let (cell, origin) = fresh.next().expect("one simulated outcome per miss");
+                        match cell.output {
+                            Ok(output) => {
+                                (Ok(output), cell.wall, false, false, cell.profile, origin)
+                            }
+                            Err(message) => {
+                                (Err(message), Duration::ZERO, false, false, None, origin)
+                            }
+                        }
+                    }
+                };
+                CellResult {
+                    experiment: job.experiment.clone(),
+                    label: job.label(),
+                    seed: job.seed,
+                    wall,
+                    cached,
+                    reused,
+                    output,
+                    profile,
+                    origin,
+                }
+            })
+            .collect();
+        drop(merge_span);
         if let Some(handle) = &self.store {
+            // Reused outputs are persisted like simulated ones, so the store holds every
+            // cell of the run, in submission order, whatever the memo served.
             let mut persisted = 0usize;
             let persist_start = Instant::now();
-            for (job, (cell, _)) in misses.iter().zip(&fresh) {
-                if let Ok(output) = &cell.output {
+            for (job, cell) in jobs.iter().zip(&cells) {
+                if let (false, Ok(output)) = (cell.cached, &cell.output) {
                     handle.persist(job, output);
                     persisted += 1;
                 }
@@ -243,37 +332,15 @@ impl Engine {
                 sink.emit(&Event::StorePersist { cells: persisted });
             }
         }
-        let mut fresh = fresh.into_iter();
-        let merge_span = athena_probe::span(Phase::Merge);
-        let cells: Vec<CellResult> = jobs
-            .into_iter()
-            .zip(cached)
-            .map(|(job, hit)| {
-                let (output, wall, cached, profile, origin) = match hit {
-                    Some(output) => (Ok(output), Duration::ZERO, true, None, None),
-                    None => {
-                        let (cell, origin) = fresh.next().expect("one simulated outcome per miss");
-                        match cell.output {
-                            Ok(output) => (Ok(output), cell.wall, false, cell.profile, origin),
-                            Err(message) => (Err(message), Duration::ZERO, false, None, origin),
-                        }
-                    }
-                };
-                CellResult {
-                    experiment: job.experiment.clone(),
-                    label: job.label(),
-                    seed: job.seed,
-                    wall,
-                    cached,
-                    output,
-                    profile,
-                    origin,
+        if let Some(memo) = &self.memo {
+            for (index, key) in offers {
+                if let Ok(output) = &cells[index].output {
+                    memo.admit(key, &jobs[index].experiment, output);
                 }
-            })
-            .collect();
-        drop(merge_span);
+            }
+        }
         if let Some(sink) = &self.probe {
-            for cell in cells.iter().filter(|c| !c.cached) {
+            for cell in cells.iter().filter(|c| !c.cached && !c.reused) {
                 sink.emit(&Event::CellStarted {
                     experiment: cell.experiment.clone(),
                     label: cell.label.clone(),
@@ -301,6 +368,16 @@ impl Engine {
     }
 }
 
+/// Where one cell's output comes from (see [`Engine::run`]).
+pub(crate) enum Source {
+    /// Served by the attached result store.
+    Stored(JobOutput),
+    /// Reused from the run's cell memo; `from` is the experiment that simulated it.
+    Reused { output: JobOutput, from: String },
+    /// Simulated by this batch; the output is offered to the memo under `offer`, if set.
+    Simulate { offer: Option<MemoKey> },
+}
+
 impl Default for Engine {
     fn default() -> Self {
         Self::host_sized()
@@ -320,15 +397,18 @@ pub struct CellResult {
     pub wall: Duration,
     /// Whether the result was served from the attached result store instead of simulated.
     pub cached: bool,
+    /// Whether the result was reused from the run's cell memo instead of simulated: an
+    /// earlier experiment of the run simulated the same cell.
+    pub reused: bool,
     /// The simulation result, or the panic message if the cell failed.
     pub output: Result<JobOutput, String>,
     /// Per-phase hot-path profile of the cell's execution, when profiling
     /// ([`athena_probe::set_profiling`]) was on while it simulated. Always `None` for
-    /// cached cells — a stored result costs no simulation time. For distributed cells
+    /// cached and reused cells — they cost no simulation time. For distributed cells
     /// this is the worker's own accrual, returned in the cell's `RESULT` frame.
     pub profile: Option<PhaseProfile>,
-    /// The distributed worker (id + pid) that simulated the cell; `None` for in-process
-    /// and cached cells.
+    /// The distributed worker (id + pid) that simulated the cell; `None` for in-process,
+    /// cached and reused cells.
     pub origin: Option<CellOrigin>,
 }
 

@@ -253,19 +253,26 @@ impl Job {
     pub fn identity_hash(&self) -> u64 {
         let mut h = SeedHasher::new();
         h.write_str(&self.experiment);
+        self.hash_cell_into(&mut h);
+        h.finish()
+    }
+
+    /// Feeds every facet of [`Job::identity_hash`] after the experiment name into `h`:
+    /// what the cell computes, whichever experiment asked for it. The per-run cell memo
+    /// ([`crate::CellMemo`]) keys shared cells by these facets.
+    pub(crate) fn hash_cell_into(&self, h: &mut SeedHasher) {
         h.write_str(self.cell.name());
         if let WorkloadRef::Multi(mix) = &self.cell {
             for w in &mix.workloads {
                 h.write_str(&w.name);
             }
         }
-        self.config.hash_into(&mut h);
+        self.config.hash_into(h);
         h.write_str(self.coordinator.name());
         if let CoordinatorKind::AthenaWith(cfg) = &self.coordinator {
             h.write_str(&format!("{cfg:?}"));
         }
         h.write_u64(self.instructions);
-        h.finish()
     }
 
     /// A short human-readable cell label for reports, e.g.

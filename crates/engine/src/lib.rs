@@ -23,6 +23,9 @@
 //!   ([`StoreHandle`], crate `athena-store`) serves previously simulated cells, keyed by
 //!   [`Job::identity_hash`], so warm re-runs simulate nothing and killed sweeps resume
 //!   paying only for missing cells ([`Engine::with_store`]).
+//! * **Per-run reuse** — an optional [`CellMemo`] shared by every batch of one run serves
+//!   a cell that an earlier experiment of the run already simulated, so each distinct cell
+//!   is simulated about once per run ([`Engine::with_memo`]).
 //! * **Distribution** — an optional coordinator/worker executor ([`DistPool`], module
 //!   [`dist`]) shards each batch across long-lived worker processes over a
 //!   length-delimited checksummed stdio protocol (jobs serialised by [`wire`]), with
@@ -51,6 +54,7 @@
 mod exec;
 mod job;
 mod kinds;
+mod memo;
 mod record;
 mod table;
 
@@ -70,6 +74,7 @@ pub use job::{
     TelemetrySpec, WorkloadRef,
 };
 pub use kinds::{default_athena_config, CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
+pub use memo::CellMemo;
 pub use pool::available_parallelism;
 pub use record::{with_recording, CellRecord};
 pub use seed::{derive_seed, SeedHasher};

@@ -33,10 +33,12 @@ pub struct CellRecord {
     /// The job's derived seed.
     pub seed: u64,
     /// Wall-clock time spent simulating the cell (zero for cells served from a result
-    /// store).
+    /// store or reused from the run's cell memo).
     pub wall: Duration,
     /// Whether the cell's result was served from a result store instead of simulated.
     pub cached: bool,
+    /// Whether the cell's result was reused from the run's cell memo instead of simulated.
+    pub reused: bool,
     /// The panic message, if the cell failed.
     pub error: Option<String>,
     /// End-of-run DRAM-channel statistics (single-core cells only; `None` for failed or
@@ -66,6 +68,9 @@ impl CellRecord {
             ("ok", Json::Bool(self.error.is_none())),
             ("cached", Json::Bool(self.cached)),
         ];
+        if self.reused {
+            pairs.push(("reused", Json::Bool(true)));
+        }
         if let Some(e) = &self.error {
             pairs.push(("error", Json::str(e)));
         }
@@ -134,6 +139,7 @@ pub(crate) fn record_cells(cells: &[CellResult]) {
                 seed: c.seed,
                 wall: c.wall,
                 cached: c.cached,
+                reused: c.reused,
                 error: c.output.as_ref().err().cloned(),
                 dram: match &c.output {
                     Ok(JobOutput::Single(r)) => Some(r.dram),

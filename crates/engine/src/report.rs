@@ -541,6 +541,7 @@ mod tests {
             seed: 7,
             wall: Duration::from_millis(3),
             cached: false,
+            reused: false,
             error: None,
             dram: None,
             timeline: None,

@@ -115,7 +115,7 @@ output:
 observability (neither flag changes a table byte — observation is not identity):
   --events <FILE>     write a structured JSONL event log (schema athena-events-v1) of
                       every engine batch: batch opened, cells scheduled / store-hit /
-                      started / finished / panicked, store fetch/persist, reports
+                      reused / started / finished / panicked, store fetch/persist, reports
                       written; distributed runs add worker_joined / shard_dispatched /
                       worker_died / cell_reassigned lines and attribute every cell
                       event to the worker that ran it. Wall-clock lives only in the
@@ -285,10 +285,11 @@ commands:
   verify     scan every record — headers, payload checksums, index agreement — and
              exit non-zero on any corruption
   events     summarize a JSONL event log written by `figures --events` or
-             `tune --events`: event counts by kind, store hit ratio, the slowest
-             simulated cells, and — for distributed logs — per-worker cell counts,
-             worker deaths/reassignments and shard frame bytes. Takes the log FILE
-             as its argument instead of --store
+             `tune --events`: event counts by kind, store hit ratio, cells reused
+             from an earlier experiment of the run, the slowest simulated cells,
+             and — for distributed logs — per-worker cell counts, worker
+             deaths/reassignments and shard frame bytes. Takes the log FILE as its
+             argument instead of --store
   trace      convert a JSONL event log into Chrome trace_event JSON (open it in
              Perfetto / chrome://tracing): one process row per distributed worker
              (plus the coordinator), cell spans with phase-profile child slices,

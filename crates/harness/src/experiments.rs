@@ -1304,6 +1304,7 @@ mod tests {
             dist: None,
             probe: None,
             progress: false,
+            memo: Default::default(),
         }
     }
 

@@ -17,8 +17,9 @@ use std::path::PathBuf;
 use athena_engine::Engine;
 
 pub use athena_engine::{
-    default_athena_config, simulate, simulate_multicore, CoordinatorKind, DistPool, OcpKind,
-    PrefetcherKind, ProbeSink, RunResult, StoreHandle, StorePolicy, SystemConfig, WorkerCommand,
+    default_athena_config, simulate, simulate_multicore, CellMemo, CoordinatorKind, DistPool,
+    OcpKind, PrefetcherKind, ProbeSink, RunResult, StoreHandle, StorePolicy, SystemConfig,
+    WorkerCommand,
 };
 
 /// Options controlling run length, parallelism and trace substitution.
@@ -72,6 +73,12 @@ pub struct RunOptions {
     /// Live `cells done / cached / ETA` progress line on stderr while batches simulate
     /// (the `--progress` flag). Off by default.
     pub progress: bool,
+    /// The run's cell memo (`athena_engine::CellMemo`): every engine batch an experiment
+    /// runs reuses outputs an earlier batch of the same options simulated for the same
+    /// cell. Clones share it, and each [`RunOptions::full`] / [`RunOptions::quick`] call
+    /// starts an empty one, so reuse never crosses from one run to another. Reused
+    /// outputs are bit-identical to fresh ones, so tables are byte-identical either way.
+    pub memo: CellMemo,
 }
 
 impl RunOptions {
@@ -89,6 +96,7 @@ impl RunOptions {
             dist: None,
             probe: None,
             progress: false,
+            memo: CellMemo::new(),
         }
     }
 
@@ -104,6 +112,7 @@ impl RunOptions {
             dist: None,
             probe: None,
             progress: false,
+            memo: CellMemo::new(),
         }
     }
 
@@ -156,13 +165,14 @@ impl RunOptions {
     }
 }
 
-/// Builds the experiment engine an options set asks for: `opts.jobs` workers, with the
-/// result store, distributed pool and event sink attached when configured. Every
-/// experiment batch goes through here, so the `--store` / `--workers` / `--events` /
-/// `--progress` flags reach all of them.
+/// Builds the experiment engine an options set asks for: `opts.jobs` workers and the
+/// options' cell memo, with the result store, distributed pool and event sink attached
+/// when configured. Every experiment batch goes through here, so the memo and the
+/// `--store` / `--workers` / `--events` / `--progress` flags reach all of them.
 pub(crate) fn engine_for(opts: &RunOptions) -> Engine {
     Engine::new(opts.jobs)
         .with_store(opts.store.clone())
+        .with_memo(Some(opts.memo.clone()))
         .with_dist(opts.dist.clone())
         .with_probe(opts.probe.clone())
         .with_progress(opts.progress)

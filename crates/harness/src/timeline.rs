@@ -162,6 +162,7 @@ mod tests {
             dist: None,
             probe: None,
             progress: false,
+            memo: Default::default(),
         }
     }
 

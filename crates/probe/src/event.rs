@@ -68,8 +68,9 @@ pub struct CellOrigin {
 /// One lifecycle event of an engine batch.
 ///
 /// Per-cell events are emitted in submission order on the calling thread: a cached cell
-/// produces `CellStoreHit`; a simulated cell produces `CellScheduled` before dispatch and
-/// `CellStarted` + `CellFinished` (or `CellPanicked`) at merge.
+/// produces `CellStoreHit`; a cell served from the run's cell memo produces `CellReused`;
+/// a simulated cell produces `CellScheduled` before dispatch and `CellStarted` +
+/// `CellFinished` (or `CellPanicked`) at merge.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A batch of cells entered [`Engine::run`](../athena_engine/struct.Engine.html).
@@ -94,6 +95,18 @@ pub enum Event {
         label: String,
         /// The cell's derived seed.
         seed: u64,
+    },
+    /// One cell missed the store and reuses the output an earlier experiment of the same
+    /// run simulated for the same cell (no simulation).
+    CellReused {
+        /// The cell's experiment.
+        experiment: String,
+        /// The cell's label.
+        label: String,
+        /// The cell's derived seed.
+        seed: u64,
+        /// The experiment whose simulation the output comes from.
+        source: String,
     },
     /// One cell missed the store (or no store is attached) and was queued for simulation.
     CellScheduled {
@@ -200,6 +213,7 @@ impl Event {
             Event::BatchOpened { .. } => "batch_opened",
             Event::StoreFetch { .. } => "store_fetch",
             Event::CellStoreHit { .. } => "cell_store_hit",
+            Event::CellReused { .. } => "cell_reused",
             Event::CellScheduled { .. } => "cell_scheduled",
             Event::CellStarted { .. } => "cell_started",
             Event::CellFinished { .. } => "cell_finished",
@@ -241,6 +255,20 @@ impl Event {
                 str_field("experiment", experiment);
                 str_field("label", label);
                 let _ = write!(line, ",\"seed\":\"{seed:#018x}\"");
+            }
+            Event::CellReused {
+                experiment,
+                label,
+                seed,
+                source,
+            } => {
+                str_field("experiment", experiment);
+                str_field("label", label);
+                let _ = write!(
+                    line,
+                    ",\"seed\":\"{seed:#018x}\",\"source\":\"{}\"",
+                    escape_json(source)
+                );
             }
             Event::CellStarted {
                 experiment,
@@ -574,6 +602,22 @@ mod tests {
         assert!(lines[1].contains("\"kind\":\"cell_started\""));
         assert!(lines[1].contains("\"worker\":0,\"pid\":9,\"t_ms\":"));
         assert_eq!(sink.path(), Path::new("<memory>"));
+    }
+
+    #[test]
+    fn reused_cells_name_the_experiment_that_simulated_them() {
+        let sink = ProbeSink::buffered();
+        sink.emit(&Event::CellReused {
+            experiment: "fig8a".into(),
+            label: "w/baseline/<cfg>".into(),
+            seed: 0xab,
+            source: "fig7".into(),
+        });
+        let lines = sink.take_lines();
+        assert!(lines[0].starts_with(
+            "{\"schema\":\"athena-events-v1\",\"kind\":\"cell_reused\",\"experiment\":\"fig8a\",\
+             \"label\":\"w/baseline/<cfg>\",\"seed\":\"0x00000000000000ab\",\"source\":\"fig7\",\"t_ms\":"
+        ));
     }
 
     #[test]

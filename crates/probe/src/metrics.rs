@@ -174,6 +174,9 @@ pub struct MetricsRegistry {
     pub cells_simulated: Counter,
     /// Cells served from the result store without simulation.
     pub cells_cached: Counter,
+    /// Cells that missed the store and reused an output simulated earlier in the same run
+    /// (the engine's per-run cell memo).
+    pub cells_reused: Counter,
     /// Cells re-dispatched after a distributed worker died mid-shard.
     pub cell_retries: Counter,
     /// Wire frames written by this process (coordinator side: commands out).
@@ -200,6 +203,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             cells_simulated: Counter::new(),
             cells_cached: Counter::new(),
+            cells_reused: Counter::new(),
             cell_retries: Counter::new(),
             frames_sent: Counter::new(),
             frames_received: Counter::new(),
@@ -226,6 +230,7 @@ impl MetricsRegistry {
     pub fn reset(&self) {
         self.cells_simulated.reset();
         self.cells_cached.reset();
+        self.cells_reused.reset();
         self.cell_retries.reset();
         self.frames_sent.reset();
         self.frames_received.reset();
@@ -244,6 +249,7 @@ impl MetricsRegistry {
             counters: vec![
                 ("cells_simulated", self.cells_simulated.get()),
                 ("cells_cached", self.cells_cached.get()),
+                ("cells_reused", self.cells_reused.get()),
                 ("cell_retries", self.cell_retries.get()),
                 ("frames_sent", self.frames_sent.get()),
                 ("frames_received", self.frames_received.get()),

@@ -56,10 +56,12 @@ struct Args {
     window: u64,
 }
 
-/// Counts one batch's cache hits: `(simulated, cached)`.
-fn cache_split(cells: &[athena_engine::CellRecord]) -> (usize, usize) {
+/// Splits cells by where their output came from: `(simulated, cached, reused)` —
+/// simulated now, served by the store, or reused from an earlier experiment of the run.
+fn cache_split(cells: &[athena_engine::CellRecord]) -> (usize, usize, usize) {
     let cached = cells.iter().filter(|c| c.cached).count();
-    (cells.len() - cached, cached)
+    let reused = cells.iter().filter(|c| c.reused).count();
+    (cells.len() - cached - reused, cached, reused)
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -299,9 +301,9 @@ fn run_timeline(args: &Args) {
         study.window_instructions
     );
     if let Some(store) = &args.opts.store {
-        let (simulated, cached) = cache_split(&recorded);
+        let (simulated, cached, reused) = cache_split(&recorded);
         println!(
-            "[store] {simulated} simulated, {cached} cached ({})",
+            "[store] {simulated} simulated, {cached} cached, {reused} reused ({})",
             store.dir().display()
         );
     }
@@ -489,6 +491,7 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from("results"));
     let mut total_simulated = 0usize;
     let mut total_cached = 0usize;
+    let mut total_reused = 0usize;
     let mut profiled: Vec<ProfiledCell> = Vec::new();
     for fig in &args.figs {
         let start = Instant::now();
@@ -498,10 +501,11 @@ fn main() {
             Some(table) => {
                 println!("{table}");
                 let store_note = if args.opts.store.is_some() {
-                    let (simulated, cached) = cache_split(&cells);
+                    let (simulated, cached, reused) = cache_split(&cells);
                     total_simulated += simulated;
                     total_cached += cached;
-                    format!("; {simulated} simulated, {cached} cached")
+                    total_reused += reused;
+                    format!("; {simulated} simulated, {cached} cached, {reused} reused")
                 } else {
                     String::new()
                 };
@@ -540,7 +544,7 @@ fn main() {
     }
     if let Some(store) = &args.opts.store {
         println!(
-            "[store] {total_simulated} simulated, {total_cached} cached ({})",
+            "[store] {total_simulated} simulated, {total_cached} cached, {total_reused} reused ({})",
             store.dir().display()
         );
     }

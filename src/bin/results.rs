@@ -473,7 +473,8 @@ fn run_verify(args: &Args) {
 }
 
 /// `events <FILE>`: summarise an event log written by `figures --events` /
-/// `tune --events` — counts by kind, the store cache-hit ratio, the slowest cells, and
+/// `tune --events` — counts by kind, the store cache-hit ratio, the cells reused from an
+/// earlier experiment of the run, the slowest cells, and
 /// (for distributed logs) the per-worker breakdown.
 fn run_events(args: &Args) {
     let path = &args.events_file;
@@ -481,6 +482,7 @@ fn run_events(args: &Args) {
         .unwrap_or_else(|e| fail_env(format!("event log {}: {e}", path.display())));
     let mut by_kind: Vec<(String, usize)> = Vec::new();
     let mut hits = 0usize;
+    let mut reused = 0usize;
     let mut scheduled = 0usize;
     let mut panicked = 0usize;
     let mut reports = 0usize;
@@ -528,6 +530,7 @@ fn run_events(args: &Args) {
         }
         match kind.as_str() {
             "cell_store_hit" => hits += 1,
+            "cell_reused" => reused += 1,
             "cell_scheduled" => scheduled += 1,
             "cell_panicked" => panicked += 1,
             "worker_died" => worker_deaths += 1,
@@ -558,7 +561,7 @@ fn run_events(args: &Args) {
     }
     let total: usize = by_kind.iter().map(|(_, n)| n).sum();
     by_kind.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let cells = hits + scheduled;
+    let cells = hits + reused + scheduled;
     let hit_ratio = if cells > 0 {
         hits as f64 / cells as f64
     } else {
@@ -585,6 +588,7 @@ fn run_events(args: &Args) {
             ),
             ("cells", Json::int(cells)),
             ("store_hits", Json::int(hits)),
+            ("reused", Json::int(reused)),
             ("cache_hit_ratio", Json::num(hit_ratio)),
             ("panicked", Json::int(panicked)),
             ("reports_written", Json::int(reports)),
@@ -637,7 +641,8 @@ fn run_events(args: &Args) {
             println!("  {kind:<16} {n:>8}");
         }
         println!(
-            "cells: {cells} ({hits} served from the store, {:.1}% hit ratio); {panicked} panicked",
+            "cells: {cells} ({hits} served from the store, {:.1}% hit ratio; {reused} reused \
+             within the run); {panicked} panicked",
             hit_ratio * 100.0
         );
         println!("reports: {reports} files, {report_bytes:.0} bytes");
@@ -761,11 +766,12 @@ fn run_trace(args: &Args) {
                 ts_us: t_us,
                 name: format!("panic: {}", label("label")),
             }),
-            "batch_opened" | "store_fetch" | "store_persist" | "cell_store_hit"
+            "batch_opened" | "store_fetch" | "store_persist" | "cell_store_hit" | "cell_reused"
             | "report_written" | "worker_joined" | "shard_dispatched" | "worker_died"
             | "cell_reassigned" => {
                 let name = match kind {
                     "cell_store_hit" => format!("store hit: {}", label("label")),
+                    "cell_reused" => format!("reused: {}", label("label")),
                     "report_written" => format!("report: {}", label("path")),
                     "cell_reassigned" => format!("reassigned: {}", label("label")),
                     other => other.to_string(),

@@ -57,6 +57,7 @@ fn opts() -> RunOptions {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     }
 }
 

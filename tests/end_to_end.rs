@@ -200,6 +200,7 @@ fn quick_figure_experiments_produce_consistent_tables() {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     };
     for fig in ["fig2", "fig7", "tab4"] {
         let table = experiments::run_experiment(fig, &opts).expect(fig);

@@ -56,6 +56,7 @@ fn tables_are_byte_identical_across_worker_counts() {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     };
     // One category sweep, one raw-stats figure and one multi-core figure.
     for fig in ["fig7", "fig3", "fig15"] {

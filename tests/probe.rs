@@ -6,7 +6,9 @@
 //!   wall-clock fields ([`WALL_CLOCK_FIELDS`]) are stripped;
 //! * a panicking cell still emits a `cell_panicked` event and fails only its own cell;
 //! * with profiling on, a cell's phase totals account for its recorded wall-clock to
-//!   within 10%; with profiling off, cells carry no profile.
+//!   within 10%; with profiling off, cells carry no profile;
+//! * a cell reused within a run emits one `cell_reused` event naming the experiment
+//!   that simulated it, and `results events` counts those next to store hits.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -17,6 +19,10 @@ use athena_repro::engine::{
 };
 use athena_repro::harness::experiments::run_experiment;
 use athena_repro::prelude::*;
+
+mod common;
+
+use common::{events_of_kind, run_bin, text};
 
 /// The profiler switch is process-global, so every test in this binary serialises on one
 /// gate (and restores the switch before releasing it).
@@ -56,6 +62,7 @@ fn tiny() -> RunOptions {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     }
 }
 
@@ -234,4 +241,73 @@ fn phase_totals_account_for_cell_wall_clock() {
             coverage * 100.0
         );
     }
+}
+
+#[test]
+fn results_events_counts_reused_cells_next_to_store_hits() {
+    const FIGS: [&str; 3] = ["fig7", "fig8a", "fig8b"];
+    let _gate = gate();
+    let log = temp_log("reuse");
+    let store_dir = std::env::temp_dir().join(format!(
+        "athena-probe-it-{}-reuse-store",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let sink = ProbeSink::create(&log).expect("sink created");
+    let observed = || RunOptions {
+        probe: Some(sink.clone()),
+        store: Some(StoreHandle::open(&store_dir, StorePolicy::ReadWrite).expect("store")),
+        ..tiny()
+    };
+    // One run of three experiments that share cells, then a warm rerun of the last.
+    let run = observed();
+    for fig in FIGS {
+        run_experiment(fig, &run).expect("experiment exists");
+    }
+    drop(run);
+    run_experiment("fig8b", &observed()).expect("fig8b");
+    drop(sink);
+
+    let lines: Vec<String> = std::fs::read_to_string(&log)
+        .expect("event log readable")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let count = |kind| events_of_kind(&lines, kind).len();
+    let (hits, reused, scheduled) = (
+        count("cell_store_hit"),
+        count("cell_reused"),
+        count("cell_scheduled"),
+    );
+    assert!(hits > 0 && reused > 0, "{hits} store hits, {reused} reused");
+    // A reused cell is neither scheduled nor started: only simulated cells finish.
+    assert_eq!(count("cell_started"), scheduled);
+    assert_eq!(count("cell_finished"), scheduled);
+    for line in events_of_kind(&lines, "cell_reused") {
+        let source = line.get("source").and_then(Json::as_str).expect("a source");
+        assert!(
+            FIGS.contains(&source),
+            "source {source} is an experiment of the run"
+        );
+    }
+
+    let log_arg = log.to_str().unwrap();
+    let json = run_bin("results", &["events", log_arg, "--json"], &[]);
+    assert!(json.status.success(), "{}", text(&json.stderr));
+    let doc = Json::parse(&text(&json.stdout)).expect("results events --json parses");
+    let field = |name: &str| doc.get(name).and_then(Json::as_f64).unwrap_or(-1.0) as usize;
+    assert_eq!(field("store_hits"), hits);
+    assert_eq!(field("reused"), reused);
+    assert_eq!(field("cells"), hits + reused + scheduled);
+
+    let plain = run_bin("results", &["events", log_arg], &[]);
+    assert!(plain.status.success());
+    let summary = text(&plain.stdout);
+    assert!(
+        summary.contains(&format!("{hits} served from the store"))
+            && summary.contains(&format!("{reused} reused within the run")),
+        "text mode counts reused cells next to store hits:\n{summary}"
+    );
+    std::fs::remove_file(&log).unwrap();
+    std::fs::remove_dir_all(&store_dir).unwrap();
 }

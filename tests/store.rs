@@ -7,7 +7,9 @@
 //! * `StorePolicy::Refresh` re-simulates everything, `StorePolicy::ReadOnly` never
 //!   writes;
 //! * corruption is loud: a damaged store fails the run, it is never silently recomputed
-//!   over (proptest over arbitrary log truncation, mirroring `tests/trace_io.rs`).
+//!   over (proptest over arbitrary log truncation, mirroring `tests/trace_io.rs`);
+//! * one run that reuses cells across experiments writes the same store bytes as
+//!   separate runs, and separately created options never share a reuse.
 
 use std::fs;
 use std::path::PathBuf;
@@ -39,6 +41,7 @@ fn opts(limit: usize, store: Option<StoreHandle>) -> RunOptions {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     }
 }
 
@@ -172,6 +175,90 @@ fn a_widened_tuning_search_resimulates_only_new_points() {
         "the resumed leaderboard is byte-identical to a store-less run"
     );
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Runs `figs` through one set of options, or through fresh options per experiment, on
+/// a store in `dir`; returns their CSVs and cell records.
+fn run_figs(
+    figs: &[&str],
+    dir: &std::path::Path,
+    shared: bool,
+) -> (Vec<String>, Vec<athena_repro::engine::CellRecord>) {
+    let one = opts(4, Some(rw(dir)));
+    let (tables, cells) = with_recording(|| {
+        figs.iter()
+            .map(|fig| {
+                let fresh;
+                let o = if shared {
+                    &one
+                } else {
+                    fresh = RunOptions {
+                        memo: Default::default(),
+                        ..one.clone()
+                    };
+                    &fresh
+                };
+                run_experiment(fig, o).expect("experiment exists").to_csv()
+            })
+            .collect()
+    });
+    drop(one);
+    (tables, cells)
+}
+
+#[test]
+fn one_run_reuses_shared_cells_and_writes_the_store_separate_runs_write() {
+    const FIGS: [&str; 3] = ["fig7", "fig8a", "fig8b"];
+    let shared_dir = tmp("memo-shared");
+    let separate_dir = tmp("memo-separate");
+    let (shared_tables, shared_cells) = run_figs(&FIGS, &shared_dir, true);
+    let (separate_tables, separate_cells) = run_figs(&FIGS, &separate_dir, false);
+    assert!(
+        shared_cells.iter().any(|c| c.reused),
+        "fig7, fig8a and fig8b share cells, so one run reuses some"
+    );
+    assert!(shared_cells
+        .iter()
+        .all(|c| !c.cached && c.error.is_none() && (!c.reused || c.wall.is_zero())));
+    assert!(
+        separate_cells.iter().all(|c| !c.reused),
+        "fresh options start with an empty memo"
+    );
+    assert_eq!(shared_tables, separate_tables);
+    for file in [LOG_FILE, INDEX_FILE] {
+        assert_eq!(
+            fs::read(shared_dir.join(file)).unwrap(),
+            fs::read(separate_dir.join(file)).unwrap(),
+            "{file} differs between one run and three"
+        );
+    }
+
+    // Reused cells were persisted too: a warm rerun of fig8b is all store hits.
+    let warm = opts(4, Some(rw(&shared_dir)));
+    let (table, cells) = with_recording(|| run_experiment("fig8b", &warm).expect("fig8b"));
+    assert_eq!(table.to_csv(), shared_tables[2]);
+    assert!(!cells.is_empty() && cells.iter().all(|c| c.cached && !c.reused));
+    drop(warm);
+    fs::remove_dir_all(&shared_dir).unwrap();
+    fs::remove_dir_all(&separate_dir).unwrap();
+}
+
+#[test]
+fn separately_created_options_never_share_a_reuse() {
+    assert_ne!(RunOptions::quick(), RunOptions::quick());
+    let first = opts(3, None);
+    assert_eq!(first.clone(), first, "clones share the memo");
+    // Three runs of the same experiment on separate options: each asks once.
+    for _ in 0..3 {
+        let (_, cells) = with_recording(|| run_experiment("fig7", &opts(3, None)));
+        assert!(cells.iter().all(|c| !c.reused));
+    }
+    // Three runs on clones of one set of options: the third reuses every cell.
+    let reruns: Vec<_> = (0..3)
+        .map(|_| with_recording(|| run_experiment("fig7", &first.clone())).1)
+        .collect();
+    assert!(reruns[..2].iter().flatten().all(|c| !c.reused));
+    assert!(!reruns[2].is_empty() && reruns[2].iter().all(|c| c.reused));
 }
 
 #[test]

@@ -26,6 +26,7 @@ fn opts(jobs: usize) -> RunOptions {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     }
 }
 

@@ -32,6 +32,7 @@ fn run_opts(jobs: usize) -> RunOptions {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     }
 }
 

@@ -32,6 +32,7 @@ fn prelude_reexports_are_usable() {
         dist: None,
         probe: None,
         progress: false,
+        memo: Default::default(),
     };
     assert_eq!(opts.workload_limit, Some(1));
 }
