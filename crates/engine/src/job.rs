@@ -13,7 +13,7 @@
 //! seed, the same label and — because the recorded records are the generator's records —
 //! the same result as the generated cell, byte for byte.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use athena_sim::{MultiCoreResult, MultiCoreSimulator, Prefetcher, SimResult, Simulator};
 use athena_telemetry::Timeline;
@@ -34,30 +34,6 @@ use crate::seed::SeedHasher;
 pub struct TelemetrySpec {
     /// Window length in instructions (windows round up to whole coordination epochs).
     pub window_instructions: u64,
-}
-
-/// How a job seeds the stochastic parts of its mechanisms (today: the Athena agent's
-/// ε-greedy exploration stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedPolicy {
-    /// Use the seed carried by the mechanism configuration itself (the paper-reproduction
-    /// default: every cell uses Table 3's fixed agent seed, exactly like the original serial
-    /// harness).
-    Config,
-    /// Use the job's derived per-cell seed. Cells then explore independently of each other
-    /// while still being a pure function of the cell identity, so results remain independent
-    /// of scheduling order and worker count.
-    Derived,
-}
-
-impl SeedPolicy {
-    /// The policy's one spelling, shared by the wire format and the store's variant hash.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SeedPolicy::Config => "config",
-            SeedPolicy::Derived => "derived",
-        }
-    }
 }
 
 /// The workload side of a cell: a generated workload, a multi-core mix, or an on-disk
@@ -110,8 +86,6 @@ pub struct Job {
     pub instructions: u64,
     /// Seed derived from the cell identity; see [`crate::seed`].
     pub seed: u64,
-    /// How the seed is applied; defaults to [`SeedPolicy::Config`].
-    pub seed_policy: SeedPolicy,
     /// Windowed-telemetry request, if any (see [`TelemetrySpec`]). Not part of the cell
     /// identity: observability must never change what a cell computes.
     pub telemetry: Option<TelemetrySpec>,
@@ -178,6 +152,32 @@ impl Job {
         )
     }
 
+    /// Creates a single-core job for `spec` that replays `<trace_dir>/<name>.trace`
+    /// ([`Job::from_file`]) when `trace_dir` holds that file, and generates the trace
+    /// in-process ([`Job::single`]) otherwise. Either way the cell has the same seed and
+    /// label. The harness experiments and the tuner build every single-core cell here.
+    pub fn single_or_replay(
+        experiment: &str,
+        spec: &WorkloadSpec,
+        trace_dir: Option<&Path>,
+        config: SystemConfig,
+        coordinator: CoordinatorKind,
+        instructions: u64,
+    ) -> Self {
+        let recorded = trace_dir.map(|dir| dir.join(format!("{}.trace", spec.name)));
+        match recorded.filter(|path| path.is_file()) {
+            Some(path) => Self::from_file(
+                experiment,
+                &spec.name,
+                path,
+                config,
+                coordinator,
+                instructions,
+            ),
+            None => Self::single(experiment, spec.clone(), config, coordinator, instructions),
+        }
+    }
+
     fn build(
         experiment: &str,
         cell: WorkloadRef,
@@ -192,17 +192,10 @@ impl Job {
             coordinator,
             instructions,
             seed: 0,
-            seed_policy: SeedPolicy::Config,
             telemetry: None,
         };
         job.seed = job.identity_hash();
         job
-    }
-
-    /// Returns a copy running under [`SeedPolicy::Derived`].
-    pub fn with_derived_seed(mut self) -> Self {
-        self.seed_policy = SeedPolicy::Derived;
-        self
     }
 
     /// Returns a copy of this job running an explicit Athena configuration
@@ -237,10 +230,9 @@ impl Job {
     /// the `Debug` rendering of an explicit [`CoordinatorKind::AthenaWith`]
     /// configuration, so every hyperparameter distinguishes DSE grid points), and the
     /// instruction budget. It deliberately excludes scheduling state (worker count,
-    /// submission order), [`Job::seed_policy`] and [`Job::telemetry`] — those change how
-    /// the result is *observed or seeded*, not which cell it is; the result store keys
-    /// records by `(identity_hash, variant)` where the variant covers the excluded
-    /// output-affecting facets.
+    /// submission order) and [`Job::telemetry`] — that changes how the result is
+    /// *observed*, not which cell it is; the result store keys records by
+    /// `(identity_hash, variant)` where the variant covers the telemetry request.
     ///
     /// # Stability contract
     ///
@@ -324,13 +316,9 @@ impl Job {
     /// Inside [`crate::Engine::run`] the panic is caught per cell: one bad trace file
     /// fails exactly one cell and the rest of the batch completes.
     pub fn run(&self) -> JobOutput {
-        let coordinator = || match self.seed_policy {
-            SeedPolicy::Config => self.coordinator.build(),
-            SeedPolicy::Derived => self.coordinator.build_seeded(self.seed),
-        };
         match &self.cell {
             WorkloadRef::Single(spec) => {
-                let mut sim = self.single_core_sim(coordinator());
+                let mut sim = self.single_core_sim(self.coordinator.build());
                 let result = sim.run(spec.trace(), self.instructions);
                 let timeline = self.timeline_of(&result);
                 JobOutput::Single(Box::new(RunResult::from_sim(&spec.name, result, timeline)))
@@ -357,7 +345,7 @@ impl Job {
                     budget: self.instructions,
                     path: &file.path,
                 };
-                let mut sim = self.single_core_sim(coordinator());
+                let mut sim = self.single_core_sim(self.coordinator.build());
                 let result = sim.run(guarded, self.instructions);
                 let timeline = self.timeline_of(&result);
                 JobOutput::Single(Box::new(RunResult::from_sim(&file.name, result, timeline)))
@@ -378,7 +366,7 @@ impl Job {
                         Box::new(spec.trace()),
                         prefetchers,
                         ocp,
-                        Some(coordinator()),
+                        Some(self.coordinator.build()),
                     );
                 }
                 JobOutput::Multi(mc.run(self.instructions))
@@ -471,7 +459,7 @@ impl RunResult {
 /// Runs one workload on one system configuration under one coordination policy.
 ///
 /// This is the serial single-cell entry point the engine's jobs are built on; it behaves
-/// exactly like a [`Job::single`] run under [`SeedPolicy::Config`].
+/// exactly like a [`Job::single`] run.
 pub fn simulate(
     spec: &WorkloadSpec,
     config: &SystemConfig,
@@ -729,18 +717,5 @@ mod tests {
         assert_eq!(totals.llc_misses, observed_run.stats.llc_misses);
         // Athena is a learning coordinator, so windows carry agent snapshots.
         assert!(timeline.windows.iter().all(|w| w.agent.is_some()));
-    }
-
-    #[test]
-    fn derived_seed_policy_is_reproducible_and_distinct_per_cell() {
-        let specs = all_workloads();
-        let job =
-            |s: &WorkloadSpec| Job::single("t", s.clone(), cd1(), CoordinatorKind::Athena, 15_000);
-        let a1 = job(&specs[0]).with_derived_seed().run();
-        let a2 = job(&specs[0]).with_derived_seed().run();
-        assert_eq!(a1, a2, "derived seeding is a pure function of the cell");
-        let b = job(&specs[1]).with_derived_seed();
-        let c = job(&specs[0]).with_derived_seed();
-        assert_ne!(b.seed, c.seed, "different cells explore independently");
     }
 }

@@ -157,26 +157,6 @@ impl CoordinatorKind {
         }
     }
 
-    /// Instantiates the coordinator with the given exploration seed in place of the
-    /// configuration's fixed one. Stateless kinds ignore the seed, so this only changes the
-    /// behaviour of the Athena variants (their ε-greedy exploration stream).
-    ///
-    /// Used by jobs running under [`crate::SeedPolicy::Derived`], where each cell's seed is
-    /// a pure function of the cell's identity (see [`crate::seed`]).
-    pub fn build_seeded(&self, seed: u64) -> Box<dyn Coordinator> {
-        match self {
-            CoordinatorKind::Athena => Box::new(AthenaAgent::new(AthenaConfig {
-                seed,
-                ..default_athena_config()
-            })),
-            CoordinatorKind::AthenaWith(cfg) => Box::new(AthenaAgent::new(AthenaConfig {
-                seed,
-                ..cfg.clone()
-            })),
-            other => other.build(),
-        }
-    }
-
     /// A display label that, unlike [`CoordinatorKind::name`], distinguishes explicit
     /// Athena configurations (DSE grid points, ablation steps) by their hyperparameters,
     /// so per-cell report records can be mapped back to the configuration that produced
@@ -224,7 +204,7 @@ impl CoordinatorKind {
 /// epochs), which gives a zero-ε agent enough workload-induced state variation to explore;
 /// our reproduction runs are roughly three orders of magnitude shorter, so a small explicit
 /// exploration rate is needed to visit all four actions. The deviation is recorded in
-/// DESIGN.md and EXPERIMENTS.md.
+/// DESIGN.md §1.
 pub fn default_athena_config() -> AthenaConfig {
     AthenaConfig {
         epsilon: 0.05,
@@ -364,7 +344,6 @@ mod tests {
             CoordinatorKind::Athena,
         ] {
             let _ = c.build();
-            let _ = c.build_seeded(42);
         }
     }
 

@@ -70,8 +70,8 @@ pub mod wire;
 pub use dist::{DistPool, RemoteCell, WorkerCommand};
 pub use exec::{CellResult, Engine};
 pub use job::{
-    simulate, simulate_multicore, FileWorkload, Job, JobOutput, RunResult, SeedPolicy,
-    TelemetrySpec, WorkloadRef,
+    simulate, simulate_multicore, FileWorkload, Job, JobOutput, RunResult, TelemetrySpec,
+    WorkloadRef,
 };
 pub use kinds::{default_athena_config, CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
 pub use memo::CellMemo;

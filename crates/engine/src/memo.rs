@@ -2,18 +2,15 @@
 //!
 //! Many experiments of the evaluation ask for the same cells — every coordination policy
 //! is measured against the same no-prefetching baseline and the same static combinations
-//! — and under [`SeedPolicy::Config`] such a cell computes the same output whichever
-//! experiment asked for it. A [`CellMemo`] lets one run (one `figures` invocation, one
-//! benchmark pass) hand an earlier experiment's output to a later request for the same
-//! cell instead of simulating it again.
+//! — and such a cell computes the same output whichever experiment asked for it. A
+//! [`CellMemo`] lets one run (one `figures` or `tune` invocation, one benchmark pass)
+//! hand an earlier experiment's output to a later request for the same cell instead of
+//! simulating it again.
 //!
 //! * **Key.** The store's canonical facets with the experiment name left out: the
 //!   identity facets after the experiment ([`Job::hash_cell_into`]), the workload
-//!   reference's kind and a trace file's path, plus [`variant_hash`]. Only
-//!   [`SeedPolicy::Config`] cells have a key: [`Job::run`] reads neither the experiment
-//!   nor the seed under that policy, so equal keys mean equal outputs. A
-//!   [`SeedPolicy::Derived`] cell seeds its agent from an identity that includes the
-//!   experiment and is never shared.
+//!   reference's kind and a trace file's path, plus [`variant_hash`]. [`Job::run`] reads
+//!   neither the experiment nor the seed, so equal keys mean equal outputs.
 //! * **Admission.** The first request for a key records the key alone. A later request
 //!   simulates again and its output is kept; every request after that reuses the kept
 //!   output. So a cell asked for once costs a map entry, not its output.
@@ -34,7 +31,7 @@ use athena_sim::{CoordinatorTelemetry, EpochStats, SimResult};
 use athena_telemetry::WindowSample;
 
 use crate::exec::Source;
-use crate::job::{Job, JobOutput, RunResult, SeedPolicy, WorkloadRef};
+use crate::job::{Job, JobOutput, RunResult, WorkloadRef};
 use crate::seed::SeedHasher;
 use crate::store::variant_hash;
 
@@ -52,12 +49,8 @@ pub(crate) struct MemoKey {
 }
 
 impl MemoKey {
-    /// The key of `job`, or `None` when its output may depend on its experiment
-    /// ([`SeedPolicy::Derived`]).
-    pub(crate) fn of(job: &Job) -> Option<Self> {
-        if job.seed_policy != SeedPolicy::Config {
-            return None;
-        }
+    /// The key of `job`.
+    pub(crate) fn of(job: &Job) -> Self {
         let mut h = SeedHasher::new();
         job.hash_cell_into(&mut h);
         // The identity names a trace file's workload, not its path, so a replayed cell
@@ -70,10 +63,10 @@ impl MemoKey {
                 h.write_bytes(file.path.as_os_str().as_encoded_bytes());
             }
         }
-        Some(Self {
+        Self {
             cell: h.finish(),
             variant: variant_hash(job),
-        })
+        }
     }
 }
 
@@ -128,12 +121,9 @@ impl CellMemo {
 
     /// Answers one request for `job`'s cell, which missed the store, and notes it: a kept
     /// output is reused; otherwise the cell is simulated, and from its second request on
-    /// its output is offered back through [`CellMemo::admit`]. A cell without a key is
-    /// always simulated and never offered back.
+    /// its output is offered back through [`CellMemo::admit`].
     pub(crate) fn lookup(&self, job: &Job) -> Source {
-        let Some(key) = MemoKey::of(job) else {
-            return Source::Simulate { offer: None };
-        };
+        let key = MemoKey::of(job);
         let mut state = self.lock();
         match state.entries.get(&key) {
             Some(Entry::Kept { experiment, output }) => Source::Reused {
@@ -294,9 +284,8 @@ mod tests {
 
     #[test]
     fn keys_ignore_the_experiment_and_nothing_else() {
-        let base = MemoKey::of(&job("fig7")).unwrap();
-        assert_eq!(MemoKey::of(&job("fig13")), Some(base));
-        assert_eq!(MemoKey::of(&job("fig7").with_derived_seed()), None);
+        let base = MemoKey::of(&job("fig7"));
+        assert_eq!(MemoKey::of(&job("fig13")), base);
         let differing = [
             job("fig7").with_telemetry(2048),
             job("fig7").with_athena_config(crate::kinds::default_athena_config()),
@@ -314,7 +303,7 @@ mod tests {
             ),
         ];
         for other in &differing {
-            assert_ne!(MemoKey::of(other), Some(base), "{}", other.label());
+            assert_ne!(MemoKey::of(other), base, "{}", other.label());
         }
         let file_b = Job {
             cell: WorkloadRef::File(crate::job::FileWorkload {
@@ -328,21 +317,6 @@ mod tests {
             MemoKey::of(&job("fig7").with_telemetry(2048)),
             MemoKey::of(&job("fig7").with_telemetry(4096))
         );
-    }
-
-    #[test]
-    fn derived_seed_cells_are_never_shared() {
-        let memo = CellMemo::new();
-        let jobs: Vec<Job> = ["a", "b", "c"]
-            .iter()
-            .map(|e| job(e).with_derived_seed())
-            .collect();
-        let cells = run_each(&memo, &jobs);
-        assert!(cells.iter().all(|c| !c.reused));
-        assert_eq!(kept(&memo).0, 0);
-        for (cell, job) in cells.iter().zip(&jobs) {
-            assert_eq!(cell.output.as_ref().unwrap(), &job.run());
-        }
     }
 
     #[test]

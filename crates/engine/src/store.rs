@@ -31,13 +31,16 @@ use crate::report::{job_output_from_json, job_output_json, RESULT_RECORD_SCHEMA}
 use crate::seed::SeedHasher;
 
 /// The output-variant hash of a job: the facets [`Job::identity_hash`] deliberately
-/// excludes but that still affect the produced [`JobOutput`] — the seed policy (it picks
-/// which seed the agent actually uses) and the telemetry request (it decides whether a
-/// timeline is attached and how wide its windows are). Cached results are keyed by
-/// `(identity, variant)` so a telemetry run never shadows a plain run of the same cell.
+/// excludes but that still affect the produced [`JobOutput`]: the telemetry request (it
+/// decides whether a timeline is attached and how wide its windows are). Cached results
+/// are keyed by `(identity, variant)` so a telemetry run never shadows a plain run of the
+/// same cell.
 pub fn variant_hash(job: &Job) -> u64 {
     let mut h = SeedHasher::new();
-    h.write_str(job.seed_policy.name());
+    // Every agent takes its seed from its configuration. The hash still starts with the
+    // name of that one seed policy, so store keys stay byte-identical to the stores
+    // written while a second, per-cell policy existed.
+    h.write_str("config");
     match job.telemetry {
         None => h.write_str("none"),
         Some(t) => {
@@ -228,12 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn variant_separates_seed_policy_and_telemetry_but_not_identity() {
+    fn variant_separates_telemetry_but_not_identity() {
         let base = one_job();
         assert_eq!(record_key(&base), record_key(&one_job()));
-        let derived = one_job().with_derived_seed();
-        assert_eq!(base.identity_hash(), derived.identity_hash());
-        assert_ne!(variant_hash(&base), variant_hash(&derived));
         let observed = one_job().with_telemetry(4096);
         assert_eq!(base.identity_hash(), observed.identity_hash());
         assert_ne!(variant_hash(&base), variant_hash(&observed));

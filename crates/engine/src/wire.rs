@@ -29,7 +29,7 @@ use athena_sim::{CacheConfig, CoreConfig, DramConfig, Replacement, SimConfig};
 use athena_workloads::{MixCategory, Pattern, Suite, WorkloadMix, WorkloadSpec};
 
 use crate::codec::{codec_enum, codec_names, codec_object, field, get, hex, Codec};
-use crate::job::{FileWorkload, Job, SeedPolicy, TelemetrySpec, WorkloadRef};
+use crate::job::{FileWorkload, Job, TelemetrySpec, WorkloadRef};
 use crate::json::Json;
 use crate::kinds::{CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
 
@@ -286,13 +286,6 @@ impl Codec for CoordinatorKind {
     }
 }
 
-codec_names!(
-    SeedPolicy,
-    "seed policy",
-    [SeedPolicy::Config, SeedPolicy::Derived],
-    SeedPolicy::name
-);
-
 codec_object!(TelemetrySpec {
     window_instructions
 });
@@ -304,7 +297,6 @@ codec_object!(Job {
     coordinator,
     instructions,
     seed with hex,
-    seed_policy,
     telemetry,
 });
 
@@ -509,8 +501,7 @@ mod tests {
                 cd_variants()[3].clone(),
                 CoordinatorKind::AthenaWith(exotic_config()),
                 15_000,
-            )
-            .with_derived_seed(),
+            ),
             Job::single(
                 "timeline",
                 specs[3].clone(),

@@ -1,11 +1,21 @@
 //! The help text of the harness binaries, the generator for `docs/CLI.md`, the shared
-//! failure helpers every binary exits through, and the report-file writer.
+//! failure helpers every binary exits through, the report-file writer, and the run
+//! setup `figures` and `tune` share: one parser for their run flags ([`RunFlags`]) that
+//! yields the [`RunOptions`] both build their engine from.
 //!
 //! All CLIs print these constants for `--help`; the `cli_reference` example renders them
 //! into `docs/CLI.md`, and CI regenerates that file and fails on any drift — so the
 //! committed CLI reference can never disagree with what the binaries actually say. To
 //! change a flag's documentation, edit the constant here and re-run
 //! `cargo run --release -p athena-harness --example cli_reference > docs/CLI.md`.
+
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+
+use athena_engine::{available_parallelism, CellRecord};
+
+use crate::{DistPool, ProbeSink, RunOptions, StoreHandle, StorePolicy, WorkerCommand};
 
 /// Prints `error: <message>` to stderr and exits with code 2 — the usage-error path
 /// (unknown flag, missing value, contradictory options) shared by all four binaries.
@@ -48,6 +58,162 @@ pub fn write_file(
         });
     }
     println!("wrote {}", path.display());
+}
+
+/// Serves shards from a coordinator when this process was started as `<binary> --worker`
+/// (how `--workers N` spawns its worker processes) until the coordinator closes the
+/// pipe, and returns whether it did. A binary that gets `true` has nothing else to do.
+pub fn serve_if_worker() -> bool {
+    let worker =
+        std::env::args().nth(1).as_deref() == Some("--worker") && std::env::args().count() == 2;
+    if worker {
+        athena_engine::dist::serve();
+    }
+    worker
+}
+
+/// The value following `flag`, or a usage error naming the flag.
+pub fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    args.next().ok_or(format!("{flag} needs a value"))
+}
+
+/// The value following `flag`, parsed as a `T`.
+pub fn parsed<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value(flag, args)?
+        .parse()
+        .map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// The value following `flag`, parsed as a count that must be at least 1.
+pub fn count<T>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String>
+where
+    T: FromStr + PartialEq + From<u8>,
+    T::Err: Display,
+{
+    let n: T = parsed(flag, args)?;
+    if n == T::from(0) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// The run flags `figures` and `tune` share, as given on the command line:
+/// `--quick`, `--instructions`, `--workloads`, `--jobs`, `--trace-dir`, `--store`,
+/// `--store-policy`, `--events`, `--progress` and `--workers`. Each binary offers every
+/// argument to [`RunFlags::accept`] before its own flags, then turns the flags into
+/// [`RunOptions`] with [`RunFlags::into_options`].
+#[derive(Debug, Default)]
+pub struct RunFlags {
+    /// `--quick`: start from [`RunOptions::quick`] instead of [`RunOptions::full`]. The
+    /// binaries read it for their own presets too (`tune` picks its quick design space).
+    pub quick: bool,
+    instructions: Option<u64>,
+    workload_limit: Option<usize>,
+    jobs: Option<usize>,
+    trace_dir: Option<PathBuf>,
+    store_dir: Option<PathBuf>,
+    store_policy: Option<String>,
+    events: Option<PathBuf>,
+    progress: bool,
+    workers: Option<usize>,
+}
+
+impl RunFlags {
+    /// Takes `arg`, and its value from `args`, when it is a shared run flag: `Ok(true)`
+    /// when it was one, `Ok(false)` for any other argument, and a usage error for a
+    /// missing or malformed value, a zero count or a `--worker` among other arguments.
+    pub fn accept(
+        &mut self,
+        arg: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--quick" => self.quick = true,
+            "--instructions" => self.instructions = Some(count(arg, args)?),
+            "--workloads" => self.workload_limit = Some(count(arg, args)?),
+            "--jobs" => self.jobs = Some(count(arg, args)?),
+            "--trace-dir" => self.trace_dir = Some(value(arg, args)?.into()),
+            "--store" => self.store_dir = Some(value(arg, args)?.into()),
+            "--store-policy" => self.store_policy = Some(value(arg, args)?),
+            "--events" => self.events = Some(value(arg, args)?.into()),
+            "--progress" => self.progress = true,
+            "--workers" => self.workers = Some(count(arg, args)?),
+            "--worker" => {
+                return Err(
+                    "--worker must be the sole argument (it is how a coordinator invokes \
+                     its worker processes, not a run option)"
+                        .to_string(),
+                )
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The options these flags ask for. Usage errors (a `--store-policy` without a
+    /// `--store`, an unknown policy name) come back as `Err`; the environment failures
+    /// met while attaching what the flags name (an unopenable or corrupt store, an
+    /// unwritable event log, a binary that cannot find itself to spawn workers) exit
+    /// through [`fail_env`]. `--jobs` defaults to every hardware thread.
+    pub fn into_options(self) -> Result<RunOptions, String> {
+        if self.store_policy.is_some() && self.store_dir.is_none() {
+            return Err("--store-policy only applies with --store <DIR>".to_string());
+        }
+        let policy = match &self.store_policy {
+            Some(name) => StorePolicy::from_name(name)
+                .ok_or_else(|| format!("unknown --store-policy '{name}' (rw, ro, refresh, off)"))?,
+            None => StorePolicy::ReadWrite,
+        };
+        let mut opts = if self.quick {
+            RunOptions::quick()
+        } else {
+            RunOptions::full()
+        };
+        if let Some(i) = self.instructions {
+            opts.instructions = i;
+        }
+        if let Some(w) = self.workload_limit {
+            opts.workload_limit = Some(w);
+        }
+        opts.jobs = self.jobs.unwrap_or_else(available_parallelism);
+        opts.trace_dir = self.trace_dir;
+        // `off` skips the store entirely.
+        if let Some(dir) = self.store_dir.filter(|_| policy != StorePolicy::Off) {
+            opts.store = Some(open_store(&dir, policy));
+        }
+        if let Some(path) = self.events {
+            opts.probe = Some(
+                ProbeSink::create(&path)
+                    .unwrap_or_else(|e| fail_env(format!("event log {}: {e}", path.display()))),
+            );
+        }
+        opts.progress = self.progress;
+        if let Some(n) = self.workers {
+            let command = WorkerCommand::self_worker().unwrap_or_else(|e| fail_env(e));
+            opts.dist = Some(DistPool::new(command, n));
+        }
+        Ok(opts)
+    }
+}
+
+/// Opens the result store in `dir` or exits through [`fail_env`]: a store that cannot
+/// be trusted (corrupt files, a live second writer) must be looked at, never silently
+/// recomputed over or worked around.
+pub fn open_store(dir: &Path, policy: StorePolicy) -> StoreHandle {
+    StoreHandle::open(dir, policy)
+        .unwrap_or_else(|e| fail_env(format!("result store {}: {e}", dir.display())))
+}
+
+/// Splits cells by where their output came from: `(simulated, cached, reused)` —
+/// simulated now, served by the store, or reused from an earlier experiment of the run.
+/// The binaries print it as their `[store] N simulated, M cached, R reused` line.
+pub fn cache_split(cells: &[CellRecord]) -> (usize, usize, usize) {
+    let cached = cells.iter().filter(|c| c.cached).count();
+    let reused = cells.iter().filter(|c| c.reused).count();
+    (cells.len() - cached - reused, cached, reused)
 }
 
 /// `figures --help`.

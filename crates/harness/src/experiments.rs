@@ -8,8 +8,8 @@
 //! Reproduction is *trend-level*: the absolute speedups differ from the paper because the
 //! core model and workloads are synthetic substitutes (see DESIGN.md), but the orderings the
 //! paper's claims rest on — who wins per category, how the gap changes with bandwidth, what
-//! each ablation step contributes — are expected to hold. EXPERIMENTS.md records
-//! paper-vs-measured values for every row.
+//! each ablation step contributes — are expected to hold. DESIGN.md §1 says what that
+//! trend-level reproduction means and lists the known deviations.
 
 use std::collections::HashMap;
 
@@ -82,11 +82,9 @@ pub fn tuning_set(opts: &RunOptions) -> Vec<WorkloadSpec> {
     specs
 }
 
-/// One engine job for one single-core cell, honouring [`RunOptions::trace_dir`]: when the
-/// options name a trace directory containing `<workload-name>.trace`, the cell replays
-/// that recorded file (same workload name, so same derived seed and label as the
-/// generated cell); otherwise the cell generates its trace in-process as before.
-/// (Shared with the `timeline` study, which builds the same cells plus telemetry.)
+/// One engine job for one single-core cell, honouring [`RunOptions::trace_dir`] (see
+/// [`Job::single_or_replay`]). Shared with the `timeline` study, which builds the same
+/// cells plus telemetry.
 pub(crate) fn cell_job(
     experiment: &str,
     spec: &WorkloadSpec,
@@ -94,22 +92,10 @@ pub(crate) fn cell_job(
     kind: &CoordinatorKind,
     opts: &RunOptions,
 ) -> Job {
-    if let Some(dir) = &opts.trace_dir {
-        let path = dir.join(format!("{}.trace", spec.name));
-        if path.is_file() {
-            return Job::from_file(
-                experiment,
-                &spec.name,
-                path,
-                config.clone(),
-                kind.clone(),
-                opts.instructions,
-            );
-        }
-    }
-    Job::single(
+    Job::single_or_replay(
         experiment,
-        spec.clone(),
+        spec,
+        opts.trace_dir.as_deref(),
         config.clone(),
         kind.clone(),
         opts.instructions,
@@ -134,7 +120,7 @@ fn single_jobs(
 /// returns the results in submission order. Every cell is a pure function of its job, so
 /// the returned results are bit-identical at any worker count.
 fn run_batch(jobs: Vec<Job>, opts: &RunOptions) -> Vec<RunResult> {
-    crate::run::engine_for(opts)
+    opts.engine()
         .run(jobs)
         .into_iter()
         .map(CellResult::into_single)
@@ -364,11 +350,7 @@ pub fn fig1(opts: &RunOptions) -> ExperimentTable {
 /// oracle, by workload category.
 pub fn fig2(opts: &RunOptions) -> ExperimentTable {
     let config = cd1();
-    let mut policies = static_combo_policies();
-    policies.retain(|(n, _)| *n != "baseline-combo");
-    let mut all = static_combo_policies();
-    all.extend_from_slice(&[]);
-    let sweep = Sweep::run("fig2", &config, &all, opts);
+    let sweep = Sweep::run("fig2", &config, &static_combo_policies(), opts);
     let mut table = ExperimentTable::new(
         "Figure 2: naive combination vs StaticBest",
         "combination",
@@ -806,7 +788,8 @@ fn multicore_fig(
     for (_, kind) in &policies {
         jobs.extend(multicore_jobs(kind));
     }
-    let mut results = crate::run::engine_for(opts)
+    let mut results = opts
+        .engine()
         .run(jobs)
         .into_iter()
         .map(CellResult::into_multi);

@@ -7,10 +7,11 @@
 //! experiment takes: run length, workload sampling, engine parallelism and trace
 //! substitution.
 //!
-//! Each field maps onto a `figures` CLI flag (`--instructions`, `--workloads`, `--jobs`,
-//! `--trace-dir`); the CLI additionally offers output-mode flags that never reach the
-//! experiments themselves — `--out DIR` (CSV files) and `--json` (per-figure JSON reports
-//! with per-cell records).
+//! Most fields map onto a run flag that `figures` and `tune` share (`--instructions`,
+//! `--workloads`, `--jobs`, `--trace-dir`, `--store`, `--workers`, `--events`,
+//! `--progress`), parsed once by [`crate::cli::RunFlags`]; the CLIs additionally offer
+//! output-mode flags that never reach the experiments themselves — `--out DIR` (CSV
+//! files) and `--json` (per-figure JSON reports with per-cell records).
 
 use std::path::PathBuf;
 
@@ -163,19 +164,20 @@ impl RunOptions {
         self.progress = progress;
         self
     }
-}
 
-/// Builds the experiment engine an options set asks for: `opts.jobs` workers and the
-/// options' cell memo, with the result store, distributed pool and event sink attached
-/// when configured. Every experiment batch goes through here, so the memo and the
-/// `--store` / `--workers` / `--events` / `--progress` flags reach all of them.
-pub(crate) fn engine_for(opts: &RunOptions) -> Engine {
-    Engine::new(opts.jobs)
-        .with_store(opts.store.clone())
-        .with_memo(Some(opts.memo.clone()))
-        .with_dist(opts.dist.clone())
-        .with_probe(opts.probe.clone())
-        .with_progress(opts.progress)
+    /// Builds the experiment engine these options ask for: `jobs` workers and the
+    /// options' cell memo, with the result store, distributed pool and event sink
+    /// attached when configured. Every experiment batch and every `tune` evaluation goes
+    /// through here, so the memo and the `--store` / `--workers` / `--events` /
+    /// `--progress` flags reach all of them.
+    pub fn engine(&self) -> Engine {
+        Engine::new(self.jobs)
+            .with_store(self.store.clone())
+            .with_memo(Some(self.memo.clone()))
+            .with_dist(self.dist.clone())
+            .with_probe(self.probe.clone())
+            .with_progress(self.progress)
+    }
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ pub fn timeline_study(opts: &RunOptions, window_instructions: u64) -> TimelineSt
             );
         }
     }
-    let mut results = crate::run::engine_for(opts).run(jobs).into_iter();
+    let mut results = opts.engine().run(jobs).into_iter();
 
     let mut cells = Vec::new();
     let mut curves = ExperimentTable::new(

@@ -14,8 +14,9 @@
 //!   [successive halving](TuneStrategy::Halving), which screens many candidates on short
 //!   instruction budgets and promotes the best fraction to longer ones
 //!   ([`halving_schedule`]);
-//! * every evaluation runs as an [`athena_engine::Job`] batch, inheriting the engine's
-//!   worker pool, panic isolation, identity-derived seeding and `--trace-dir` replay;
+//! * every evaluation runs as an [`athena_engine::Job`] batch on the caller's engine
+//!   ([`TuneOptions::engine`]), inheriting its worker pool, panic isolation, result store
+//!   and distributed workers, plus `--trace-dir` replay;
 //! * candidates are scored by a configurable [`Objective`] (IPC speedup over
 //!   prefetchers-only, accuracy/coverage-weighted variants, a bandwidth-aware variant
 //!   that reads the per-run DRAM statistics);
@@ -25,6 +26,7 @@
 //!   file-loaded `tuned` policy that reproduces the claimed speedup exactly.
 //!
 //! ```
+//! use athena_engine::Engine;
 //! use athena_tune::{tune, DesignSpace, TuneOptions, TuneStrategy};
 //! use athena_workloads::tuning_workloads;
 //!
@@ -33,7 +35,7 @@
 //!     &DesignSpace::quick(),
 //!     &TuneStrategy::Halving { samples: 6, eta: 2, rungs: 2 },
 //!     &workloads,
-//!     &TuneOptions::new(8_192).with_jobs(2),
+//!     &TuneOptions::new(8_192).with_engine(Engine::new(2)),
 //! );
 //! assert_eq!(board.entries.len(), 6);
 //! assert!(board.best().objective > 0.0);

@@ -2,9 +2,9 @@
 //!
 //! [`tune`] evaluates candidates drawn from a [`DesignSpace`] on the experiment engine:
 //! every (candidate × workload) pair — plus one shared prefetchers-only baseline run per
-//! workload and budget — becomes an [`athena_engine::Job`], so the search inherits the
-//! engine's worker pool, per-cell panic isolation, identity-derived seeding and
-//! trace-directory replay wholesale. Two strategies are provided:
+//! workload and budget — becomes an [`athena_engine::Job`] run on [`TuneOptions::engine`],
+//! so the search inherits the engine's worker pool, per-cell panic isolation, result
+//! store and trace-directory replay wholesale. Two strategies are provided:
 //!
 //! * **seeded random search** — draw N candidates from the space with a seeded RNG and
 //!   evaluate all of them at the full instruction budget;
@@ -19,8 +19,7 @@
 use std::path::PathBuf;
 
 use athena_engine::{
-    CellResult, CoordinatorKind, DistPool, Engine, Job, OcpKind, PrefetcherKind, ProbeSink,
-    RunResult, StoreHandle, SystemConfig,
+    CellResult, CoordinatorKind, Engine, Job, OcpKind, PrefetcherKind, RunResult, SystemConfig,
 };
 use athena_workloads::WorkloadSpec;
 use rand::rngs::StdRng;
@@ -46,9 +45,13 @@ pub struct TuneOptions {
     /// Final-rung instruction budget per workload — the budget the leaderboard's scores
     /// are measured at.
     pub instructions: u64,
-    /// Engine worker count (`1` is the exact serial path; leaderboards are byte-identical
-    /// at any value).
-    pub jobs: usize,
+    /// The engine every evaluation batch runs on, with its worker count and whatever it
+    /// has attached: a result store, a cell memo, a distributed worker pool, an event sink
+    /// or the progress line (see [`Engine`]). Leaderboards are byte-identical on any of
+    /// them. Rung budgets are part of each cell's identity, so a search re-entered over a
+    /// widened space (or after a kill) on a store re-simulates only the
+    /// (candidate × workload × budget) cells the store has not seen.
+    pub engine: Engine,
     /// Optional directory of recorded traces; single-core cells whose workload has a
     /// `<name>.trace` file there replay it, exactly like `figures --trace-dir`.
     pub trace_dir: Option<PathBuf>,
@@ -59,44 +62,25 @@ pub struct TuneOptions {
     /// The system configuration candidates are evaluated on (default: CD1 with Pythia and
     /// POPET, the paper's tuning setup).
     pub config: SystemConfig,
-    /// Optional persistent result store. Rung budgets are part of each cell's identity,
-    /// so a search re-entered over a widened space (or after a kill) re-simulates only
-    /// the (candidate × workload × budget) cells the store has not seen.
-    pub store: Option<StoreHandle>,
-    /// Optional distributed worker pool: evaluation batches run their cells on the pool's
-    /// long-lived worker processes ([`athena_engine::dist`]) instead of in-process
-    /// threads. Merge order is unchanged, so leaderboards stay byte-identical at any
-    /// worker count.
-    pub dist: Option<DistPool>,
-    /// Optional structured event sink: evaluation batches emit their lifecycle events
-    /// through it as JSONL. Observation is not identity — attaching a sink cannot change
-    /// a leaderboard byte.
-    pub probe: Option<ProbeSink>,
-    /// Live `cells done / cached / ETA` progress line on stderr while evaluation batches
-    /// simulate. Off by default.
-    pub progress: bool,
 }
 
 impl TuneOptions {
-    /// Options with the given final budget and every other field at its default.
+    /// Options with the given final budget, a serial engine with nothing attached, and
+    /// every other field at its default.
     pub fn new(instructions: u64) -> Self {
         Self {
             instructions,
-            jobs: 1,
+            engine: Engine::new(1),
             trace_dir: None,
             objective: Objective::Speedup,
             seed: DEFAULT_TUNE_SEED,
             config: SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet),
-            store: None,
-            dist: None,
-            probe: None,
-            progress: false,
         }
     }
 
-    /// Returns a copy with a different engine worker count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    /// Returns a copy running its evaluation batches on `engine`.
+    pub fn with_engine(mut self, engine: Engine) -> Self {
+        self.engine = engine;
         self
     }
 
@@ -109,40 +93,6 @@ impl TuneOptions {
     /// Returns a copy scoring with a different objective.
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Returns a copy sampling candidates with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Returns a copy whose evaluation batches use the given result store (see
-    /// [`TuneOptions::store`]).
-    pub fn with_store(mut self, store: StoreHandle) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Returns a copy whose evaluation batches run on the given distributed worker pool
-    /// (see [`TuneOptions::dist`]).
-    pub fn with_dist(mut self, dist: DistPool) -> Self {
-        self.dist = Some(dist);
-        self
-    }
-
-    /// Returns a copy whose evaluation batches emit lifecycle events through the given
-    /// sink (see [`TuneOptions::probe`]).
-    pub fn with_probe(mut self, probe: ProbeSink) -> Self {
-        self.probe = Some(probe);
-        self
-    }
-
-    /// Returns a copy with the stderr progress line enabled (see
-    /// [`TuneOptions::progress`]).
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
         self
     }
 }
@@ -240,32 +190,6 @@ fn initial_candidates(
     (0..samples).map(|_| space.sample(&mut rng)).collect()
 }
 
-/// Builds the baseline (prefetchers-only) job for one workload at one budget, honouring
-/// the options' trace directory exactly like the harness experiments do. Candidate jobs
-/// are this job with the coordinator overridden ([`Job::with_athena_config`]).
-fn workload_job(spec: &WorkloadSpec, budget: u64, opts: &TuneOptions) -> Job {
-    if let Some(dir) = &opts.trace_dir {
-        let path = dir.join(format!("{}.trace", spec.name));
-        if path.is_file() {
-            return Job::from_file(
-                TUNE_EXPERIMENT,
-                &spec.name,
-                path,
-                opts.config.clone(),
-                CoordinatorKind::PrefetchersOnly,
-                budget,
-            );
-        }
-    }
-    Job::single(
-        TUNE_EXPERIMENT,
-        spec.clone(),
-        opts.config.clone(),
-        CoordinatorKind::PrefetchersOnly,
-        budget,
-    )
-}
-
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
@@ -278,8 +202,8 @@ fn ratio(num: u64, den: u64) -> f64 {
 ///
 /// Ranking is total and deterministic: candidates that reached a later rung come first;
 /// within a rung, higher objective wins; exact ties fall back to the (stable) candidate
-/// id. Wall-clock never enters the leaderboard, so its bytes are identical at any
-/// `jobs` count.
+/// id. Wall-clock never enters the leaderboard, so its bytes are identical on any
+/// [`TuneOptions::engine`].
 ///
 /// # Panics
 ///
@@ -329,11 +253,18 @@ pub fn tune(
         })
         .collect();
 
-    let engine = Engine::new(opts.jobs)
-        .with_store(opts.store.clone())
-        .with_dist(opts.dist.clone())
-        .with_probe(opts.probe.clone())
-        .with_progress(opts.progress);
+    // The prefetchers-only baseline cell of one workload at one budget; a candidate's
+    // cell is this cell with the coordinator overridden ([`Job::with_athena_config`]).
+    let baseline = |spec: &WorkloadSpec, budget: u64| {
+        Job::single_or_replay(
+            TUNE_EXPERIMENT,
+            spec,
+            opts.trace_dir.as_deref(),
+            opts.config.clone(),
+            CoordinatorKind::PrefetchersOnly,
+            budget,
+        )
+    };
     let mut survivors: Vec<usize> = (0..entries.len()).collect();
     let mut evaluations = 0usize;
 
@@ -344,14 +275,18 @@ pub fn tune(
         // candidate's cells, all in workload order.
         let mut jobs: Vec<Job> = workloads
             .iter()
-            .map(|spec| workload_job(spec, rung.budget, opts))
+            .map(|spec| baseline(spec, rung.budget))
             .collect();
         for &id in &survivors {
             jobs.extend(workloads.iter().map(|spec| {
-                workload_job(spec, rung.budget, opts).with_athena_config(entries[id].config.clone())
+                baseline(spec, rung.budget).with_athena_config(entries[id].config.clone())
             }));
         }
-        let mut results = engine.run(jobs).into_iter().map(CellResult::into_single);
+        let mut results = opts
+            .engine
+            .run(jobs)
+            .into_iter()
+            .map(CellResult::into_single);
         let baselines: Vec<RunResult> = results.by_ref().take(workloads.len()).collect();
 
         for &id in &survivors {
@@ -415,7 +350,7 @@ mod tests {
     use athena_workloads::tuning_workloads;
 
     fn tiny_opts() -> TuneOptions {
-        TuneOptions::new(8_192).with_jobs(2)
+        TuneOptions::new(8_192).with_engine(Engine::new(2))
     }
 
     #[test]
@@ -524,8 +459,18 @@ mod tests {
             eta: 2,
             rungs: 2,
         };
-        let serial = tune(&space, &strategy, &workloads, &tiny_opts().with_jobs(1));
-        let parallel = tune(&space, &strategy, &workloads, &tiny_opts().with_jobs(4));
+        let serial = tune(
+            &space,
+            &strategy,
+            &workloads,
+            &tiny_opts().with_engine(Engine::new(1)),
+        );
+        let parallel = tune(
+            &space,
+            &strategy,
+            &workloads,
+            &tiny_opts().with_engine(Engine::new(4)),
+        );
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_csv(), parallel.to_csv());
     }

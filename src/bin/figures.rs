@@ -33,14 +33,13 @@ use athena_engine::json::Json;
 use athena_engine::report::{
     figure_report, metrics_snapshot_json, timeline_report, SIM_BENCH_SCHEMA,
 };
-use athena_engine::{
-    available_parallelism, set_profiling, take_cell, with_recording, CellRecord, PhaseProfile,
-    ProbeSink,
+use athena_engine::{set_profiling, take_cell, with_recording, CellRecord, PhaseProfile};
+use athena_harness::cli::{
+    cache_split, fail, parsed, serve_if_worker, value, write_file, RunFlags, FIGURES_HELP as HELP,
 };
-use athena_harness::cli::{fail, fail_env, write_file, FIGURES_HELP as HELP};
 use athena_harness::experiments::{experiment_names, run_experiment};
 use athena_harness::timeline::timeline_study;
-use athena_harness::{DistPool, RunOptions, StoreHandle, StorePolicy, WorkerCommand};
+use athena_harness::RunOptions;
 use athena_telemetry::DEFAULT_WINDOW_INSTRUCTIONS;
 
 struct Args {
@@ -56,126 +55,37 @@ struct Args {
     window: u64,
 }
 
-/// Splits cells by where their output came from: `(simulated, cached, reused)` —
-/// simulated now, served by the store, or reused from an earlier experiment of the run.
-fn cache_split(cells: &[athena_engine::CellRecord]) -> (usize, usize, usize) {
-    let cached = cells.iter().filter(|c| c.cached).count();
-    let reused = cells.iter().filter(|c| c.reused).count();
-    (cells.len() - cached - reused, cached, reused)
-}
-
 fn parse_args() -> Result<Args, String> {
+    let mut run = RunFlags::default();
     let mut figs = Vec::new();
     let mut all = false;
-    let mut quick = false;
-    let mut instructions: Option<u64> = None;
-    let mut workload_limit: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
-    let mut trace_dir: Option<PathBuf> = None;
     let mut tuned_config: Option<PathBuf> = None;
     let mut out_dir = None;
     let mut json = false;
     let mut timeline = false;
     let mut window: Option<u64> = None;
-    let mut store_dir: Option<PathBuf> = None;
-    let mut store_policy: Option<String> = None;
-    let mut events: Option<PathBuf> = None;
-    let mut progress = false;
     let mut profile = false;
-    let mut workers: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if run.accept(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--fig" => figs.push(args.next().ok_or("--fig needs a value")?),
+            "--fig" => figs.push(value(&arg, &mut args)?),
             "--all" => all = true,
-            "--quick" => quick = true,
             "--json" => json = true,
             "--timeline" => timeline = true,
             "--window" => {
-                let n: u64 = args
-                    .next()
-                    .ok_or("--window needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --window: {e}"))?;
+                let n: u64 = parsed(&arg, &mut args)?;
                 if n == 0 {
                     return Err("--window must be at least 1 instruction".to_string());
                 }
                 window = Some(n);
             }
-            "--instructions" => {
-                let n: u64 = args
-                    .next()
-                    .ok_or("--instructions needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --instructions: {e}"))?;
-                if n == 0 {
-                    return Err("--instructions must be at least 1".to_string());
-                }
-                instructions = Some(n);
-            }
-            "--workloads" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--workloads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --workloads: {e}"))?;
-                if n == 0 {
-                    return Err("--workloads must be at least 1".to_string());
-                }
-                workload_limit = Some(n);
-            }
-            "--jobs" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                jobs = Some(n);
-            }
-            "--trace-dir" => {
-                trace_dir = Some(PathBuf::from(
-                    args.next().ok_or("--trace-dir needs a value")?,
-                ))
-            }
-            "--tuned-config" => {
-                tuned_config = Some(PathBuf::from(
-                    args.next().ok_or("--tuned-config needs a value")?,
-                ))
-            }
-            "--store" => {
-                store_dir = Some(PathBuf::from(args.next().ok_or("--store needs a value")?))
-            }
-            "--store-policy" => {
-                store_policy = Some(args.next().ok_or("--store-policy needs a value")?)
-            }
-            "--events" => {
-                events = Some(PathBuf::from(args.next().ok_or("--events needs a value")?))
-            }
-            "--progress" => progress = true,
+            "--tuned-config" => tuned_config = Some(value(&arg, &mut args)?.into()),
             "--profile" => profile = true,
-            "--workers" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-                workers = Some(n);
-            }
-            "--worker" => {
-                return Err(
-                    "--worker must be the sole argument (it is how a coordinator invokes \
-                     its worker processes, not a run option)"
-                        .to_string(),
-                )
-            }
-            "--out" => out_dir = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
+            "--out" => out_dir = Some(PathBuf::from(value(&arg, &mut args)?)),
             "--list" => {
                 for n in experiment_names() {
                     println!("{n}");
@@ -192,9 +102,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument: {other}")),
         }
-    }
-    if store_policy.is_some() && store_dir.is_none() {
-        return Err("--store-policy only applies with --store <DIR>".to_string());
     }
     if timeline && (all || !figs.is_empty() || json) {
         return Err(
@@ -228,44 +135,8 @@ fn parse_args() -> Result<Args, String> {
         // Fail fast on a bad file, before any simulation time is spent.
         athena_tune::load_config(path)?;
     }
-    let mut opts = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::full()
-    };
-    if let Some(i) = instructions {
-        opts.instructions = i;
-    }
-    if let Some(w) = workload_limit {
-        opts.workload_limit = Some(w);
-    }
-    opts.trace_dir = trace_dir;
+    let mut opts = run.into_options()?;
     opts.tuned_config = tuned_config;
-    opts.jobs = jobs.unwrap_or_else(available_parallelism);
-    let policy = match &store_policy {
-        Some(name) => StorePolicy::from_name(name)
-            .ok_or_else(|| format!("unknown --store-policy '{name}' (rw, ro, refresh, off)"))?,
-        None => StorePolicy::ReadWrite,
-    };
-    // `off` skips the store entirely; an unopenable or corrupt store exits 1 inside
-    // `open_store` (environment failure), not through the usage-error path (exit 2).
-    if let Some(dir) = store_dir.filter(|_| policy != StorePolicy::Off) {
-        opts.store = Some(open_store(&dir, policy));
-    }
-    // An unwritable event log is an environment failure, surfaced before simulation.
-    if let Some(path) = events {
-        opts.probe = Some(
-            ProbeSink::create(&path)
-                .unwrap_or_else(|e| fail_env(format!("event log {}: {e}", path.display()))),
-        );
-    }
-    opts.progress = progress;
-    if let Some(n) = workers {
-        // A coordinator that cannot locate its own binary cannot spawn workers — an
-        // environment failure, not a usage error.
-        let command = WorkerCommand::self_worker().unwrap_or_else(|e| fail_env(e));
-        opts.dist = Some(DistPool::new(command, n));
-    }
     Ok(Args {
         figs,
         opts,
@@ -275,15 +146,6 @@ fn parse_args() -> Result<Args, String> {
         profile,
         window: window.unwrap_or(DEFAULT_WINDOW_INSTRUCTIONS),
     })
-}
-
-/// Opens the result store or dies loudly: a store that cannot be trusted (corrupt files,
-/// a live second writer) must never be silently recomputed over.
-fn open_store(dir: &std::path::Path, policy: StorePolicy) -> StoreHandle {
-    match StoreHandle::open(dir, policy) {
-        Ok(handle) => handle,
-        Err(e) => fail_env(format!("result store {}: {e}", dir.display())),
-    }
 }
 
 /// `--timeline`: the windowed-telemetry study. Prints the learning-curve table and writes
@@ -466,11 +328,9 @@ fn write_profile_report(args: &Args, mut cells: Vec<ProfiledCell>) {
 }
 
 fn main() {
-    // Worker mode: serve shards from a coordinator (`figures --workers N` spawns this
-    // same binary with `--worker`) over stdin/stdout until the coordinator closes the
-    // pipe. Nothing else — no flags, no tables.
-    if std::env::args().nth(1).as_deref() == Some("--worker") && std::env::args().count() == 2 {
-        athena_engine::dist::serve();
+    // Worker mode (`figures --workers N` spawns this same binary with `--worker`):
+    // nothing else — no flags, no tables.
+    if serve_if_worker() {
         return;
     }
     let args = match parse_args() {

@@ -27,8 +27,8 @@ use std::path::PathBuf;
 
 use athena_engine::json::Json;
 use athena_engine::report::METRICS_SCHEMA;
-use athena_engine::{RecordKey, StoreHandle, StorePolicy, EVENTS_SCHEMA_ID};
-use athena_harness::cli::{fail, fail_env, RESULTS_HELP as HELP};
+use athena_engine::{RecordKey, StorePolicy, EVENTS_SCHEMA_ID};
+use athena_harness::cli::{fail, fail_env, open_store, RESULTS_HELP as HELP};
 
 #[derive(PartialEq)]
 enum Command {
@@ -171,15 +171,6 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Opens a store or dies loudly (exit 1): a store this tool cannot read must be looked
-/// at, not worked around.
-fn open(dir: &std::path::Path, policy: StorePolicy) -> StoreHandle {
-    match StoreHandle::open(dir, policy) {
-        Ok(handle) => handle,
-        Err(e) => fail_env(format!("result store {}: {e}", dir.display())),
-    }
-}
-
 /// The self-describing half of a record payload (everything but the output itself).
 struct Envelope {
     experiment: String,
@@ -230,7 +221,7 @@ fn envelope(key: RecordKey, payload: &[u8]) -> Result<Envelope, String> {
 }
 
 fn run_stats(args: &Args) {
-    let handle = open(&args.store, StorePolicy::ReadOnly);
+    let handle = open_store(&args.store, StorePolicy::ReadOnly);
     let stats = handle.lock().stats();
     if args.json {
         let doc = Json::obj(vec![
@@ -254,7 +245,7 @@ fn run_stats(args: &Args) {
 }
 
 fn run_query(args: &Args) {
-    let handle = open(&args.store, StorePolicy::ReadOnly);
+    let handle = open_store(&args.store, StorePolicy::ReadOnly);
     let mut store = handle.lock();
     let mut rows = Vec::new();
     for key in store.keys() {
@@ -319,8 +310,8 @@ fn run_query(args: &Args) {
 
 fn run_diff(args: &Args) {
     let b_dir = args.against.as_ref().expect("diff always has --against");
-    let a_handle = open(&args.store, StorePolicy::ReadOnly);
-    let b_handle = open(b_dir, StorePolicy::ReadOnly);
+    let a_handle = open_store(&args.store, StorePolicy::ReadOnly);
+    let b_handle = open_store(b_dir, StorePolicy::ReadOnly);
     let mut a = a_handle.lock();
     let mut b = b_handle.lock();
     let fetch = |store: &mut athena_engine::ResultStore, dir: &std::path::Path, key: RecordKey| {
@@ -411,7 +402,7 @@ fn run_diff(args: &Args) {
 }
 
 fn run_gc(args: &Args) {
-    let handle = open(&args.store, StorePolicy::ReadWrite);
+    let handle = open_store(&args.store, StorePolicy::ReadWrite);
     let report = match handle.lock().gc() {
         Ok(r) => r,
         Err(e) => fail_env(format!(
@@ -441,7 +432,7 @@ fn run_gc(args: &Args) {
 }
 
 fn run_verify(args: &Args) {
-    let handle = open(&args.store, StorePolicy::ReadOnly);
+    let handle = open_store(&args.store, StorePolicy::ReadOnly);
     let report = match handle.lock().verify() {
         Ok(r) => r,
         Err(e) => fail_env(format!(

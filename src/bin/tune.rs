@@ -17,11 +17,16 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use athena_engine::{available_parallelism, with_recording};
-use athena_harness::cli::{fail, fail_env, write_file, TUNE_HELP as HELP};
+use athena_engine::with_recording;
+use athena_harness::cli::{
+    cache_split, count, fail, parsed, serve_if_worker, value, write_file, RunFlags,
+    TUNE_HELP as HELP,
+};
 use athena_harness::experiments::tuning_set;
-use athena_harness::{DistPool, ProbeSink, RunOptions, StoreHandle, StorePolicy, WorkerCommand};
-use athena_tune::{tune, DesignSpace, Leaderboard, Objective, TuneOptions, TuneStrategy};
+use athena_harness::RunOptions;
+use athena_tune::{
+    tune, DesignSpace, Leaderboard, Objective, TuneOptions, TuneStrategy, DEFAULT_TUNE_SEED,
+};
 
 struct Args {
     space: DesignSpace,
@@ -34,118 +39,43 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut quick = false;
-    let mut instructions: Option<u64> = None;
-    let mut workload_limit: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
-    let mut trace_dir: Option<PathBuf> = None;
+    let mut run = RunFlags::default();
     let mut strategy_name = "halving".to_string();
     let mut samples = 16usize;
     let mut eta = 2usize;
     let mut rungs = 3usize;
-    let mut seed: Option<u64> = None;
+    let mut seed = None;
     let mut objective = Objective::Speedup;
     let mut out_dir: Option<PathBuf> = None;
     let mut top = 10usize;
-    let mut store_dir: Option<PathBuf> = None;
-    let mut store_policy: Option<String> = None;
-    let mut events: Option<PathBuf> = None;
-    let mut progress = false;
-    let mut workers: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            args.next().ok_or(format!("{flag} needs a value"))
-        };
+        if run.accept(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--instructions" => {
-                let n: u64 = value("--instructions")?
-                    .parse()
-                    .map_err(|e| format!("bad --instructions: {e}"))?;
-                if n == 0 {
-                    return Err("--instructions must be at least 1".to_string());
-                }
-                instructions = Some(n);
-            }
-            "--workloads" => {
-                workload_limit = Some(
-                    value("--workloads")?
-                        .parse()
-                        .map_err(|e| format!("bad --workloads: {e}"))?,
-                )
-            }
-            "--jobs" => {
-                let n: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                jobs = Some(n);
-            }
-            "--trace-dir" => trace_dir = Some(PathBuf::from(value("--trace-dir")?)),
-            "--strategy" => strategy_name = value("--strategy")?,
-            "--samples" => {
-                samples = value("--samples")?
-                    .parse()
-                    .map_err(|e| format!("bad --samples: {e}"))?;
-                if samples == 0 {
-                    return Err("--samples must be at least 1".to_string());
-                }
-            }
-            "--eta" => {
-                eta = value("--eta")?
-                    .parse()
-                    .map_err(|e| format!("bad --eta: {e}"))?
-            }
-            "--rungs" => {
-                rungs = value("--rungs")?
-                    .parse()
-                    .map_err(|e| format!("bad --rungs: {e}"))?
-            }
+            "--strategy" => strategy_name = value(&arg, &mut args)?,
+            "--samples" => samples = count(&arg, &mut args)?,
+            "--eta" => eta = parsed(&arg, &mut args)?,
+            "--rungs" => rungs = parsed(&arg, &mut args)?,
             "--seed" => {
-                let text = value("--seed")?;
-                let parsed = match text.strip_prefix("0x") {
+                let text = value(&arg, &mut args)?;
+                let n = match text.strip_prefix("0x") {
                     Some(hex) => u64::from_str_radix(hex, 16),
                     None => text.parse(),
                 };
-                seed = Some(parsed.map_err(|e| format!("bad --seed: {e}"))?);
+                seed = Some(n.map_err(|e| format!("bad --seed: {e}"))?);
             }
             "--objective" => {
-                let name = value("--objective")?;
+                let name = value(&arg, &mut args)?;
                 objective = Objective::from_name(&name).ok_or(format!(
                     "unknown objective '{name}' (speedup, accuracy-weighted, \
                      coverage-weighted, bandwidth-aware)"
                 ))?;
             }
-            "--events" => events = Some(PathBuf::from(value("--events")?)),
-            "--progress" => progress = true,
-            "--workers" => {
-                let n: usize = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-                workers = Some(n);
-            }
-            "--worker" => {
-                return Err(
-                    "--worker must be the sole argument (it is how a coordinator invokes \
-                     its worker processes, not a run option)"
-                        .to_string(),
-                )
-            }
-            "--store" => store_dir = Some(PathBuf::from(value("--store")?)),
-            "--store-policy" => store_policy = Some(value("--store-policy")?),
-            "--out" => out_dir = Some(PathBuf::from(value("--out")?)),
-            "--top" => {
-                top = value("--top")?
-                    .parse()
-                    .map_err(|e| format!("bad --top: {e}"))?
-            }
+            "--out" => out_dir = Some(PathBuf::from(value(&arg, &mut args)?)),
+            "--top" => top = parsed(&arg, &mut args)?,
             "--version" => {
                 println!("tune {}", env!("CARGO_PKG_VERSION"));
                 std::process::exit(0);
@@ -158,24 +88,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
 
-    if store_policy.is_some() && store_dir.is_none() {
-        return Err("--store-policy only applies with --store <DIR>".to_string());
-    }
-    let mut run = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::full()
-    };
-    if let Some(i) = instructions {
-        run.instructions = i;
-    }
-    if let Some(w) = workload_limit {
-        run.workload_limit = Some(w);
-    }
-    run.trace_dir = trace_dir;
-    run.jobs = jobs.unwrap_or_else(available_parallelism);
-
-    let space = if quick {
+    let space = if run.quick {
         DesignSpace::quick()
     } else {
         DesignSpace::paper_default()
@@ -189,45 +102,14 @@ fn parse_args() -> Result<Args, String> {
         "random" => TuneStrategy::Random { samples },
         other => return Err(format!("unknown strategy '{other}' (halving, random)")),
     };
-    let mut tune_opts = TuneOptions::new(run.instructions)
-        .with_jobs(run.jobs)
-        .with_objective(objective);
-    if let Some(s) = seed {
-        tune_opts = tune_opts.with_seed(s);
-    }
-    if let Some(dir) = &run.trace_dir {
-        tune_opts = tune_opts.with_trace_dir(dir.clone());
-    }
-    let policy = match &store_policy {
-        Some(name) => StorePolicy::from_name(name)
-            .ok_or_else(|| format!("unknown --store-policy '{name}' (rw, ro, refresh, off)"))?,
-        None => StorePolicy::ReadWrite,
+    let run = run.into_options()?;
+    let tune_opts = TuneOptions {
+        engine: run.engine(),
+        trace_dir: run.trace_dir.clone(),
+        objective,
+        seed: seed.unwrap_or(DEFAULT_TUNE_SEED),
+        ..TuneOptions::new(run.instructions)
     };
-    // `off` skips the store entirely; an unopenable or corrupt store exits 1 here
-    // (environment failure), not through the usage-error path (exit 2).
-    if let Some(dir) = store_dir.filter(|_| policy != StorePolicy::Off) {
-        match StoreHandle::open(&dir, policy) {
-            Ok(handle) => {
-                run.store = Some(handle.clone());
-                tune_opts = tune_opts.with_store(handle);
-            }
-            Err(e) => fail_env(format!("result store {}: {e}", dir.display())),
-        }
-    }
-    if let Some(path) = events {
-        let sink = ProbeSink::create(&path)
-            .unwrap_or_else(|e| fail_env(format!("event log {}: {e}", path.display())));
-        run.probe = Some(sink.clone());
-        tune_opts = tune_opts.with_probe(sink);
-    }
-    run.progress = progress;
-    tune_opts = tune_opts.with_progress(progress);
-    if let Some(n) = workers {
-        let command = WorkerCommand::self_worker().unwrap_or_else(|e| fail_env(e));
-        let pool = DistPool::new(command, n);
-        run.dist = Some(pool.clone());
-        tune_opts = tune_opts.with_dist(pool);
-    }
     Ok(Args {
         space,
         strategy,
@@ -278,10 +160,8 @@ fn print_summary(board: &Leaderboard, top: usize) {
 }
 
 fn main() {
-    // Worker mode: serve shards from a coordinator (`tune --workers N` spawns this same
-    // binary with `--worker`) over stdin/stdout until the coordinator closes the pipe.
-    if std::env::args().nth(1).as_deref() == Some("--worker") && std::env::args().count() == 2 {
-        athena_engine::dist::serve();
+    // Worker mode (`tune --workers N` spawns this same binary with `--worker`).
+    if serve_if_worker() {
         return;
     }
     let args = match parse_args() {
@@ -301,10 +181,9 @@ fn main() {
         board.evaluations
     );
     if let Some(store) = &args.run.store {
-        let cached = recorded.iter().filter(|c| c.cached).count();
+        let (simulated, cached, reused) = cache_split(&recorded);
         println!(
-            "[store] {} simulated, {cached} cached ({})",
-            recorded.len() - cached,
+            "[store] {simulated} simulated, {cached} cached, {reused} reused ({})",
             store.dir().display()
         );
     }

@@ -55,7 +55,7 @@ pub use athena_workloads as workloads;
 pub mod prelude {
     pub use athena_coordinators::{FixedCombo, Hpac, Mab, NaiveAll, Tlp};
     pub use athena_core::{AthenaAgent, AthenaConfig, Feature, RewardWeights};
-    pub use athena_engine::{CellResult, Engine, Job, JobOutput, SeedPolicy, StoreHandle};
+    pub use athena_engine::{CellResult, Engine, Job, JobOutput, StoreHandle};
     pub use athena_harness::{
         simulate, simulate_multicore, CoordinatorKind, OcpKind, PrefetcherKind, RunOptions,
         RunResult, SystemConfig,

@@ -13,9 +13,7 @@ use std::path::PathBuf;
 use athena_repro::engine::codec::Codec;
 use athena_repro::engine::json::Json;
 use athena_repro::engine::wire::{config_from_json, config_to_json, job_from_json, job_json};
-use athena_repro::engine::{
-    FileWorkload, Job, SeedPolicy, StoreHandle, TelemetrySpec, WorkloadRef,
-};
+use athena_repro::engine::{FileWorkload, Job, StoreHandle, TelemetrySpec, WorkloadRef};
 use athena_repro::prelude::*;
 use athena_repro::sim::{
     CacheConfig, CoreConfig, DramConfig, DramStats, MultiCoreResult, Replacement, SimResult,
@@ -49,17 +47,12 @@ fn cd_variants() -> Vec<SystemConfig> {
         SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet),
         SystemConfig::cd2(PrefetcherKind::Ipcp, OcpKind::Hmp),
         SystemConfig::cd3(PrefetcherKind::Mlop, PrefetcherKind::Sms, OcpKind::Ttp),
-        SystemConfig::cd4(
-            PrefetcherKind::Berti,
-            PrefetcherKind::SppPpf,
-            OcpKind::Popet,
-        ),
         SystemConfig::prefetchers_only(PrefetcherKind::NextLine, PrefetcherKind::Stride),
     ]
 }
 
-/// One job per cell shape: single, multi-core, trace file, explicit Athena configuration
-/// under a derived seed, telemetry, and a configured Athena cell.
+/// One job per cell shape: single, multi-core, trace file, telemetry, and an explicit
+/// Athena configuration.
 fn wire_jobs() -> Vec<Job> {
     let specs = all_workloads();
     let mut jobs = vec![
@@ -89,17 +82,9 @@ fn wire_jobs() -> Vec<Job> {
             40_000,
         ),
         Job::single(
-            "dse",
-            specs[2].clone(),
-            cd_variants()[3].clone(),
-            CoordinatorKind::AthenaWith(exotic_config()),
-            15_000,
-        )
-        .with_derived_seed(),
-        Job::single(
             "timeline",
             specs[3].clone(),
-            cd_variants()[4].clone(),
+            cd_variants()[3].clone(),
             CoordinatorKind::Mab,
             40_000,
         )
@@ -142,28 +127,28 @@ fn record_jobs() -> Vec<Job> {
 
 fn golden_lines() -> Vec<&'static str> {
     let lines: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(lines.len(), 10, "the golden fixture holds ten lines");
+    assert_eq!(lines.len(), 9, "the golden fixture holds nine lines");
     lines
 }
 
 #[test]
 fn jobs_and_configs_encode_to_the_golden_bytes_and_back() {
     let lines = golden_lines();
-    for (job, line) in wire_jobs().iter().zip(&lines[..6]) {
+    for (job, line) in wire_jobs().iter().zip(&lines[..5]) {
         assert_eq!(job_json(job).to_string(), *line, "{}", job.label());
         let back = job_from_json(&Json::parse(line).unwrap()).unwrap();
         assert_eq!(job_json(&back).to_string(), *line, "{}", job.label());
     }
     let cfg = exotic_config();
-    assert_eq!(config_to_json(&cfg).to_string(), lines[6]);
-    let back = config_from_json(&Json::parse(lines[6]).unwrap()).unwrap();
-    assert_eq!(config_to_json(&back).to_string(), lines[6]);
+    assert_eq!(config_to_json(&cfg).to_string(), lines[5]);
+    let back = config_from_json(&Json::parse(lines[5]).unwrap()).unwrap();
+    assert_eq!(config_to_json(&back).to_string(), lines[5]);
 }
 
 #[test]
 fn store_records_encode_to_the_golden_bytes_and_back() {
     let lines = golden_lines();
-    for (job, line) in record_jobs().iter().zip(&lines[7..]) {
+    for (job, line) in record_jobs().iter().zip(&lines[6..]) {
         let output = job.run();
         assert_eq!(
             StoreHandle::record_doc(job, &output).to_string(),
@@ -532,7 +517,6 @@ fn any_job(rng: &mut StdRng) -> Job {
         coordinator,
         instructions: any_u64(rng),
         seed: any_u64(rng),
-        seed_policy: pick(rng, &[SeedPolicy::Config, SeedPolicy::Derived]),
         telemetry: any_option(rng, |rng| TelemetrySpec {
             window_instructions: any_u64(rng),
         }),

@@ -216,7 +216,7 @@ fn quick_figure_experiments_produce_consistent_tables() {
 fn zero_run_lengths_are_usage_errors() {
     // A zero-instruction or zero-workload run prints vacuous tables (every speedup 1.0),
     // so each CLI rejects it up front with the usage-error exit code.
-    let cases: [(&str, &[&str], &str); 3] = [
+    let cases: [(&str, &[&str], &str); 4] = [
         (
             "figures",
             &["--fig", "fig7", "--quick", "--workloads", "0"],
@@ -231,6 +231,11 @@ fn zero_run_lengths_are_usage_errors() {
             "tune",
             &["--quick", "--instructions", "0"],
             "--instructions must be at least 1",
+        ),
+        (
+            "tune",
+            &["--quick", "--workloads", "0"],
+            "--workloads must be at least 1",
         ),
     ];
     for (bin, args, message) in cases {

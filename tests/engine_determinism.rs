@@ -95,32 +95,6 @@ fn shuffled_submission_order_does_not_change_results() {
 }
 
 #[test]
-fn derived_seeds_are_per_cell_and_scheduling_independent() {
-    let jobs: Vec<Job> = athena_jobs(4, 6_000)
-        .into_iter()
-        .map(Job::with_derived_seed)
-        .collect();
-    let seeds: Vec<u64> = jobs.iter().map(|j| j.seed).collect();
-    for (i, a) in seeds.iter().enumerate() {
-        for b in &seeds[i + 1..] {
-            assert_ne!(a, b, "distinct cells derive distinct seeds");
-        }
-    }
-
-    let serial = Engine::new(1).run(jobs.clone());
-    let mut reversed = jobs;
-    reversed.reverse();
-    let parallel = Engine::new(4).run(reversed);
-    for s in &serial {
-        let p = parallel
-            .iter()
-            .find(|c| c.label == s.label)
-            .expect("cell present");
-        assert_eq!(s.output, p.output, "{}: derived-seed run diverged", s.label);
-    }
-}
-
-#[test]
 fn one_poisoned_job_fails_only_its_cell() {
     let items: Vec<u32> = (0..12).collect();
     let out = parallel_map(4, &items, |&i| {

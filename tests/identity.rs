@@ -69,14 +69,9 @@ fn known_variant_hashes_are_pinned() {
 fn identity_is_the_derived_seed_and_ignores_observation_facets() {
     let base = athena_cell();
     assert_eq!(base.seed, base.identity_hash());
-    // Telemetry and the seed policy change how the cell is observed or seeded — its
-    // variant — never which cell it is.
+    // Telemetry changes how the cell is observed — its variant — never which cell it is.
     assert_eq!(
         base.clone().with_telemetry(4096).identity_hash(),
-        base.identity_hash()
-    );
-    assert_eq!(
-        base.clone().with_derived_seed().identity_hash(),
         base.identity_hash()
     );
 }

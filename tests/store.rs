@@ -131,11 +131,7 @@ fn a_widened_tuning_search_resimulates_only_new_points() {
     // times and the narrow run's cells all reappear in the wide one.
     let strategy = TuneStrategy::Random { samples: 6 };
     let tune_opts = |store: Option<StoreHandle>| {
-        let mut o = TuneOptions::new(8_000).with_jobs(2);
-        if let Some(s) = store {
-            o = o.with_store(s);
-        }
-        o
+        TuneOptions::new(8_000).with_engine(Engine::new(2).with_store(store))
     };
     let narrow_workloads = tuning_set(&opts(4, None));
     let wide_workloads = tuning_set(&opts(6, None));

@@ -37,7 +37,7 @@ fn run_opts(jobs: usize) -> RunOptions {
 }
 
 fn tune_opts(jobs: usize) -> TuneOptions {
-    TuneOptions::new(INSTRUCTIONS).with_jobs(jobs)
+    TuneOptions::new(INSTRUCTIONS).with_engine(run_opts(jobs).engine())
 }
 
 fn strategy() -> TuneStrategy {
