@@ -56,7 +56,7 @@ pub struct FileWorkload {
     /// — and therefore its derived seed and its place in report tables — identical to the
     /// generated cell's.
     pub name: String,
-    /// Path of the trace file (binary or text; the format is sniffed from the contents).
+    /// Path of the binary `.trace` file (see `athena-trace-io`).
     pub path: PathBuf,
 }
 
@@ -327,26 +327,18 @@ impl Job {
                 let trace = open_trace(&file.path).unwrap_or_else(|e| {
                     panic!("cannot replay trace '{}': {e}", file.path.display())
                 });
-                // Reject a too-short trace before simulating (binary traces carry the
-                // record count); BudgetedTrace catches the same condition mid-stream for
-                // headerless text traces.
-                if let Some(header) = trace.header() {
-                    assert!(
-                        header.records >= self.instructions,
-                        "trace '{}' holds {} records but the cell budget is {} instructions",
-                        file.path.display(),
-                        header.records,
-                        self.instructions
-                    );
-                }
-                let guarded = BudgetedTrace {
-                    inner: trace,
-                    consumed: 0,
-                    budget: self.instructions,
-                    path: &file.path,
-                };
+                // Reject a too-short trace before simulating: the simulator would treat the
+                // end of the file as a clean end of trace. A stream cut short of the
+                // header's count panics inside the reader.
+                assert!(
+                    trace.header().records >= self.instructions,
+                    "trace '{}' holds {} records but the cell budget is {} instructions",
+                    file.path.display(),
+                    trace.header().records,
+                    self.instructions
+                );
                 let mut sim = self.single_core_sim(self.coordinator.build());
-                let result = sim.run(guarded, self.instructions);
+                let result = sim.run(trace, self.instructions);
                 let timeline = self.timeline_of(&result);
                 JobOutput::Single(Box::new(RunResult::from_sim(&file.name, result, timeline)))
             }
@@ -370,39 +362,6 @@ impl Job {
                     );
                 }
                 JobOutput::Multi(mc.run(self.instructions))
-            }
-        }
-    }
-}
-
-/// Wraps a replayed trace so that running out of records *before* the cell's instruction
-/// budget panics instead of quietly ending the simulation early. The simulator treats a
-/// `None` from its source as a clean end of trace; for a file-backed cell that would turn
-/// a short recording into a silently different result — the one thing the engine promises
-/// never happens.
-struct BudgetedTrace<'a> {
-    inner: athena_trace_io::TraceFile,
-    consumed: u64,
-    budget: u64,
-    path: &'a std::path::Path,
-}
-
-impl athena_sim::TraceSource for BudgetedTrace<'_> {
-    fn next_record(&mut self) -> Option<athena_sim::TraceRecord> {
-        match self.inner.next_record() {
-            Some(r) => {
-                self.consumed += 1;
-                Some(r)
-            }
-            None => {
-                assert!(
-                    self.consumed >= self.budget,
-                    "trace '{}' ended after {} records but the cell budget is {} instructions",
-                    self.path.display(),
-                    self.consumed,
-                    self.budget
-                );
-                None
             }
         }
     }
@@ -587,7 +546,7 @@ mod tests {
 
     #[test]
     fn file_backed_job_matches_generated_job_byte_for_byte() {
-        use athena_trace_io::{record_trace, TraceFormat};
+        use athena_trace_io::record_trace;
 
         let spec = all_workloads()[0].clone();
         let instructions = 12_000;
@@ -595,7 +554,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{}.trace", spec.name));
         let mut generator = spec.trace();
-        record_trace(&mut generator, instructions, &path, TraceFormat::Binary).unwrap();
+        record_trace(&mut generator, instructions, &path).unwrap();
 
         let generated = Job::single(
             "fig7",
@@ -633,39 +592,53 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn a_trace_shorter_than_the_budget_fails_the_cell() {
+    /// Records `records` of the first workload to `name` in a temp directory, lets `damage`
+    /// rewrite the file's bytes, and returns the error of a 5 000-instruction cell that
+    /// replays it through the engine.
+    fn replay_error(name: &str, records: u64, damage: impl Fn(Vec<u8>) -> Vec<u8>) -> String {
         use crate::exec::Engine;
-        use athena_trace_io::{record_trace, TraceFormat};
+        use athena_trace_io::record_trace;
 
         let spec = all_workloads()[0].clone();
-        let dir = std::env::temp_dir().join(format!("athena-short-trace-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("athena-bad-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        // Both formats must be rejected: binary via its header up front, text (which has
-        // no header) via the mid-stream budget guard.
-        for (format, name) in [
-            (TraceFormat::Binary, "short.trace"),
-            (TraceFormat::Text, "short.trace.txt"),
-        ] {
-            let path = dir.join(name);
-            let mut generator = spec.trace();
-            record_trace(&mut generator, 1_000, &path, format).unwrap();
-            let job = Job::from_file(
-                "t",
-                &spec.name,
-                &path,
-                cd1(),
-                CoordinatorKind::Baseline,
-                5_000,
-            );
-            let cells = Engine::new(1).run(vec![job]);
-            let err = cells[0]
-                .output
-                .as_ref()
-                .expect_err("short trace must fail its cell");
-            assert!(err.contains("records"), "{format}: {err}");
-            std::fs::remove_file(&path).unwrap();
-        }
+        let path = dir.join(name);
+        record_trace(&mut spec.trace(), records, &path).unwrap();
+        std::fs::write(&path, damage(std::fs::read(&path).unwrap())).unwrap();
+        let job = Job::from_file(
+            "t",
+            &spec.name,
+            &path,
+            cd1(),
+            CoordinatorKind::Baseline,
+            5_000,
+        );
+        let cells = Engine::new(1).run(vec![job]);
+        std::fs::remove_file(&path).unwrap();
+        cells[0]
+            .output
+            .as_ref()
+            .expect_err("a bad trace must fail its cell")
+            .clone()
+    }
+
+    #[test]
+    fn a_trace_shorter_than_the_budget_fails_the_cell() {
+        let err = replay_error("short.trace", 1_000, |bytes| bytes);
+        assert!(err.contains("holds 1000 records"), "got: {err}");
+    }
+
+    #[test]
+    fn a_trace_cut_short_of_its_header_fails_the_cell() {
+        // The header still promises 6 000 records, enough for the budget, but the stream
+        // keeps only about a tenth of them.
+        let err = replay_error("cut.trace", 6_000, |mut bytes| {
+            let header = athena_trace_io::HEADER_LEN as usize;
+            bytes.truncate(header + (bytes.len() - header) / 10);
+            bytes
+        });
+        assert!(err.contains("binary trace replay failed"), "got: {err}");
+        assert!(err.contains("truncated"), "got: {err}");
     }
 
     #[test]

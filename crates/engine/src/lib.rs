@@ -77,7 +77,7 @@ pub use kinds::{default_athena_config, CoordinatorKind, OcpKind, PrefetcherKind,
 pub use memo::CellMemo;
 pub use pool::available_parallelism;
 pub use record::{with_recording, CellRecord};
-pub use seed::{derive_seed, SeedHasher};
+pub use seed::SeedHasher;
 pub use store::{record_key, variant_hash, StoreHandle};
 pub use table::ExperimentTable;
 

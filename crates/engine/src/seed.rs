@@ -83,31 +83,31 @@ fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives a seed from string parts alone (convenience over [`SeedHasher`]).
-pub fn derive_seed(parts: &[&str]) -> u64 {
-    let mut h = SeedHasher::new();
-    for p in parts {
-        h.write_str(p);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Hashes string parts in order, the way a cell identity is fed in.
+    fn seed_of(parts: &[&str]) -> u64 {
+        let mut h = SeedHasher::new();
+        for p in parts {
+            h.write_str(p);
+        }
+        h.finish()
+    }
+
     #[test]
     fn seeds_are_stable_across_calls() {
         assert_eq!(
-            derive_seed(&["fig7", "w1", "cfg"]),
-            derive_seed(&["fig7", "w1", "cfg"])
+            seed_of(&["fig7", "w1", "cfg"]),
+            seed_of(&["fig7", "w1", "cfg"])
         );
     }
 
     #[test]
     fn seeds_separate_nearby_identities() {
-        let a = derive_seed(&["fig12c", "w1", "6-cycles"]);
-        let b = derive_seed(&["fig12c", "w1", "18-cycles"]);
+        let a = seed_of(&["fig12c", "w1", "6-cycles"]);
+        let b = seed_of(&["fig12c", "w1", "18-cycles"]);
         assert_ne!(a, b);
         // The avalanche should flip roughly half the bits, not just a few.
         assert!((a ^ b).count_ones() >= 16);
@@ -115,8 +115,8 @@ mod tests {
 
     #[test]
     fn parts_are_length_delimited() {
-        assert_ne!(derive_seed(&["ab", "c"]), derive_seed(&["a", "bc"]));
-        assert_ne!(derive_seed(&["ab"]), derive_seed(&["ab", ""]));
+        assert_ne!(seed_of(&["ab", "c"]), seed_of(&["a", "bc"]));
+        assert_ne!(seed_of(&["ab"]), seed_of(&["ab", ""]));
     }
 
     #[test]

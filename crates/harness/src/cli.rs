@@ -318,16 +318,13 @@ misc:
 
 /// `trace --help`.
 pub const TRACE_HELP: &str = "\
-trace — record, inspect and convert on-disk workload traces
+trace — record and inspect binary workload traces (replayed by `figures --trace-dir`)
 
 usage: trace <command> [options]
 
 commands:
   record     dump workload traces to files (one <workload-name>.trace per workload)
   info       print the header of trace files
-  stats      stream trace files and print instruction-mix / footprint / miss-profile
-             summaries
-  convert    losslessly convert a trace between the binary and text formats
 
 record options:
   --out <DIR>          output directory (created if missing; default: traces/)
@@ -339,22 +336,12 @@ record options:
   --all                record all 100 evaluation workloads
   --tuning             record the 20 held-out tuning workloads
   --google             record the Google-like unseen workloads
-  --mixes <CORES>      record the distinct workloads of the standard CORES-core mix list
-                       (what fig15/fig16 draw from), so multi-core studies can be
-                       re-recorded from the same files
-  --instructions <N>   records per trace (default: 400000, the full experiment preset;
-                       --quick lowers it to the quick preset unless overridden)
-  --text               write the text format instead of binary
+  --instructions <N>   records per trace, at least 1 (default: 400000, the full
+                       experiment preset; --quick lowers it to the quick preset unless
+                       overridden)
 
-info / stats:
+info:
   trace info <FILE>...
-  trace stats <FILE>... [--limit <N>]    (--limit caps the records scanned per file)
-
-convert:
-  trace convert <IN> <OUT> [--to binary|text]
-                       input format is sniffed from the file contents; output format
-                       follows --to, defaulting to the OUT extension (*.txt → text,
-                       anything else → binary)
 
 misc:
   --version            print the workspace version and exit

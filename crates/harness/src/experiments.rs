@@ -726,19 +726,11 @@ pub fn fig14(opts: &RunOptions) -> ExperimentTable {
 // Multi-core
 // ---------------------------------------------------------------------------------------
 
-/// Seed of the standard multi-core mix lists (shared by fig15/fig16 and `trace record
-/// --mixes`, so recordings and the figures draw from the same mixes).
+/// Seed of the multi-core mix lists fig15/fig16 draw.
 const MIX_SEED: u64 = 0x5eed;
 
 /// Mixes per category at full scale (the paper uses 30; a workload limit scales down).
 const FULL_MIXES_PER_CATEGORY: usize = 10;
-
-/// The standard `cores`-core mix list the multi-core figures use at full scale. Exposed
-/// publicly so the `trace` CLI's `--mixes` recording captures exactly the workloads
-/// fig15/fig16 replay.
-pub fn standard_mixes(cores: usize) -> Vec<athena_workloads::WorkloadMix> {
-    mixes(cores, FULL_MIXES_PER_CATEGORY, MIX_SEED)
-}
 
 fn multicore_fig(
     experiment: &str,

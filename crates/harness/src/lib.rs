@@ -15,10 +15,9 @@
 //!   results are bit-identical at any value;
 //! * the `figures` binary (built by the umbrella package, like every CLI that drives
 //!   this crate) — `cargo run --release --bin figures -- --fig fig7 --jobs 8`;
-//! * the `trace` binary — records workloads to on-disk trace files (`trace record --quick
-//!   --out traces/`), inspects them (`trace info` / `trace stats`) and converts between
-//!   the binary and text formats (`trace convert`); recorded directories replay through
-//!   `figures --trace-dir`, reproducing the generated tables byte-for-byte;
+//! * the `trace` binary — records workloads to binary trace files (`trace record --quick
+//!   --out traces/`) and prints their headers (`trace info`); recorded directories replay
+//!   through `figures --trace-dir`, reproducing the generated tables byte-for-byte;
 //! * the `tune` binary — design-space exploration over Athena configurations
 //!   (`athena-tune`, re-exported here as [`tune`]): seeded random search or successive
 //!   halving on the engine, deterministic leaderboards, and a winning configuration that

@@ -84,8 +84,9 @@ pub struct RunOptions {
 
 impl RunOptions {
     /// Full-suite defaults used by the `figures` binary. 400 K instructions per workload is
-    /// roughly 200 coordination epochs — long enough for the online policies to converge in
-    /// this reproduction while keeping a full figure under a minute on a laptop.
+    /// roughly 200 coordination epochs and keeps a full figure under a minute on a laptop.
+    /// It is not a converged length: a 20-workload probe of `fig7` and `fig9` still saw
+    /// policy orderings flip between 400 K and 6.4 M instructions (ROADMAP item 2).
     pub fn full() -> Self {
         Self {
             instructions: 400_000,

@@ -8,16 +8,15 @@ use std::io;
 pub enum TraceIoError {
     /// An underlying I/O failure (file missing, disk full, pipe closed, …).
     Io(io::Error),
-    /// The file does not start with the binary magic or the text signature.
+    /// The file does not start with the trace magic (or is shorter than the header).
     BadMagic,
     /// The binary header carries a format version this build does not understand.
     UnsupportedVersion(u16),
     /// The stream is structurally invalid: a bad record tag, an over-long varint, a
-    /// truncated record stream, trailing bytes after the final record, or an unparsable
-    /// text line. The payload pinpoints where and why.
+    /// truncated record stream, trailing bytes after the final record, or a header count
+    /// the stream contradicts. The payload pinpoints where and why.
     Corrupt {
-        /// Position of the problem: a record index for binary streams, a line number for
-        /// text streams.
+        /// Index of the record at which the problem was found.
         at: u64,
         /// Human-readable description of the corruption.
         reason: String,
@@ -25,7 +24,7 @@ pub enum TraceIoError {
 }
 
 impl TraceIoError {
-    /// Builds a [`TraceIoError::Corrupt`] at record/line `at`.
+    /// Builds a [`TraceIoError::Corrupt`] at record `at`.
     pub(crate) fn corrupt(at: u64, reason: impl Into<String>) -> Self {
         TraceIoError::Corrupt {
             at,
@@ -39,13 +38,13 @@ impl fmt::Display for TraceIoError {
         match self {
             TraceIoError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceIoError::BadMagic => {
-                write!(f, "not an athena trace (bad magic / missing signature)")
+                write!(f, "not an athena trace (bad magic)")
             }
             TraceIoError::UnsupportedVersion(v) => {
                 write!(f, "unsupported trace format version {v}")
             }
             TraceIoError::Corrupt { at, reason } => {
-                write!(f, "corrupt trace at record/line {at}: {reason}")
+                write!(f, "corrupt trace at record {at}: {reason}")
             }
         }
     }

@@ -1,177 +1,21 @@
-//! File-level entry points: format sniffing, opening, recording and converting traces.
+//! File-level entry points: opening and recording traces.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read};
+use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
-use athena_sim::{TraceRecord, TraceSource};
+use athena_sim::TraceSource;
 
-use crate::binary::{BinaryTraceReader, BinaryTraceWriter, TraceHeader, MAGIC};
+use crate::binary::{BinaryTraceReader, BinaryTraceWriter};
 use crate::error::TraceIoError;
-use crate::text::{TextTraceReader, TextTraceWriter, TEXT_SIGNATURE};
 
-/// The two on-disk representations of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// The varint-packed binary container (conventional extension: `.trace`).
-    Binary,
-    /// The line-oriented text format (conventional extension: `.trace.txt`).
-    Text,
+/// Opens `path` for streaming replay, validating the header.
+pub fn open_trace(path: &Path) -> Result<BinaryTraceReader<BufReader<File>>, TraceIoError> {
+    BinaryTraceReader::new(BufReader::new(File::open(path)?))
 }
 
-impl TraceFormat {
-    /// Picks the conventional format for `path` from its file name: names ending in
-    /// `.txt` are text, everything else is binary.
-    pub fn for_path(path: &Path) -> Self {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("txt") => TraceFormat::Text,
-            _ => TraceFormat::Binary,
-        }
-    }
-}
-
-impl std::fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceFormat::Binary => write!(f, "binary"),
-            TraceFormat::Text => write!(f, "text"),
-        }
-    }
-}
-
-/// Determines the on-disk format of `path` from its leading bytes (the binary magic or
-/// the text signature) — never from the file name.
-pub fn sniff_format(path: &Path) -> Result<TraceFormat, TraceIoError> {
-    let mut head = [0u8; 8];
-    let mut file = File::open(path)?;
-    let n = file.read(&mut head)?;
-    if head[..n] == MAGIC[..n.min(8)] && n == 8 {
-        return Ok(TraceFormat::Binary);
-    }
-    if TEXT_SIGNATURE
-        .as_bytes()
-        .starts_with(&head[..n.min(TEXT_SIGNATURE.len())])
-        && n > 0
-    {
-        return Ok(TraceFormat::Text);
-    }
-    Err(TraceIoError::BadMagic)
-}
-
-/// A trace file opened for streaming replay, in either format.
-///
-/// Produced by [`open_trace`]; implements [`TraceSource`] so it drops straight into the
-/// simulator or a file-backed engine job.
-#[derive(Debug)]
-pub enum TraceFile {
-    /// A binary trace (buffered).
-    Binary(BinaryTraceReader<BufReader<File>>),
-    /// A text trace (buffered).
-    Text(TextTraceReader<BufReader<File>>),
-}
-
-impl TraceFile {
-    /// The binary header, if this is a binary trace (the text format has no header).
-    pub fn header(&self) -> Option<&TraceHeader> {
-        match self {
-            TraceFile::Binary(r) => Some(r.header()),
-            TraceFile::Text(_) => None,
-        }
-    }
-
-    /// The on-disk format.
-    pub fn format(&self) -> TraceFormat {
-        match self {
-            TraceFile::Binary(_) => TraceFormat::Binary,
-            TraceFile::Text(_) => TraceFormat::Text,
-        }
-    }
-
-    /// Reads the next record, `Ok(None)` at the end of the trace.
-    pub fn try_next(&mut self) -> Result<Option<TraceRecord>, TraceIoError> {
-        match self {
-            TraceFile::Binary(r) => r.try_next(),
-            TraceFile::Text(r) => r.try_next(),
-        }
-    }
-}
-
-impl TraceSource for TraceFile {
-    /// Streams the next record; panics on corruption (see the reader docs).
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        match self {
-            TraceFile::Binary(r) => r.next_record(),
-            TraceFile::Text(r) => r.next_record(),
-        }
-    }
-}
-
-/// Opens `path` for streaming replay, sniffing the format from the file contents.
-pub fn open_trace(path: &Path) -> Result<TraceFile, TraceIoError> {
-    match sniff_format(path)? {
-        TraceFormat::Binary => Ok(TraceFile::Binary(BinaryTraceReader::new(BufReader::new(
-            File::open(path)?,
-        ))?)),
-        TraceFormat::Text => Ok(TraceFile::Text(TextTraceReader::new(BufReader::new(
-            File::open(path)?,
-        ))?)),
-    }
-}
-
-/// A trace file opened for writing, in either format.
-#[derive(Debug)]
-pub enum TraceFileWriter {
-    /// Writing the binary container.
-    Binary(BinaryTraceWriter<BufWriter<File>>),
-    /// Writing the text format.
-    Text(TextTraceWriter<BufWriter<File>>),
-}
-
-impl TraceFileWriter {
-    /// Creates (truncating) `path` and opens a writer in `format`.
-    pub fn create(path: &Path, format: TraceFormat) -> Result<Self, TraceIoError> {
-        let out = BufWriter::new(File::create(path)?);
-        match format {
-            TraceFormat::Binary => Ok(TraceFileWriter::Binary(BinaryTraceWriter::new(out)?)),
-            TraceFormat::Text => Ok(TraceFileWriter::Text(TextTraceWriter::new(out)?)),
-        }
-    }
-
-    /// Writes a comment (text format only; a no-op for binary, which has no comments).
-    pub fn write_comment(&mut self, comment: &str) -> Result<(), TraceIoError> {
-        match self {
-            TraceFileWriter::Binary(_) => Ok(()),
-            TraceFileWriter::Text(w) => w.write_comment(comment),
-        }
-    }
-
-    /// Appends one record.
-    pub fn write_record(&mut self, r: TraceRecord) -> Result<(), TraceIoError> {
-        match self {
-            TraceFileWriter::Binary(w) => w.write_record(r),
-            TraceFileWriter::Text(w) => w.write_record(r),
-        }
-    }
-
-    /// Number of records written so far.
-    pub fn records_written(&self) -> u64 {
-        match self {
-            TraceFileWriter::Binary(w) => w.records_written(),
-            TraceFileWriter::Text(w) => w.records_written(),
-        }
-    }
-
-    /// Finalises the file (patching the binary header counters) and flushes.
-    pub fn finish(self) -> Result<(), TraceIoError> {
-        match self {
-            TraceFileWriter::Binary(w) => w.finish().map(drop),
-            TraceFileWriter::Text(w) => w.finish().map(drop),
-        }
-    }
-}
-
-/// Records up to `limit` records from `source` into `path` in `format`; returns the
-/// number of records written (fewer than `limit` only if the source ends first).
+/// Records up to `limit` records from `source` into `path`; returns the number of records
+/// written (fewer than `limit` only if the source ends first).
 ///
 /// The copy is streaming: one record is in flight at a time, so recording a
 /// multi-million-instruction workload holds O(1) memory.
@@ -179,9 +23,8 @@ pub fn record_trace(
     source: &mut dyn TraceSource,
     limit: u64,
     path: &Path,
-    format: TraceFormat,
 ) -> Result<u64, TraceIoError> {
-    let mut writer = TraceFileWriter::create(path, format)?;
+    let mut writer = BinaryTraceWriter::new(BufWriter::new(File::create(path)?))?;
     while writer.records_written() < limit {
         let Some(r) = source.next_record() else {
             break;
@@ -193,38 +36,10 @@ pub fn record_trace(
     Ok(written)
 }
 
-/// Converts `input` to `output` in `to` format (both directions are lossless), streaming.
-/// Returns the number of records converted.
-///
-/// Refuses to convert a file onto itself: the output is created (truncated) while the
-/// input is still being streamed, so an in-place conversion would destroy the input.
-pub fn convert(input: &Path, output: &Path, to: TraceFormat) -> Result<u64, TraceIoError> {
-    // Canonicalisation fails when `output` does not exist yet — which is exactly the case
-    // where truncation cannot destroy anything.
-    if let (Ok(from), Ok(to_path)) = (input.canonicalize(), output.canonicalize()) {
-        if from == to_path {
-            return Err(TraceIoError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "cannot convert '{}' onto itself (write to a new path instead)",
-                    input.display()
-                ),
-            )));
-        }
-    }
-    let mut reader = open_trace(input)?;
-    let mut writer = TraceFileWriter::create(output, to)?;
-    while let Some(r) = reader.try_next()? {
-        writer.write_record(r)?;
-    }
-    let written = writer.records_written();
-    writer.finish()?;
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use athena_sim::TraceRecord;
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -245,88 +60,33 @@ mod tests {
     }
 
     #[test]
-    fn record_open_and_sniff_both_formats() {
+    fn record_and_open_round_trip() {
         let records = sample_records();
-        for (format, name) in [
-            (TraceFormat::Binary, "roundtrip.trace"),
-            (TraceFormat::Text, "roundtrip.trace.txt"),
-        ] {
-            let path = temp_path(name);
-            let mut src = records.clone().into_iter();
-            let written = record_trace(&mut src, u64::MAX, &path, format).unwrap();
-            assert_eq!(written, records.len() as u64);
-            assert_eq!(sniff_format(&path).unwrap(), format);
-            let mut file = open_trace(&path).unwrap();
-            assert_eq!(file.format(), format);
-            if format == TraceFormat::Binary {
-                assert_eq!(file.header().unwrap().records, records.len() as u64);
-            }
-            let replayed: Vec<TraceRecord> = std::iter::from_fn(|| file.next_record()).collect();
-            assert_eq!(replayed, records, "{format} round trip");
-        }
+        let path = temp_path("roundtrip.trace");
+        let mut src = records.clone().into_iter();
+        let written = record_trace(&mut src, u64::MAX, &path).unwrap();
+        assert_eq!(written, records.len() as u64);
+        let mut file = open_trace(&path).unwrap();
+        assert_eq!(file.header().records, records.len() as u64);
+        let replayed: Vec<TraceRecord> = std::iter::from_fn(|| file.next_record()).collect();
+        assert_eq!(replayed, records);
     }
 
     #[test]
     fn record_respects_the_limit() {
         let path = temp_path("limited.trace");
         let mut src = sample_records().into_iter();
-        let written = record_trace(&mut src, 42, &path, TraceFormat::Binary).unwrap();
+        let written = record_trace(&mut src, 42, &path).unwrap();
         assert_eq!(written, 42);
         let mut file = open_trace(&path).unwrap();
-        assert_eq!(file.header().unwrap().records, 42);
+        assert_eq!(file.header().records, 42);
         assert_eq!(std::iter::from_fn(|| file.next_record()).count(), 42);
     }
 
     #[test]
-    fn convert_is_lossless_in_both_directions() {
-        let records = sample_records();
-        let bin = temp_path("convert.trace");
-        let txt = temp_path("convert.trace.txt");
-        let back = temp_path("convert-back.trace");
-        let mut src = records.clone().into_iter();
-        record_trace(&mut src, u64::MAX, &bin, TraceFormat::Binary).unwrap();
-        assert_eq!(convert(&bin, &txt, TraceFormat::Text).unwrap(), 500);
-        assert_eq!(convert(&txt, &back, TraceFormat::Binary).unwrap(), 500);
-        let original = std::fs::read(&bin).unwrap();
-        let roundtripped = std::fs::read(&back).unwrap();
-        assert_eq!(
-            original, roundtripped,
-            "binary→text→binary is byte-identical"
-        );
-    }
-
-    #[test]
-    fn converting_a_trace_onto_itself_is_refused_and_harmless() {
-        let path = temp_path("inplace.trace");
-        let mut src = sample_records().into_iter();
-        record_trace(&mut src, u64::MAX, &path, TraceFormat::Binary).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        assert!(convert(&path, &path, TraceFormat::Text).is_err());
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            before,
-            "input must be intact"
-        );
-    }
-
-    #[test]
-    fn sniffing_a_non_trace_file_fails() {
+    fn opening_a_non_trace_file_fails() {
         let path = temp_path("not-a-trace");
         std::fs::write(&path, b"hello world, definitely not a trace").unwrap();
-        assert!(matches!(sniff_format(&path), Err(TraceIoError::BadMagic)));
-        assert!(open_trace(&path).is_err());
-    }
-
-    #[test]
-    fn format_for_path_follows_extension() {
-        assert_eq!(
-            TraceFormat::for_path(Path::new("w.trace")),
-            TraceFormat::Binary
-        );
-        assert_eq!(
-            TraceFormat::for_path(Path::new("w.trace.txt")),
-            TraceFormat::Text
-        );
-        assert_eq!(TraceFormat::for_path(Path::new("w")), TraceFormat::Binary);
+        assert!(matches!(open_trace(&path), Err(TraceIoError::BadMagic)));
     }
 }

@@ -1,17 +1,14 @@
 //! # athena-trace-io
 //!
-//! On-disk trace formats and streaming replay for the Athena reproduction.
+//! The on-disk trace format and streaming replay for the Athena reproduction.
 //!
-//! Every workload in `athena-workloads` is an in-process seeded generator. That keeps the
-//! suite cheap and deterministic, but nothing can be captured to disk, shared between
-//! machines, diffed, or replayed from an external tool — the workflows that real
-//! trace-driven reproductions (Pythia's ChampSim farms, the paper's own 100-trace
-//! evaluation) are built on. This crate closes that gap with two interchangeable on-disk
-//! representations of a [`TraceRecord`] stream and bounded-memory streaming readers and
-//! writers for both, so a multi-million-instruction trace replays without ever being
-//! materialised in memory.
+//! Every workload in `athena-workloads` is an in-process seeded generator. `trace record`
+//! writes a generator's record stream to a binary `.trace` file, and `--trace-dir`
+//! replays such files in place of the generators, which reproduces the generated tables
+//! byte for byte. The reader and writer hold O(1) state, so a
+//! multi-million-instruction trace replays without ever being materialised in memory.
 //!
-//! Both readers implement [`TraceSource`], so a file-backed trace drops into
+//! [`BinaryTraceReader`] implements [`TraceSource`], so a file-backed trace drops into
 //! [`athena_sim::Simulator::run`] — and into the experiment engine's file-backed jobs —
 //! exactly like a generator does.
 //!
@@ -58,26 +55,6 @@
 //! record, and a header load count that disagrees with the decoded stream — so neither
 //! silent truncation nor a corrupted header can masquerade as a valid, shorter workload.
 //!
-//! ## The text format (`.trace.txt`)
-//!
-//! A line-oriented format for human inspection and interchange with external tools. The
-//! first line is the signature `#athena-trace v1`; every subsequent non-empty line that
-//! does not start with `#` is one record — an opcode mnemonic followed by hexadecimal
-//! fields (no `0x` prefix):
-//!
-//! ```text
-//! #athena-trace v1
-//! a 400000            # ALU at pc 0x400000
-//! l 400004 10000040   # independent load: pc, address
-//! d 400008 10000080   # dependent load (address depends on the previous load's data)
-//! s 40000c 100000c0   # store: pc, address
-//! b 400010 t          # branch at pc, taken
-//! b 400014 n          # branch at pc, not taken
-//! ```
-//!
-//! The text format carries no counts header; [`convert`] between the formats is lossless
-//! in both directions.
-//!
 //! ## Worked example
 //!
 //! Round-trip three records through the binary format in memory, then replay them:
@@ -110,11 +87,11 @@
 //!
 //! ## Error handling
 //!
-//! Construction and the `try_next` methods return [`TraceIoError`]. The [`TraceSource`]
-//! impls (which have no error channel) panic on a corrupt or truncated stream instead of
-//! silently ending the trace — inside the experiment engine that panic is caught per cell,
-//! so one bad trace file fails exactly one cell of a batch, mirroring how a poisoned
-//! generated cell behaves.
+//! Construction and [`BinaryTraceReader::try_next`] return [`TraceIoError`]. The
+//! [`TraceSource`] impl (which has no error channel) panics on a corrupt or truncated
+//! stream instead of silently ending the trace — inside the experiment engine that panic
+//! is caught per cell, so one bad trace file fails exactly one cell of a batch, mirroring
+//! how a poisoned generated cell behaves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -122,17 +99,11 @@
 mod binary;
 mod error;
 mod file;
-mod stats;
-mod text;
 mod varint;
 
 pub use binary::{BinaryTraceReader, BinaryTraceWriter, TraceHeader, HEADER_LEN, MAGIC, VERSION};
 pub use error::TraceIoError;
-pub use file::{
-    convert, open_trace, record_trace, sniff_format, TraceFile, TraceFileWriter, TraceFormat,
-};
-pub use stats::TraceSummary;
-pub use text::{TextTraceReader, TextTraceWriter, TEXT_SIGNATURE};
+pub use file::{open_trace, record_trace};
 
 // Re-exported so downstream code can name the record types without also depending on
 // `athena-sim` directly.

@@ -20,7 +20,7 @@
 //! * [`athena`] — the Athena RL coordination agent (the paper's contribution).
 //! * [`coordinators`] — Naive, HPAC, MAB, TLP baseline policies.
 //! * [`workloads`] — the 100-workload synthetic trace suite.
-//! * [`trace_io`] — on-disk trace formats (binary + text) and streaming replay.
+//! * [`trace_io`] — the binary on-disk trace format and streaming replay.
 //! * [`telemetry`] — windowed time-series telemetry (per-interval IPC/MPKI/coverage
 //!   series, agent learning internals, learning curves).
 //! * [`probe`] — zero-cost-when-off observability: the structured JSONL event stream,
@@ -67,9 +67,7 @@ pub mod prelude {
     };
     pub use athena_store::{ResultStore, StoreError, StorePolicy};
     pub use athena_telemetry::{LearningCurve, Timeline, WindowSample};
-    pub use athena_trace_io::{
-        convert, open_trace, record_trace, TraceFormat, TraceIoError, TraceSummary,
-    };
+    pub use athena_trace_io::{open_trace, record_trace, TraceIoError};
     pub use athena_tune::{
         load_config, tune, DesignSpace, Leaderboard, Objective, ParamSpace, TuneOptions,
         TuneStrategy,

@@ -215,8 +215,11 @@ fn quick_figure_experiments_produce_consistent_tables() {
 #[test]
 fn zero_run_lengths_are_usage_errors() {
     // A zero-instruction or zero-workload run prints vacuous tables (every speedup 1.0),
-    // so each CLI rejects it up front with the usage-error exit code.
-    let cases: [(&str, &[&str], &str); 4] = [
+    // and a zero-record trace fails every cell that replays it, so each CLI rejects it up
+    // front with the usage-error exit code.
+    let traces = std::env::temp_dir().join(format!("athena-zero-traces-{}", std::process::id()));
+    let traces = traces.to_str().expect("utf-8 temp dir");
+    let cases: [(&str, &[&str], &str); 5] = [
         (
             "figures",
             &["--fig", "fig7", "--quick", "--workloads", "0"],
@@ -237,6 +240,11 @@ fn zero_run_lengths_are_usage_errors() {
             &["--quick", "--workloads", "0"],
             "--workloads must be at least 1",
         ),
+        (
+            "trace",
+            &["record", "--quick", "--instructions", "0", "--out", traces],
+            "--instructions must be at least 1",
+        ),
     ];
     for (bin, args, message) in cases {
         let out = common::run_bin(bin, args, &[]);
@@ -245,4 +253,5 @@ fn zero_run_lengths_are_usage_errors() {
         assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{bin} {args:?} printed a table");
     }
+    let _ = std::fs::remove_dir_all(traces);
 }

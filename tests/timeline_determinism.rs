@@ -10,7 +10,7 @@ use athena_repro::engine::report::timeline_report;
 use athena_repro::harness::experiments::workload_set;
 use athena_repro::harness::timeline::timeline_study;
 use athena_repro::harness::RunOptions;
-use athena_repro::trace_io::{record_trace, TraceFormat};
+use athena_repro::trace_io::record_trace;
 
 const INSTRUCTIONS: u64 = 12_000;
 const WINDOW: u64 = 4_096;
@@ -71,7 +71,7 @@ fn timelines_are_byte_identical_under_trace_replay() {
     for spec in workload_set(&generated_opts) {
         let path = dir.join(format!("{}.trace", spec.name));
         let mut generator = spec.trace();
-        record_trace(&mut generator, INSTRUCTIONS, &path, TraceFormat::Binary).unwrap();
+        record_trace(&mut generator, INSTRUCTIONS, &path).unwrap();
     }
     let mut replay_opts = generated_opts.clone();
     replay_opts.trace_dir = Some(dir.clone());

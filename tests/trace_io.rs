@@ -1,16 +1,13 @@
-//! Property-based tests (proptest shim) for the on-disk trace formats: arbitrary record
-//! streams round-trip through both encodings, and damaged files are rejected rather than
-//! silently replayed short.
+//! Property-based tests (proptest shim) for the on-disk trace format: arbitrary record
+//! streams round-trip through the binary encoding, and damaged files are rejected rather
+//! than silently replayed short.
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
 
 use athena_repro::sim::{TraceRecord, TraceSource};
-use athena_repro::trace_io::{
-    BinaryTraceReader, BinaryTraceWriter, TextTraceReader, TextTraceWriter, TraceIoError,
-    HEADER_LEN,
-};
+use athena_repro::trace_io::{BinaryTraceReader, BinaryTraceWriter, TraceIoError, HEADER_LEN};
 
 /// Maps a tuple of draws onto one record, covering every kind and both boolean payloads.
 fn record_from((sel, pc, addr): (u32, u64, u64)) -> TraceRecord {
@@ -52,20 +49,6 @@ proptest! {
             reader.header().loads,
             records.iter().filter(|r| r.is_load()).count() as u64
         );
-        let replayed: Vec<TraceRecord> = std::iter::from_fn(|| reader.next_record()).collect();
-        prop_assert_eq!(replayed, records);
-    }
-
-    /// `TraceRecord` → text → `TraceRecord` is the identity, for arbitrary streams.
-    #[test]
-    fn text_format_round_trips_arbitrary_records(raw in record_strategy()) {
-        let records: Vec<TraceRecord> = raw.into_iter().map(record_from).collect();
-        let mut w = TextTraceWriter::new(Cursor::new(Vec::new())).expect("in-memory writer");
-        for r in &records {
-            w.write_record(*r).expect("in-memory write");
-        }
-        let text = w.finish().expect("finish").into_inner();
-        let mut reader = TextTraceReader::new(Cursor::new(&text)).expect("valid signature");
         let replayed: Vec<TraceRecord> = std::iter::from_fn(|| reader.next_record()).collect();
         prop_assert_eq!(replayed, records);
     }

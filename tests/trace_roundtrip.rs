@@ -1,4 +1,4 @@
-//! ISSUE 3 acceptance criteria: recording every `quick` workload to disk and replaying it
+//! Recording every `quick` workload to disk and replaying it
 //! through `--trace-dir` reproduces the generated-path experiment tables byte-for-byte,
 //! and a damaged trace file fails loudly instead of quietly changing results.
 
@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use athena_repro::harness::experiments::{run_experiment, workload_set};
 use athena_repro::prelude::*;
-use athena_repro::trace_io::{record_trace, TraceFormat};
+use athena_repro::trace_io::record_trace;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("athena-{tag}-{}", std::process::id()));
@@ -36,8 +36,7 @@ fn replaying_recorded_quick_workloads_reproduces_tables_byte_for_byte() {
     for spec in workload_set(&opts) {
         let path = dir.join(format!("{}.trace", spec.name));
         let mut generator = spec.trace();
-        let written =
-            record_trace(&mut generator, quick_len, &path, TraceFormat::Binary).expect("record");
+        let written = record_trace(&mut generator, quick_len, &path).expect("record");
         assert_eq!(written, quick_len, "{}: generators are infinite", spec.name);
     }
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use athena_repro::engine::json::Json;
 use athena_repro::harness::experiments::{run_experiment, tuning_set};
 use athena_repro::harness::RunOptions;
-use athena_repro::trace_io::{record_trace, TraceFormat};
+use athena_repro::trace_io::record_trace;
 use athena_repro::tune::{
     halving_schedule, load_config, tune, DesignSpace, Leaderboard, Objective, TuneOptions,
     TuneStrategy, MIN_RUNG_BUDGET,
@@ -77,7 +77,7 @@ fn leaderboards_are_byte_identical_under_trace_replay() {
     for spec in tuning_set(&run) {
         let path = dir.join(format!("{}.trace", spec.name));
         let mut generator = spec.trace();
-        record_trace(&mut generator, INSTRUCTIONS, &path, TraceFormat::Binary).unwrap();
+        record_trace(&mut generator, INSTRUCTIONS, &path).unwrap();
     }
     let generated = board(&run, &tune_opts(2));
     let replayed = board(&run, &tune_opts(2).with_trace_dir(&dir));
