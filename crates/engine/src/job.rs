@@ -20,6 +20,7 @@ use athena_telemetry::Timeline;
 use athena_trace_io::open_trace;
 use athena_workloads::{WorkloadMix, WorkloadSpec};
 
+use crate::fingerprint;
 use crate::kinds::{CoordinatorKind, SystemConfig};
 use crate::seed::SeedHasher;
 
@@ -262,7 +263,7 @@ impl Job {
         self.config.hash_into(h);
         h.write_str(self.coordinator.name());
         if let CoordinatorKind::AthenaWith(cfg) = &self.coordinator {
-            h.write_str(&format!("{cfg:?}"));
+            fingerprint::write_athena_config(h, cfg);
         }
         h.write_u64(self.instructions);
     }

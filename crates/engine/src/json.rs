@@ -5,7 +5,7 @@
 //! configurations back from disk — a small recursive-descent parser ([`Json::parse`]).
 //! Object keys keep insertion order, which keeps report files diff-stable across runs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +83,8 @@ impl Json {
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     out.push_str(if i == 0 { "\n" } else { ",\n" });
                     indent(out, depth + 1);
-                    write_escaped(out, key);
+                    // Writing to a String cannot fail.
+                    let _ = write_escaped(out, key);
                     out.push_str(": ");
                     value.write_pretty(out, depth + 1);
                 }
@@ -91,17 +92,22 @@ impl Json {
                 indent(out, depth);
                 out.push('}');
             }
-            other => out.push_str(&other.to_string()),
+            // Writing to a String cannot fail.
+            other => {
+                let _ = write!(out, "{other}");
+            }
         }
     }
     /// Parses a JSON document.
     ///
     /// Supports the full value model this writer emits — objects, arrays, strings (with
     /// `\uXXXX` escapes, including surrogate pairs), numbers, booleans and `null` — and
-    /// rejects trailing garbage. Numbers are parsed as `f64` via Rust's grammar-compatible
-    /// float parser, so everything the serialiser prints round-trips exactly.
+    /// rejects trailing garbage. Numbers are parsed as `f64`, plain integers of up to 15
+    /// digits directly (they are exact) and the rest via Rust's grammar-compatible float
+    /// parser, so everything the serialiser prints round-trips exactly.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -185,6 +191,7 @@ impl fmt::Display for JsonParseError {
 impl std::error::Error for JsonParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -342,14 +349,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim: the input is a
-                    // &str, so byte boundaries are already valid.
+                    // Copy the run up to the next quote or backslash whole. Both are ASCII,
+                    // so the run ends on a char boundary of the &str input.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -390,6 +396,7 @@ impl Parser<'_> {
         if self.pos - int_start > 1 && self.bytes[int_start] == b'0' {
             return Err(self.error("leading zeros are not allowed"));
         }
+        let int_end = self.pos;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             if !digits(self) {
@@ -405,8 +412,22 @@ impl Parser<'_> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        // A plain integer of at most 15 digits is below 2^53, so it converts to f64
+        // exactly; negating it keeps `-0` as -0.0. Every other literal goes through
+        // Rust's float parser.
+        if self.pos == int_end && int_end - int_start <= 15 {
+            let magnitude = self.bytes[int_start..int_end]
+                .iter()
+                .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'))
+                as f64;
+            return Ok(Json::Num(if start == int_start {
+                magnitude
+            } else {
+                -magnitude
+            }));
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error("number out of range"))
     }
@@ -418,20 +439,30 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` as a quoted JSON string. Every byte that needs an escape is ASCII, so the
+/// runs between them are copied whole and stay on char boundaries.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match escape {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 fn write_num(f: &mut fmt::Formatter<'_>, v: f64) -> fmt::Result {
@@ -454,35 +485,31 @@ impl fmt::Display for Json {
     /// Compact (single-line) JSON serialisation.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Json::Num(v) => write_num(f, *v),
-            Json::Str(s) => {
-                let mut buf = String::new();
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
-                write!(f, "[")?;
+                f.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
-                write!(f, "]")
+                f.write_char(']')
             }
             Json::Obj(pairs) => {
-                write!(f, "{{")?;
+                f.write_char('{')?;
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_char(',')?;
                     }
-                    let mut buf = String::new();
-                    write_escaped(&mut buf, key);
-                    write!(f, "{buf}:{value}")?;
+                    write_escaped(f, key)?;
+                    f.write_char(':')?;
+                    value.fmt(f)?;
                 }
-                write!(f, "}}")
+                f.write_char('}')
             }
         }
     }
@@ -643,5 +670,93 @@ mod tests {
         assert!(text.ends_with('\n'));
         assert!(text.contains("  \"a\": 1"));
         assert!(text.contains("\"empty\": []"));
+    }
+
+    #[test]
+    fn strings_round_trip_with_multibyte_chars_and_escapes_at_run_edges() {
+        for text in [
+            "λ",
+            "🦀",
+            "λab🦀",
+            "\"λ",
+            "🦀\\",
+            "\nλ\t",
+            "λ\"🦀\"λ",
+            "\\\\",
+            "\u{1}🦀\u{1f}",
+            "a\u{7f}b\u{a0}c",
+            "",
+        ] {
+            let json = Json::str(text);
+            let written = json.to_string();
+            assert_eq!(Json::parse(&written).unwrap(), json, "{written}");
+            let mut pretty = String::new();
+            json.write_pretty(&mut pretty, 0);
+            assert_eq!(pretty, written);
+        }
+        // Escapes as the first and the last thing inside the quotes.
+        assert_eq!(Json::parse(r#""\u00e9λ\u00e9""#).unwrap(), Json::str("éλé"));
+        assert_eq!(Json::parse(r#""\"""#).unwrap(), Json::str("\""));
+        assert_eq!(Json::parse(r#""\\λ\n""#).unwrap(), Json::str("\\λ\n"));
+        // As an object key too.
+        let doc = Json::obj(vec![("🦀\"k\"λ", Json::str("\tv\u{2}"))]);
+        assert_eq!(doc.to_string(), "{\"🦀\\\"k\\\"λ\":\"\\tv\\u0002\"}");
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn raw_control_bytes_inside_strings_are_kept() {
+        // The writer escapes them; the parser takes them verbatim.
+        assert_eq!(
+            Json::parse("\"a\u{1}\tb\nc\u{1f}\"").unwrap(),
+            Json::str("a\u{1}\tb\nc\u{1f}")
+        );
+    }
+
+    #[test]
+    fn malformed_strings_fail_at_the_same_offsets() {
+        let error = |text: &str| Json::parse(text).unwrap_err();
+        assert_eq!(error("\"abc").message, "unterminated string");
+        assert_eq!(error("\"abc").offset, 4);
+        assert_eq!(error("\"abc\\").message, "invalid escape sequence");
+        assert_eq!(error("\"abc\\").offset, 5);
+        assert_eq!(error("\"abc\\q\"").message, "invalid escape sequence");
+        assert_eq!(error("\"abc\\q\"").offset, 5);
+        assert_eq!(error("\"λλ").offset, 5);
+        assert_eq!(error("[\"a\\u00\"]").message, "invalid \\u escape");
+    }
+
+    #[test]
+    fn integer_literals_parse_like_the_float_parser() {
+        let bits = |text: &str| Json::parse(text).unwrap().as_f64().unwrap().to_bits();
+        let fifteen = "999999999999999";
+        assert_eq!(bits(fifteen), 999_999_999_999_999f64.to_bits());
+        assert_eq!(
+            bits("-999999999999999"),
+            (-999_999_999_999_999f64).to_bits()
+        );
+        assert_eq!(bits("9999999999999999"), 1e16f64.to_bits());
+        // 2^53 + 1 has no f64: the float parser rounds it to 2^53.
+        assert_eq!(bits("9007199254740993"), 9_007_199_254_740_992f64.to_bits());
+        assert_eq!(bits("-0"), (-0.0f64).to_bits());
+        assert_eq!(bits("0"), 0.0f64.to_bits());
+        assert!(Json::parse("-007").is_err());
+        // Every digit count on both sides of the 15-digit cut, and a spread of values.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for digits in 1..=19 {
+            for _ in 0..200 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let text = (x % 10u64.pow(digits)).to_string();
+                for text in [text.clone(), format!("-{text}")] {
+                    assert_eq!(
+                        bits(&text),
+                        text.parse::<f64>().unwrap().to_bits(),
+                        "{text}"
+                    );
+                }
+            }
+        }
     }
 }

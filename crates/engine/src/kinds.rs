@@ -9,6 +9,7 @@ use athena_ocp::{Hmp, Popet, Ttp};
 use athena_prefetchers::{Berti, Ipcp, Mlop, NextLine, Pythia, Sms, SppPpf, StridePrefetcher};
 use athena_sim::{CacheLevel, Coordinator, OffChipPredictor, Prefetcher, SimConfig};
 
+use crate::fingerprint;
 use crate::seed::SeedHasher;
 
 /// The prefetchers the harness can instantiate by name.
@@ -300,10 +301,11 @@ impl SystemConfig {
     /// would silently omit it and let two semantically different configs share a seed. The
     /// trade-off is that derived seeds are stable within a revision of the code, not across
     /// revisions that change the config's shape — acceptable, because a config-shape change
-    /// changes what a cell *means*.
+    /// changes what a cell *means*. The rendering is cached per thread
+    /// ([`crate::fingerprint`]), so a run renders each distinct config once, not per cell.
     pub(crate) fn hash_into(&self, hasher: &mut SeedHasher) {
         hasher.write_str(&self.describe());
-        hasher.write_str(&format!("{:?}", self.sim));
+        fingerprint::write_sim_config(hasher, &self.sim);
     }
 }
 

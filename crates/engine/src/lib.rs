@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 mod exec;
+mod fingerprint;
 mod job;
 mod kinds;
 mod memo;

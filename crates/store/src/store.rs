@@ -278,14 +278,19 @@ impl ResultStore {
         };
         self.log
             .seek(SeekFrom::Start(entry.offset + RECORD_HEADER_LEN))?;
-        let mut payload = vec![0u8; entry.len as usize];
-        self.log.read_exact(&mut payload).map_err(|_| {
-            StoreError::corrupt(
+        // Read into spare capacity: the read overwrites every byte, so zeroing the buffer
+        // first is wasted work.
+        let mut payload = Vec::with_capacity(entry.len as usize);
+        let read = (&mut self.log)
+            .take(u64::from(entry.len))
+            .read_to_end(&mut payload);
+        if read.is_err() || payload.len() != entry.len as usize {
+            return Err(StoreError::corrupt(
                 "log",
                 entry.offset,
                 format!("record payload truncated (expected {} bytes)", entry.len),
-            )
-        })?;
+            ));
+        }
         if fnv64(&payload) != entry.checksum {
             return Err(StoreError::corrupt(
                 "log",
@@ -823,6 +828,28 @@ mod tests {
             matches!(err, StoreError::Corrupt { file: "log", .. }),
             "got: {err}"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_cut_short_after_open_fails_get() {
+        let dir = tmp_dir("cut");
+        let mut s = ResultStore::open(&dir, false).unwrap();
+        s.put(key(1), b"a-payload-of-some-length").unwrap();
+        let log = dir.join(LOG_FILE);
+        let len = fs::metadata(&log).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&log)
+            .unwrap()
+            .set_len(len - 5)
+            .unwrap();
+        let err = s.get(key(1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "corrupt store log at byte 16: record payload truncated (expected 24 bytes)"
+        );
+        drop(s);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,7 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
-use athena_harness::cli::{count, fail, value, TRACE_HELP as HELP};
+use athena_harness::cli::{count, fail, fail_env, value, TRACE_HELP as HELP};
 use athena_harness::experiments::workload_set;
 use athena_harness::RunOptions;
 use athena_trace_io::{open_trace, record_trace};
@@ -77,7 +77,7 @@ fn parse_record_args(mut args: std::env::Args) -> Result<RecordArgs, String> {
 fn cmd_record(args: std::env::Args) {
     let r = parse_record_args(args).unwrap_or_else(|e| fail(e));
     if let Err(e) = std::fs::create_dir_all(&r.out) {
-        fail(format!("cannot create {}: {e}", r.out.display()));
+        fail_env(format!("cannot create {}: {e}", r.out.display()));
     }
     for spec in &r.specs {
         let path = r.out.join(format!("{}.trace", spec.name));
@@ -90,7 +90,7 @@ fn cmd_record(args: std::env::Args) {
                 spec.seed,
                 path.display()
             ),
-            Err(e) => fail(format!("recording {}: {e}", spec.name)),
+            Err(e) => fail_env(format!("recording {}: {e}", spec.name)),
         }
     }
 }
@@ -100,7 +100,8 @@ fn cmd_info(files: &[String]) {
         fail("info needs at least one trace file");
     }
     for file in files {
-        let trace = open_trace(Path::new(file)).unwrap_or_else(|e| fail(format!("{file}: {e}")));
+        let trace =
+            open_trace(Path::new(file)).unwrap_or_else(|e| fail_env(format!("{file}: {e}")));
         let h = trace.header();
         println!("{file}:");
         println!("  version:  {}", h.version);

@@ -213,6 +213,51 @@ fn quick_figure_experiments_produce_consistent_tables() {
 }
 
 #[test]
+fn trace_environment_failures_exit_1() {
+    // A path that cannot be read or written is a bad environment, not a bad invocation:
+    // `trace` exits 1 for it, as `figures` does.
+    let dir = std::env::temp_dir().join(format!("athena-trace-env-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let file = dir.join("a-file");
+    let blocked = dir.join("blocked");
+    // A directory where the recording should go: creating the trace file fails.
+    std::fs::create_dir_all(blocked.join("429.mcf-184B.trace")).unwrap();
+    std::fs::write(&file, b"not a directory").unwrap();
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp dir").to_string();
+    let (missing, file, blocked) = (
+        path(&dir.join("missing.trace")),
+        path(&file),
+        path(&blocked),
+    );
+    let cases: [(&[&str], &str); 3] = [
+        (&["info", &missing], "missing.trace"),
+        (
+            &["record", "--workload", "429.mcf-184B", "--out", &file],
+            "cannot create",
+        ),
+        (
+            &[
+                "record",
+                "--workload",
+                "429.mcf-184B",
+                "--instructions",
+                "100",
+                "--out",
+                &blocked,
+            ],
+            "recording 429.mcf-184B",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = common::run_bin("trace", args, &[]);
+        let stderr = common::text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "trace {args:?}: {stderr}");
+        assert!(stderr.contains(message), "trace {args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn zero_run_lengths_are_usage_errors() {
     // A zero-instruction or zero-workload run prints vacuous tables (every speedup 1.0),
     // and a zero-record trace fails every cell that replays it, so each CLI rejects it up
