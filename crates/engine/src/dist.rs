@@ -28,8 +28,8 @@
 //! Payloads are JSON documents declaring a [`crate::report::Schema`]
 //! (`athena-dist-*-v1`); the checksum is the same FNV-1a 64 the result store uses
 //! ([`athena_store::fnv64`]). The conversation is: worker sends `HELLO`; then, once per
-//! batch, the coordinator sends one `SHARD` (an indexed job list, jobs serialised by
-//! [`crate::wire::job_json`], plus the coordinator's profiling switch) and the worker
+//! batch, the coordinator sends one `SHARD` (an indexed job list, jobs written by
+//! [`crate::wire::write_job`], plus the coordinator's profiling switch) and the worker
 //! answers one `RESULT` per cell, then `DONE`. When the pool is dropped the coordinator
 //! closes the worker's stdin and the worker exits. A `RESULT` carries everything the
 //! coordinator knows about the cell: its wall-clock, its phase profile when profiling is
@@ -82,16 +82,16 @@ use std::time::{Duration, Instant};
 use athena_probe::{metrics, CellOrigin, Event, PhaseProfile, ProbeSink};
 use athena_store::fnv64;
 
-use crate::codec::{get, u64_json, Codec};
+use crate::codec::{fill, read_envelope, take, u64_json, Codec};
 use crate::exec::{run_cell, CellOutcome};
 use crate::job::{Job, JobOutput};
-use crate::json::Json;
+use crate::json::{Json, JsonReader, JsonWriter};
 use crate::report::{
     DIST_DONE_SCHEMA, DIST_HELLO_SCHEMA, DIST_RESULT_SCHEMA, DIST_SHARD_SCHEMA,
     RESULT_RECORD_SCHEMA,
 };
-use crate::store::{record_key, StoreHandle};
-use crate::wire::{job_from_json, job_json};
+use crate::store::{record_key, RecordFields, StoreHandle};
+use crate::wire::{read_job, write_job};
 
 /// Maximum attempts per cell before a repeatedly dying assignment fails the batch.
 pub const MAX_ATTEMPTS: u32 = 3;
@@ -164,8 +164,16 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     let mut checksum = [0u8; 8];
     r.read_exact(&mut checksum)?;
     let checksum = u64::from_le_bytes(checksum);
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Read into spare capacity: the read overwrites every byte, so zeroing the buffer
+    // first is wasted work.
+    let mut payload = Vec::with_capacity(len as usize);
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame cut short: {} of {len} payload bytes", payload.len()),
+        ));
+    }
     let actual = fnv64(&payload);
     if actual != checksum {
         return Err(io::Error::new(
@@ -687,7 +695,7 @@ impl Batch<'_> {
     fn merge_result(&mut self, slot: usize, payload: &[u8]) {
         let worker = &mut self.live.workers[slot];
         let (id, pid) = (worker.id, worker.pid);
-        let (index, cell) = decode_result(id, &parse_payload(id, payload), self.jobs);
+        let (index, cell) = decode_result(id, payload, self.jobs);
         assert!(
             worker.outstanding.remove(&index),
             "distributed worker #{id} answered cell {index}, which it does not own"
@@ -707,7 +715,8 @@ impl Batch<'_> {
 }
 
 fn check_hello(worker: usize, payload: &[u8]) {
-    let doc = parse_payload(worker, payload);
+    let doc = Json::parse(frame_text(worker, payload))
+        .unwrap_or_else(|e| panic!("distributed worker #{worker}: frame payload is not JSON: {e}"));
     if !DIST_HELLO_SCHEMA.matches(&doc) {
         panic!(
             "distributed worker #{worker} did not speak the '{}' handshake — wrong \
@@ -720,19 +729,34 @@ fn check_hello(worker: usize, payload: &[u8]) {
 /// Decodes one `RESULT` frame from `worker` into the index of the cell it answers and
 /// that cell's outcome. Every field that is missing, mistyped or lying — the schema, the
 /// index, `wall_nanos`, the profile, the record and its key — is corruption and panics,
-/// naming the worker and the cell, rather than merging a made-up value.
-fn decode_result(worker: usize, doc: &Json, jobs: &[Job]) -> (usize, CellOutcome) {
+/// naming the worker and the cell, rather than merging a made-up value. The frame is read
+/// in one pass; its fields are checked in that order whatever order they came in.
+fn decode_result(worker: usize, payload: &[u8], jobs: &[Job]) -> (usize, CellOutcome) {
+    let mut r = JsonReader::new(frame_text(worker, payload));
+    let (mut schema, mut index, mut wall, mut profile, mut error, mut record) =
+        (None, None, None, None, None, None);
+    read_envelope(&mut r, |key, r| match key {
+        "schema" => fill(&mut schema, r, |r| DIST_RESULT_SCHEMA.read_matches(r)),
+        "index" => fill(&mut index, r, usize::read),
+        "wall_nanos" => fill(&mut wall, r, u64::read),
+        "profile" => fill(&mut profile, r, PhaseProfile::read),
+        "error" => fill(&mut error, r, String::read),
+        "record" if record.is_none() => RecordFields::read(r).map(|fields| record = Some(fields)),
+        _ => r.skip_value(),
+    })
+    .and_then(|()| r.finish())
+    .unwrap_or_else(|e| panic!("distributed worker #{worker}: frame payload is not JSON: {e}"));
     assert!(
-        DIST_RESULT_SCHEMA.matches(doc),
+        schema == Some(Ok(true)),
         "distributed worker #{worker}: result frame does not declare schema '{}'",
         DIST_RESULT_SCHEMA.id()
     );
-    let index: usize = get(doc, "index")
+    let index: usize = take(index, "index")
         .unwrap_or_else(|e| panic!("distributed worker #{worker}: result has no cell index: {e}"));
     let job = jobs.get(index).unwrap_or_else(|| {
         panic!("distributed worker #{worker} answered cell {index}, which does not exist")
     });
-    let wall = get(doc, "wall_nanos")
+    let wall = take(wall, "wall_nanos")
         .map(Duration::from_nanos)
         .unwrap_or_else(|e| {
             panic!(
@@ -740,28 +764,28 @@ fn decode_result(worker: usize, doc: &Json, jobs: &[Job]) -> (usize, CellOutcome
                  'wall_nanos': {e}"
             )
         });
-    let profile = doc.get("profile").map(|p| {
-        PhaseProfile::decode(p).unwrap_or_else(|e| {
+    let profile = profile.map(|p| {
+        p.unwrap_or_else(|e| {
             panic!("distributed worker #{worker}: cell {index} sent an undecodable profile: {e}")
         })
     });
-    let output = if let Some(error) = doc.get("error") {
-        let message = error.as_str().unwrap_or_else(|| {
+    let output = if let Some(error) = error {
+        let message = error.unwrap_or_else(|_| {
             panic!("distributed worker #{worker}: non-string error for cell {index}")
         });
-        Err(message.to_string())
+        Err(message)
     } else {
-        let record = doc.get("record").unwrap_or_else(|| {
+        let record = record.unwrap_or_else(|| {
             panic!("distributed worker #{worker}: result for cell {index} has no record")
         });
         assert!(
-            RESULT_RECORD_SCHEMA.matches(record),
+            record.declares_schema(),
             "distributed worker #{worker}: cell {index} record does not declare schema '{}'",
             RESULT_RECORD_SCHEMA.id()
         );
         let key = record_key(job);
-        let sent_identity = record.get("identity").and_then(Json::as_hex_u64);
-        let sent_variant = record.get("variant").and_then(Json::as_hex_u64);
+        let sent_identity = record.identity.and_then(Result::ok);
+        let sent_variant = record.variant.and_then(Result::ok);
         if sent_identity != Some(key.identity) || sent_variant != Some(key.variant) {
             panic!(
                 "distributed worker #{worker} sent a lying record for cell '{}': claims key \
@@ -774,9 +798,8 @@ fn decode_result(worker: usize, doc: &Json, jobs: &[Job]) -> (usize, CellOutcome
             );
         }
         let output = record
-            .get("output")
-            .ok_or("record has no 'output' field".to_string())
-            .and_then(crate::report::job_output_from_json)
+            .output
+            .unwrap_or_else(|| Err("record has no 'output' field".to_string()))
             .unwrap_or_else(|e| {
                 panic!(
                     "distributed worker #{worker}: record for cell '{}' does not decode: {e}",
@@ -795,33 +818,80 @@ fn decode_result(worker: usize, doc: &Json, jobs: &[Job]) -> (usize, CellOutcome
     )
 }
 
-fn parse_payload(worker: usize, payload: &[u8]) -> Json {
-    let text = std::str::from_utf8(payload).unwrap_or_else(|e| {
-        panic!("distributed worker #{worker}: frame payload is not UTF-8: {e}")
-    });
-    Json::parse(text)
-        .unwrap_or_else(|e| panic!("distributed worker #{worker}: frame payload is not JSON: {e}"))
+fn frame_text(worker: usize, payload: &[u8]) -> &str {
+    std::str::from_utf8(payload)
+        .unwrap_or_else(|e| panic!("distributed worker #{worker}: frame payload is not UTF-8: {e}"))
 }
 
 fn shard_payload(jobs: &[Job], cells: &[usize]) -> Vec<u8> {
-    let cells = cells
-        .iter()
-        .map(|&i| {
-            Json::obj(vec![
-                ("index", u64_json(i as u64)),
-                ("job", job_json(&jobs[i])),
-            ])
-        })
-        .collect();
-    DIST_SHARD_SCHEMA
-        .document(vec![
-            ("cells", Json::arr(cells)),
-            // The coordinator's profiling switch rides along so workers accrue phase
-            // profiles exactly when an in-process run would.
-            ("profile", Json::Bool(athena_probe::profiling_enabled())),
-        ])
-        .to_string()
-        .into_bytes()
+    let mut w = JsonWriter::new();
+    DIST_SHARD_SCHEMA.begin_document(&mut w);
+    w.key("cells");
+    w.begin_array();
+    for &i in cells {
+        w.begin_object();
+        w.key("index");
+        w.u64(i as u64);
+        w.key("job");
+        write_job(&mut w, &jobs[i]);
+        w.end_object();
+    }
+    w.end_array();
+    // The coordinator's profiling switch rides along so workers accrue phase profiles
+    // exactly when an in-process run would.
+    w.key("profile");
+    w.boolean(athena_probe::profiling_enabled());
+    w.end_object();
+    w.into_bytes()
+}
+
+/// Reads a `SHARD` frame: the profiling switch and every indexed job, each job through
+/// its identity tripwire. The fields are checked in a fixed order whatever order they
+/// came in: the payload's syntax, its schema, then the cells in order.
+fn read_shard(text: &str) -> Result<(bool, Vec<(u64, Job)>), String> {
+    let mut r = JsonReader::new(text);
+    let (mut schema, mut profile, mut cells) = (None, None, None);
+    read_envelope(&mut r, |key, r| match key {
+        "schema" => fill(&mut schema, r, |r| DIST_SHARD_SCHEMA.read_matches(r)),
+        "profile" => fill(&mut profile, r, bool::read),
+        "cells" => fill(&mut cells, r, read_shard_cells),
+        _ => r.skip_value(),
+    })
+    .and_then(|()| r.finish())
+    .map_err(|e| format!("shard payload is not JSON: {e}"))?;
+    if schema != Some(Ok(true)) {
+        return Err(format!(
+            "shard does not declare schema '{}'",
+            DIST_SHARD_SCHEMA.id()
+        ));
+    }
+    let profile = profile.and_then(Result::ok).unwrap_or(false);
+    Ok((profile, cells.ok_or("shard has no 'cells' array")??))
+}
+
+/// The `cells` array of a `SHARD` frame.
+fn read_shard_cells(r: &mut JsonReader<'_>) -> Result<Vec<(u64, Job)>, String> {
+    if r.peek() != Some(b'[') {
+        return Err("shard has no 'cells' array".to_string());
+    }
+    let mut cells = r.begin_array()?;
+    let mut jobs = Vec::new();
+    while r.next_item(&mut cells)? {
+        let (mut index, mut job) = (None, None);
+        read_envelope(r, |key, r| match key {
+            "index" => fill(&mut index, r, u64::read),
+            "job" => fill(&mut job, r, read_job),
+            _ => r.skip_value(),
+        })?;
+        let index = index
+            .and_then(Result::ok)
+            .ok_or("shard cell has no index")?;
+        let job = job
+            .ok_or("shard cell has no job")?
+            .map_err(|e| format!("cannot reconstruct cell {index}: {e}"))?;
+        jobs.push((index, job));
+    }
+    Ok(jobs)
 }
 
 // ---------------------------------------------------------------------------------------
@@ -900,6 +970,7 @@ pub fn serve() {
     let hello = DIST_HELLO_SCHEMA.document(vec![("pid", u64_json(std::process::id() as u64))]);
     write_frame(&mut output, KIND_HELLO, hello.to_string().as_bytes())
         .expect("worker cannot write its handshake");
+    let mut w = JsonWriter::new();
     loop {
         let frame = read_frame(&mut input).unwrap_or_else(|e| {
             panic!("worker: cannot read from the coordinator: {e}");
@@ -911,50 +982,28 @@ pub fn serve() {
             kind, KIND_SHARD,
             "worker: expected a SHARD frame, got {kind}"
         );
-        let doc =
-            Json::parse(std::str::from_utf8(&payload).expect("worker: shard payload is not UTF-8"))
-                .unwrap_or_else(|e| panic!("worker: shard payload is not JSON: {e}"));
-        assert!(
-            DIST_SHARD_SCHEMA.matches(&doc),
-            "worker: shard does not declare schema '{}'",
-            DIST_SHARD_SCHEMA.id()
-        );
-        athena_probe::set_profiling(doc.get("profile").and_then(Json::as_bool).unwrap_or(false));
-        let cells = doc
-            .get("cells")
-            .and_then(Json::as_array)
-            .expect("worker: shard has no 'cells' array");
-        for (nth, cell) in cells.iter().enumerate() {
-            let index: u64 = get(cell, "index").expect("worker: shard cell has no index");
-            let job = job_from_json(cell.get("job").expect("worker: shard cell has no job"))
-                .unwrap_or_else(|e| panic!("worker: cannot reconstruct cell {index}: {e}"));
+        let text = std::str::from_utf8(&payload).expect("worker: shard payload is not UTF-8");
+        let (profile, cells) = read_shard(text).unwrap_or_else(|e| panic!("worker: {e}"));
+        athena_probe::set_profiling(profile);
+        for (nth, (index, job)) in cells.iter().enumerate() {
             let faulty = faults
                 .panic_label
                 .as_deref()
                 .is_some_and(|needle| job.label().contains(needle));
-            let outcome = run_cell(&job, || {
+            let outcome = run_cell(job, || {
                 if faulty {
                     panic!("injected worker fault: cell panics");
                 }
             });
-            let mut fields = vec![
-                ("index", u64_json(index)),
-                ("wall_nanos", u64_json(outcome.wall.as_nanos() as u64)),
-            ];
-            if let Some(profile) = &outcome.profile {
-                fields.push(("profile", profile.encode()));
-            }
-            match &outcome.output {
-                Ok(output) => fields.push(("record", StoreHandle::record_doc(&job, output))),
-                Err(message) => fields.push(("error", Json::str(message))),
-            }
-            let result = DIST_RESULT_SCHEMA.document(fields).to_string().into_bytes();
+            w.clear();
+            write_result(&mut w, *index, job, &outcome);
+            let result = w.as_str().as_bytes();
             if nth == 0 && Faults::claim(&faults.corrupt) {
-                send_corrupted(&mut output, &result);
+                send_corrupted(&mut output, result);
             } else if nth == 0 && Faults::claim(&faults.truncate) {
-                send_truncated(&mut output, &result);
+                send_truncated(&mut output, result);
             } else {
-                write_frame(&mut output, KIND_RESULT, &result)
+                write_frame(&mut output, KIND_RESULT, result)
                     .expect("worker: cannot write a result frame");
             }
             if Faults::claim(&faults.die) {
@@ -965,6 +1014,30 @@ pub fn serve() {
         write_frame(&mut output, KIND_DONE, done.to_string().as_bytes())
             .expect("worker: cannot write the DONE frame");
     }
+}
+
+/// Writes the `RESULT` frame payload of cell `index`.
+fn write_result(w: &mut JsonWriter, index: u64, job: &Job, outcome: &CellOutcome) {
+    DIST_RESULT_SCHEMA.begin_document(w);
+    w.key("index");
+    w.u64(index);
+    w.key("wall_nanos");
+    w.u64(outcome.wall.as_nanos() as u64);
+    if let Some(profile) = &outcome.profile {
+        w.key("profile");
+        profile.write(w);
+    }
+    match &outcome.output {
+        Ok(output) => {
+            w.key("record");
+            StoreHandle::write_record(w, job, output);
+        }
+        Err(message) => {
+            w.key("error");
+            w.string(message);
+        }
+    }
+    w.end_object();
 }
 
 /// Fault injection: a frame whose checksum was computed over the honest payload but
@@ -1088,9 +1161,10 @@ mod tests {
 
     /// The panic message of `decode_result` on `doc`, which must panic.
     fn decode_panic(doc: &Json, jobs: &[Job]) -> String {
-        let err =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode_result(7, doc, jobs)))
-                .expect_err("a corrupt result must not decode");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            decode_result(7, doc.to_string().as_bytes(), jobs)
+        }))
+        .expect_err("a corrupt result must not decode");
         crate::pool::panic_message(err.as_ref())
     }
 
@@ -1106,7 +1180,7 @@ mod tests {
             ("profile", profile.encode()),
             ("record", StoreHandle::record_doc(&jobs[0], &output)),
         ]);
-        let (index, cell) = decode_result(7, &doc, &jobs);
+        let (index, cell) = decode_result(7, doc.to_string().as_bytes(), &jobs);
         assert_eq!(index, 0);
         assert_eq!(cell.wall, Duration::from_nanos(5_000_001));
         assert_eq!(cell.profile, Some(profile));
@@ -1117,7 +1191,7 @@ mod tests {
             ("wall_nanos", u64_json(9)),
             ("error", Json::str("boom")),
         ]);
-        let (_, cell) = decode_result(7, &failed, &jobs);
+        let (_, cell) = decode_result(7, failed.to_string().as_bytes(), &jobs);
         assert_eq!(cell.output, Err("boom".to_string()));
         assert_eq!(cell.profile, None);
     }
@@ -1148,6 +1222,69 @@ mod tests {
         stray[0] = ("index", u64_json(5));
         stray.push(("wall_nanos", u64_json(1)));
         assert!(decode_panic(&result_doc(stray), &jobs).contains("cell 5"));
+    }
+
+    #[test]
+    fn shard_and_result_payloads_are_the_documents_the_tree_builds() {
+        let jobs = vec![tiny_job(), tiny_job().with_telemetry(1_000)];
+        let tree = DIST_SHARD_SCHEMA.document(vec![
+            (
+                "cells",
+                Json::arr(
+                    [1, 0]
+                        .iter()
+                        .map(|&i| {
+                            Json::obj(vec![
+                                ("index", u64_json(i as u64)),
+                                ("job", crate::wire::job_json(&jobs[i])),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("profile", Json::Bool(athena_probe::profiling_enabled())),
+        ]);
+        let payload = shard_payload(&jobs, &[1, 0]);
+        assert_eq!(
+            String::from_utf8(payload.clone()).unwrap(),
+            tree.to_string()
+        );
+        let (_, cells) = read_shard(std::str::from_utf8(&payload).unwrap()).unwrap();
+        assert_eq!(cells, vec![(1, jobs[1].clone()), (0, jobs[0].clone())]);
+
+        let mut profile = PhaseProfile::new();
+        profile.add(athena_probe::Phase::Dram, 3, 4_000);
+        let ok = CellOutcome {
+            output: Ok(jobs[0].run()),
+            wall: Duration::from_nanos(123_456),
+            profile: Some(profile),
+        };
+        let failed = CellOutcome {
+            output: Err("boom \"quoted\"".to_string()),
+            wall: Duration::from_nanos(7),
+            profile: None,
+        };
+        for outcome in [ok, failed] {
+            let mut fields = vec![
+                ("index", u64_json(0)),
+                ("wall_nanos", u64_json(outcome.wall.as_nanos() as u64)),
+            ];
+            if let Some(p) = &outcome.profile {
+                fields.push(("profile", p.encode()));
+            }
+            match &outcome.output {
+                Ok(output) => fields.push(("record", StoreHandle::record_doc(&jobs[0], output))),
+                Err(message) => fields.push(("error", Json::str(message))),
+            }
+            let mut w = JsonWriter::new();
+            write_result(&mut w, 0, &jobs[0], &outcome);
+            assert_eq!(w.as_str(), result_doc(fields).to_string());
+            let (index, cell) = decode_result(7, w.as_str().as_bytes(), &jobs);
+            assert_eq!(
+                (index, cell.output, cell.profile),
+                (0, outcome.output, outcome.profile)
+            );
+        }
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!   completes ([`pool::parallel_map`]).
 //! * **In-order collection** — results come back in submission order with per-cell
 //!   wall-clock accounting ([`Engine::run`]).
-//! * **Machine-readable results** — a hand-rolled JSON writer ([`json::Json`]) serialises
-//!   aggregate [`ExperimentTable`]s, per-cell records ([`with_recording`]) and the
-//!   `BENCH_sim.json` phase profile ([`report::SIM_BENCH_SCHEMA`]); every document
-//!   declares a shared [`report::Schema`] constant.
+//! * **Machine-readable results** — a hand-rolled JSON writer ([`json::JsonWriter`], under
+//!   the [`json::Json`] tree and the streaming [`codec`]) serialises aggregate
+//!   [`ExperimentTable`]s, per-cell records ([`with_recording`]) and the `BENCH_sim.json`
+//!   phase profile ([`report::SIM_BENCH_SCHEMA`]); every document declares a shared
+//!   [`report::Schema`] constant.
 //! * **Result caching** — an optional persistent content-addressed store
 //!   ([`StoreHandle`], crate `athena-store`) serves previously simulated cells, keyed by
 //!   [`Job::identity_hash`], so warm re-runs simulate nothing and killed sweeps resume

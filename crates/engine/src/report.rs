@@ -20,9 +20,9 @@ use athena_sim::{
 };
 use athena_telemetry::{Timeline, WindowMetrics, WindowSample};
 
-use crate::codec::{codec_array, codec_enum, codec_object, get, u64_json, Codec};
+use crate::codec::{codec_array, codec_enum, codec_object, u64_json, Codec};
 use crate::job::{JobOutput, RunResult};
-use crate::json::Json;
+use crate::json::{Json, JsonReader, JsonWriter};
 use crate::record::CellRecord;
 use crate::table::ExperimentTable;
 
@@ -87,9 +87,24 @@ impl Schema {
         Json::obj(pairs)
     }
 
+    /// Opens a document on `w` with this schema's id as its leading `"schema"` field,
+    /// the streaming counterpart of [`Schema::document`]; the caller writes the other
+    /// fields and closes the object.
+    pub fn begin_document(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("schema");
+        w.string(&self.id());
+    }
+
     /// Whether `doc` declares exactly this schema (name and version).
     pub fn matches(&self, doc: &Json) -> bool {
         doc.get("schema").and_then(Json::as_str) == Some(self.id().as_str())
+    }
+
+    /// Reads a document's `"schema"` value and says whether it is exactly this schema's
+    /// id, the streaming counterpart of [`Schema::matches`].
+    pub fn read_matches(&self, r: &mut JsonReader<'_>) -> Result<bool, String> {
+        Ok(String::read(r)? == self.id())
     }
 }
 
@@ -130,35 +145,64 @@ pub fn figure_report(
 /// A hot-path phase profile: one object per non-empty phase (in hierarchy order) with call
 /// count and self-time nanoseconds, plus the phase-disjoint total. Used by the per-cell
 /// report records, the `BENCH_sim.json` aggregate and the distributed `RESULT` frame.
-/// Written by hand because it is a map keyed by phase name; decoding ignores the derived
-/// total, and re-encoding a decoded profile gives the same bytes.
+/// Written by hand because it is a map keyed by phase name; reading ignores the derived
+/// total, and writing a read profile again gives the same bytes.
 impl Codec for PhaseProfile {
-    fn encode(&self) -> Json {
-        let phases = self
-            .stats()
-            .map(|s| {
-                let counts = vec![("calls", u64_json(s.calls)), ("nanos", u64_json(s.nanos))];
-                (s.phase.name(), Json::obj(counts))
-            })
-            .collect();
-        Json::obj(vec![
-            ("phases", Json::obj(phases)),
-            ("total_nanos", u64_json(self.total_nanos())),
-        ])
+    fn write(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("phases");
+        w.begin_object();
+        for s in self.stats() {
+            w.key(s.phase.name());
+            PhaseCounts {
+                calls: s.calls,
+                nanos: s.nanos,
+            }
+            .write(w);
+        }
+        w.end_object();
+        w.key("total_nanos");
+        w.u64(self.total_nanos());
+        w.end_object();
     }
 
-    fn decode(doc: &Json) -> Result<Self, String> {
-        let Some(Json::Obj(phases)) = doc.get("phases") else {
-            return Err("profile has no 'phases' object".to_string());
-        };
-        let mut profile = PhaseProfile::new();
-        for (name, stat) in phases {
-            let phase = Phase::from_name(name).ok_or_else(|| format!("unknown phase '{name}'"))?;
-            let count = |key: &str| get(stat, key).map_err(|e| format!("phase '{name}': {e}"));
-            profile.add(phase, count("calls")?, count("nanos")?);
+    fn read(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        let mut cursor = r.object()?;
+        let mut profile = None;
+        while let Some(key) = r.next_key(&mut cursor)? {
+            if key == "phases" && profile.is_none() {
+                profile = Some(read_phases(r)?);
+            } else {
+                r.skip_value()?;
+            }
         }
-        Ok(profile)
+        profile.ok_or_else(|| NO_PHASES.to_string())
     }
+}
+
+const NO_PHASES: &str = "profile has no 'phases' object";
+
+/// One phase's counts in a [`PhaseProfile`] document.
+struct PhaseCounts {
+    calls: u64,
+    nanos: u64,
+}
+
+codec_object!(PhaseCounts { calls, nanos });
+
+fn read_phases(r: &mut JsonReader<'_>) -> Result<PhaseProfile, String> {
+    if r.peek() != Some(b'{') {
+        return Err(NO_PHASES.to_string());
+    }
+    let mut cursor = r.begin_object()?;
+    let mut profile = PhaseProfile::new();
+    while let Some(name) = r.next_key(&mut cursor)? {
+        let phase = Phase::from_name(&name).ok_or_else(|| format!("unknown phase '{name}'"))?;
+        let PhaseCounts { calls, nanos } =
+            PhaseCounts::read(r).map_err(|e| format!("phase '{name}': {e}"))?;
+        profile.add(phase, calls, nanos);
+    }
+    Ok(profile)
 }
 
 /// Serialises a metrics-registry snapshot under [`METRICS_SCHEMA`]: counters and
@@ -444,16 +488,6 @@ codec_enum!(JobOutput {
     Single(result) = "single",
     Multi(..cores) = "multi",
 });
-
-/// Serialises one single-core result bit-exactly; [`run_result_from_json`] inverts it.
-pub fn run_result_json(r: &RunResult) -> Json {
-    r.encode()
-}
-
-/// Reconstructs the exact [`RunResult`] serialised by [`run_result_json`].
-pub fn run_result_from_json(j: &Json) -> Result<RunResult, String> {
-    RunResult::decode(j)
-}
 
 /// Serialises a job's full output — single- or multi-core — bit-exactly;
 /// [`job_output_from_json`] inverts it. This is the payload format of result-store

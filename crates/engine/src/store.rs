@@ -11,7 +11,7 @@
 //!   Two jobs with equal keys produce bit-identical outputs, so a stored record can stand
 //!   in for a simulation.
 //! * **Payloads** — [`StoreHandle::encode`] / [`StoreHandle::decode`] wrap the lossless
-//!   [`crate::report::job_output_json`] serialisation in a small self-describing envelope
+//!   [`JobOutput`] codec ([`crate::codec`]) in a small self-describing envelope
 //!   ([`crate::report::RESULT_RECORD_SCHEMA`]) carrying the cell's experiment, label and
 //!   hashes, so `results query` can browse a store without re-deriving jobs.
 //!
@@ -19,15 +19,17 @@
 //! panics with the store directory and cell label rather than silently re-simulating over
 //! a store that lied. A store you cannot trust is a store you must look at.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use athena_store::{RecordKey, ResultStore, StoreError, StorePolicy};
 
+use crate::codec::{fill, hex, read_envelope, Codec};
 use crate::job::{Job, JobOutput};
-use crate::json::Json;
-use crate::report::{job_output_from_json, job_output_json, RESULT_RECORD_SCHEMA};
+use crate::json::{Json, JsonParseError, JsonReader, JsonWriter};
+use crate::report::RESULT_RECORD_SCHEMA;
 use crate::seed::SeedHasher;
 
 /// The output-variant hash of a job: the facets [`Job::identity_hash`] deliberately
@@ -114,42 +116,70 @@ impl StoreHandle {
         self.store.lock().expect("result store mutex poisoned")
     }
 
-    /// Serialises one finished cell into a store record payload: the bytes of
-    /// [`StoreHandle::record_doc`].
+    /// Serialises one finished cell into a store record payload: the bytes
+    /// [`StoreHandle::write_record`] writes.
     pub fn encode(job: &Job, output: &JobOutput) -> Vec<u8> {
-        Self::record_doc(job, output).to_string().into_bytes()
+        let mut w = JsonWriter::new();
+        Self::write_record(&mut w, job, output);
+        w.into_bytes()
     }
 
-    /// One finished cell's record as a document: the self-describing envelope the store
-    /// persists and a distributed worker embeds in its `RESULT` frame.
+    /// Writes one finished cell's record: the self-describing envelope the store persists
+    /// and a distributed worker embeds in its `RESULT` frame.
+    pub fn write_record(w: &mut JsonWriter, job: &Job, output: &JobOutput) {
+        Self::write_keyed(w, job, record_key(job), output);
+    }
+
+    fn write_keyed(w: &mut JsonWriter, job: &Job, key: RecordKey, output: &JobOutput) {
+        RESULT_RECORD_SCHEMA.begin_document(w);
+        w.key("experiment");
+        w.string(&job.experiment);
+        w.key("label");
+        w.string(&job.label());
+        w.key("workload");
+        w.string(job.cell.name());
+        w.key("coordinator");
+        w.string(job.coordinator.name());
+        for (name, value) in [
+            ("identity", key.identity),
+            ("variant", key.variant),
+            ("seed", job.seed),
+            ("instructions", job.instructions),
+        ] {
+            w.key(name);
+            w.hex(value);
+        }
+        w.key("output");
+        output.write(w);
+        w.end_object();
+    }
+
+    /// One finished cell's record as a tree: the document [`StoreHandle::write_record`]
+    /// writes.
     pub fn record_doc(job: &Job, output: &JobOutput) -> Json {
-        let key = record_key(job);
-        RESULT_RECORD_SCHEMA.document(vec![
-            ("experiment", Json::str(&job.experiment)),
-            ("label", Json::str(job.label())),
-            ("workload", Json::str(job.cell.name())),
-            ("coordinator", Json::str(job.coordinator.name())),
-            ("identity", Json::hex(key.identity)),
-            ("variant", Json::hex(key.variant)),
-            ("seed", Json::hex(job.seed)),
-            ("instructions", Json::hex(job.instructions)),
-            ("output", job_output_json(output)),
-        ])
+        let mut w = JsonWriter::new();
+        Self::write_record(&mut w, job, output);
+        Json::parse(w.as_str()).expect("the writer emits JSON the reader accepts")
     }
 
     /// Reconstructs the exact [`JobOutput`] from a record payload written by
-    /// [`StoreHandle::encode`].
+    /// [`StoreHandle::encode`], in one pass over the bytes. Errors come in a fixed order
+    /// whatever the field order: a payload that is not UTF-8, then one that is not JSON
+    /// anywhere, then a schema mismatch, then a missing or undecodable output.
     pub fn decode(payload: &[u8]) -> Result<JobOutput, String> {
         let text =
             std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
-        let doc = Json::parse(text).map_err(|e| format!("payload is not JSON: {e}"))?;
-        if !RESULT_RECORD_SCHEMA.matches(&doc) {
+        let mut r = JsonReader::new(text);
+        let record = RecordFields::read(&mut r)
+            .and_then(|record| r.finish().map(|()| record))
+            .map_err(|e| format!("payload is not JSON: {e}"))?;
+        if !record.declares_schema() {
             return Err(format!(
                 "payload does not declare schema '{}'",
                 RESULT_RECORD_SCHEMA.id()
             ));
         }
-        job_output_from_json(doc.get("output").ok_or("payload has no 'output' field")?)
+        record.output.ok_or("payload has no 'output' field")?
     }
 
     /// Looks up a cached output for `job`, verifying the record checksum and decoding the
@@ -195,17 +225,67 @@ impl StoreHandle {
         if !self.policy.writes() {
             return;
         }
-        let payload = Self::encode(job, output);
+        thread_local! {
+            static WRITER: RefCell<JsonWriter> = RefCell::new(JsonWriter::new());
+        }
         let key = record_key(job);
-        self.lock().put(key, &payload).unwrap_or_else(|e| {
-            panic!(
-                "result store {}: persisting cell '{}' (record {:016x}.{:016x}) failed: {e}",
-                self.dir.display(),
-                job.label(),
-                key.identity,
-                key.variant
-            )
+        WRITER.with_borrow_mut(|w| {
+            w.clear();
+            Self::write_keyed(w, job, key, output);
+            self.lock()
+                .put(key, w.as_str().as_bytes())
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "result store {}: persisting cell '{}' (record {:016x}.{:016x}) \
+                         failed: {e}",
+                        self.dir.display(),
+                        job.label(),
+                        key.identity,
+                        key.variant
+                    )
+                });
         });
+    }
+}
+
+/// The fields of a record envelope that a reader checks, each from its first occurrence
+/// (`None` when absent) with its decode error kept, so callers report faults in their own
+/// order.
+pub(crate) struct RecordFields {
+    /// Whether the `"schema"` value is [`RESULT_RECORD_SCHEMA`]'s id.
+    pub schema: Option<Result<bool, String>>,
+    /// The `"identity"` hash.
+    pub identity: Option<Result<u64, String>>,
+    /// The `"variant"` hash.
+    pub variant: Option<Result<u64, String>>,
+    /// The decoded `"output"`.
+    pub output: Option<Result<JobOutput, String>>,
+}
+
+impl RecordFields {
+    /// Reads the envelope object at `r`; only a syntax error fails the read.
+    pub fn read(r: &mut JsonReader<'_>) -> Result<Self, JsonParseError> {
+        let mut record = RecordFields {
+            schema: None,
+            identity: None,
+            variant: None,
+            output: None,
+        };
+        read_envelope(r, |key, r| match key {
+            "schema" => fill(&mut record.schema, r, |r| {
+                RESULT_RECORD_SCHEMA.read_matches(r)
+            }),
+            "identity" => fill(&mut record.identity, r, hex::read),
+            "variant" => fill(&mut record.variant, r, hex::read),
+            "output" => fill(&mut record.output, r, JobOutput::read),
+            _ => r.skip_value(),
+        })?;
+        Ok(record)
+    }
+
+    /// Whether the envelope declares [`RESULT_RECORD_SCHEMA`].
+    pub fn declares_schema(&self) -> bool {
+        self.schema == Some(Ok(true))
     }
 }
 

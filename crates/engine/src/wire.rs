@@ -7,13 +7,14 @@
 //!   formatting, the agent seed as a lossless hex string). The tune CLI writes winning
 //!   configurations with these and the `figures` harness loads them back as the `tuned`
 //!   policy; the loaded configuration compares equal to the explored one field for field.
-//! * **Jobs** — [`job_json`] / [`job_from_json`] serialise a whole [`Job`] (workload or
-//!   mix, system configuration, coordinator, budget, seed, seed policy, telemetry
-//!   request), so a distributed coordinator ([`crate::dist`]) can ship cells to worker
-//!   processes. Fidelity is the whole point: a reconstructed job must be *the same cell*,
-//!   so [`job_from_json`] re-derives [`Job::identity_hash`] on the receiving side and
-//!   rejects any payload whose transmitted identity disagrees — a lossy wire format is a
-//!   protocol error, never a silently different result.
+//! * **Jobs** — [`write_job`] / [`read_job`] stream a whole [`Job`] (workload or mix,
+//!   system configuration, coordinator, budget, seed, telemetry request), so a
+//!   distributed coordinator ([`crate::dist`]) can ship cells to worker processes;
+//!   [`job_json`] / [`job_from_json`] are their adapters for callers that hold a tree.
+//!   Fidelity is the whole point: a reconstructed job must be *the same cell*, so
+//!   [`read_job`] re-derives [`Job::identity_hash`] on the receiving side and rejects any
+//!   payload whose transmitted identity disagrees — a lossy wire format is a protocol
+//!   error, never a silently different result.
 //!
 //! Both families go through the one codec ([`crate::codec`]): each type below has one
 //! field table that generates its encoder and decoder and destructures it exhaustively,
@@ -28,9 +29,12 @@ use athena_core::{AthenaConfig, Feature, RewardWeights};
 use athena_sim::{CacheConfig, CoreConfig, DramConfig, Replacement, SimConfig};
 use athena_workloads::{MixCategory, Pattern, Suite, WorkloadMix, WorkloadSpec};
 
-use crate::codec::{codec_enum, codec_names, codec_object, field, get, hex, Codec};
+use crate::codec::{
+    codec_enum, codec_names, codec_object, fill, hex, no_extra, read_fields, read_kind, Codec,
+    Fields,
+};
 use crate::job::{FileWorkload, Job, TelemetrySpec, WorkloadRef};
-use crate::json::Json;
+use crate::json::{Json, JsonReader, JsonWriter};
 use crate::kinds::{CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
 
 // ---------------------------------------------------------------------------------------
@@ -46,11 +50,15 @@ codec_names!(
 );
 
 impl Codec for RewardWeights {
-    fn encode(&self) -> Json {
-        self.as_array().to_vec().encode()
+    fn write(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        for v in self.as_array() {
+            w.f64(v);
+        }
+        w.end_array();
     }
-    fn decode(j: &Json) -> Result<Self, String> {
-        let weights = Vec::<f64>::decode(j)?;
+    fn read(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        let weights = Vec::<f64>::read(r)?;
         let found = weights.len();
         let weights = weights
             .try_into()
@@ -171,14 +179,17 @@ codec_names!(
 /// `CacheConfig::name` is a `&'static str`; the engine only ever ships the three hierarchy
 /// levels, so decoding maps them back to their static spellings rather than leak.
 mod cache_name {
-    use crate::json::Json;
+    use crate::json::{JsonReader, JsonWriter};
 
-    pub fn encode(name: &&'static str) -> Json {
-        Json::str(*name)
+    pub fn write(name: &&'static str, w: &mut JsonWriter) {
+        w.string(name);
     }
 
-    pub fn decode(j: &Json) -> Result<&'static str, String> {
-        let name = j.as_str().ok_or("not a string")?;
+    pub fn read(r: &mut JsonReader<'_>) -> Result<&'static str, String> {
+        if r.peek() != Some(b'"') {
+            return Err("not a string".to_string());
+        }
+        let name = r.string()?;
         ["L1D", "L2C", "LLC"]
             .into_iter()
             .find(|level| *level == name)
@@ -238,24 +249,30 @@ codec_object!(SystemConfig {
 });
 
 impl Codec for CoordinatorKind {
-    fn encode(&self) -> Json {
-        let mut pairs = vec![("kind", Json::str(self.name()))];
+    fn write(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("kind");
+        w.string(self.name());
         match self {
             CoordinatorKind::Fixed { ocp, prefetchers } => {
-                pairs.push(("ocp", ocp.encode()));
-                pairs.push(("prefetchers", prefetchers.encode()));
+                w.key("ocp");
+                ocp.write(w);
+                w.key("prefetchers");
+                prefetchers.write(w);
             }
-            CoordinatorKind::AthenaWith(cfg) => pairs.push(("config", cfg.encode())),
+            CoordinatorKind::AthenaWith(cfg) => {
+                w.key("config");
+                cfg.write(w);
+            }
             _ => {}
         }
-        Json::obj(pairs)
+        w.end_object();
     }
 
-    fn decode(j: &Json) -> Result<Self, String> {
+    fn read(r: &mut JsonReader<'_>) -> Result<Self, String> {
         use CoordinatorKind::*;
-        let kind = field(j, "kind")?
-            .as_str()
-            .ok_or("field 'kind': not a string")?;
+        let mut cursor = r.object()?;
+        let kind = read_kind(r, &mut cursor)?;
         // One representative per variant, so `name()` stays the only spelling.
         let fixed = Fixed {
             ocp: false,
@@ -275,12 +292,21 @@ impl Codec for CoordinatorKind {
             configured,
         ];
         match variants.into_iter().find(|v| v.name() == kind) {
-            Some(Fixed { .. }) => Ok(Fixed {
-                ocp: get(j, "ocp")?,
-                prefetchers: get(j, "prefetchers")?,
-            }),
-            Some(AthenaWith(_)) => Ok(AthenaWith(get(j, "config")?)),
-            Some(unit) => Ok(unit),
+            Some(Fixed { .. }) => {
+                let (ocp, prefetchers) =
+                    read_fields!(r, &mut cursor, no_extra, { ocp, prefetchers });
+                Ok(Fixed { ocp, prefetchers })
+            }
+            Some(AthenaWith(_)) => {
+                let (config,) = read_fields!(r, &mut cursor, no_extra, { config });
+                Ok(AthenaWith(config))
+            }
+            Some(unit) => {
+                while r.next_key(&mut cursor)?.is_some() {
+                    r.skip_value()?;
+                }
+                Ok(unit)
+            }
             None => Err(format!("unknown coordinator '{kind}'")),
         }
     }
@@ -300,28 +326,38 @@ codec_object!(Job {
     telemetry,
 });
 
-/// Serialises a whole job — every field, bit-exactly — for shipping to a worker process.
-/// The trailing `identity` is the sender's [`Job::identity_hash`]; [`job_from_json`]
-/// re-derives it on the receiving side and rejects a mismatch.
-pub fn job_json(job: &Job) -> Json {
-    let mut doc = job.encode();
-    if let Json::Obj(pairs) = &mut doc {
-        pairs.push(("identity".to_string(), Json::hex(job.identity_hash())));
-    }
-    doc
+/// Writes a whole job — every field, bit-exactly — for shipping to a worker process. The
+/// trailing `identity` is the sender's [`Job::identity_hash`]; [`read_job`] re-derives it
+/// on the receiving side and rejects a mismatch.
+pub fn write_job(w: &mut JsonWriter, job: &Job) {
+    w.begin_object();
+    job.write_fields(w);
+    w.key("identity");
+    w.hex(job.identity_hash());
+    w.end_object();
 }
 
-/// Reconstructs the exact [`Job`] serialised by [`job_json`].
+/// Reads the exact [`Job`] written by [`write_job`].
 ///
 /// As a lossiness tripwire, the reconstructed job's [`Job::identity_hash`] must equal the
 /// transmitted `identity` — the identity covers every output-affecting facet of the cell
 /// (including the full `Debug` rendering of the simulator configuration), so any float or
 /// field that failed to round-trip exactly surfaces here as a hard error instead of a
-/// silently different result on the worker.
-pub fn job_from_json(doc: &Json) -> Result<Job, String> {
-    let job = Job::decode(doc)?;
-    let sent =
-        hex::decode(field(doc, "identity")?).map_err(|e| format!("field 'identity': {e}"))?;
+/// silently different result on the worker. The job's own fields are checked before the
+/// `identity` field.
+pub fn read_job(r: &mut JsonReader<'_>) -> Result<Job, String> {
+    let mut cursor = r.object()?;
+    let mut identity = None;
+    let job = Job::read_fields(r, &mut cursor, &mut |key, r| {
+        if key != "identity" {
+            return Ok(false);
+        }
+        fill(&mut identity, r, hex::read)?;
+        Ok(true)
+    })?;
+    let sent = identity
+        .ok_or_else(|| "missing field 'identity'".to_string())?
+        .map_err(|e| format!("field 'identity': {e}"))?;
     let derived = job.identity_hash();
     if sent != derived {
         return Err(format!(
@@ -331,6 +367,19 @@ pub fn job_from_json(doc: &Json) -> Result<Job, String> {
         ));
     }
     Ok(job)
+}
+
+/// A whole job as a tree: the document [`write_job`] writes.
+pub fn job_json(job: &Job) -> Json {
+    let mut w = JsonWriter::new();
+    write_job(&mut w, job);
+    Json::parse(w.as_str()).expect("the writer emits JSON the reader accepts")
+}
+
+/// Reconstructs the exact [`Job`] from a tree written by [`job_json`], identity tripwire
+/// included ([`read_job`]).
+pub fn job_from_json(doc: &Json) -> Result<Job, String> {
+    read_job(&mut JsonReader::new(&doc.to_string()))
 }
 
 #[cfg(test)]

@@ -435,8 +435,9 @@ commands:
              differ (--against <DIR> names the second store)
   gc         rewrite the log keeping only live records, dropping superseded ones
              (takes the writer lock; the only command that modifies the store)
-  verify     scan every record — headers, payload checksums, index agreement — and
-             exit non-zero on any corruption
+  verify     scan every record — headers, payload checksums, index agreement —
+             decode every live record as a warm fetch would, and exit non-zero on
+             any corruption, naming the first record that does not decode
   events     summarize a JSONL event log written by `figures --events` or
              `tune --events`: event counts by kind, store hit ratio, cells reused
              from an earlier experiment of the run, the slowest simulated cells,

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! Every store command except `gc` opens the store read-only and takes no writer lock,
-//! so a running sweep can be inspected live. `verify` exits non-zero on any corruption;
-//! `diff` exits non-zero when the two stores disagree. Three commands read files instead
+//! so a running sweep can be inspected live. `verify` exits non-zero on any corruption,
+//! a live record that does not decode included; `diff` exits non-zero when the two
+//! stores disagree. Three commands read files instead
 //! of a store: `events` summarises an event log written by `figures --events` /
 //! `tune --events` — event counts by kind, the store cache-hit ratio, the slowest
 //! simulated cells, and the per-worker breakdown of a distributed run; `trace` converts
@@ -27,7 +28,7 @@ use std::path::PathBuf;
 
 use athena_engine::json::Json;
 use athena_engine::report::METRICS_SCHEMA;
-use athena_engine::{RecordKey, StorePolicy, EVENTS_SCHEMA_ID};
+use athena_engine::{RecordKey, StoreHandle, StorePolicy, EVENTS_SCHEMA_ID};
 use athena_harness::cli::{fail, fail_env, open_store, RESULTS_HELP as HELP};
 
 #[derive(PartialEq)]
@@ -433,13 +434,38 @@ fn run_gc(args: &Args) {
 
 fn run_verify(args: &Args) {
     let handle = open_store(&args.store, StorePolicy::ReadOnly);
-    let report = match handle.lock().verify() {
+    let mut store = handle.lock();
+    let report = match store.verify() {
         Ok(r) => r,
         Err(e) => fail_env(format!(
             "result store {}: verify failed: {e}",
             args.store.display()
         )),
     };
+    // A record whose checksum holds can still fail to decode; a warm run would panic on
+    // it, so verify decodes every live record the way a fetch does.
+    let mut decoded = 0u64;
+    for key in store.keys() {
+        let named = format!("{:016x}.{:016x}", key.identity, key.variant);
+        let payload = match store.get(key) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => fail_env(format!(
+                "result store {}: record {named} is in the index but cannot be read",
+                args.store.display()
+            )),
+            Err(e) => fail_env(format!(
+                "result store {}: record {named}: {e}",
+                args.store.display()
+            )),
+        };
+        if let Err(e) = StoreHandle::decode(&payload) {
+            fail_env(format!(
+                "result store {}: verify failed: record {named} does not decode: {e}",
+                args.store.display()
+            ));
+        }
+        decoded += 1;
+    }
     if args.json {
         let doc = Json::obj(vec![
             ("store", Json::str(args.store.display().to_string())),
@@ -448,16 +474,19 @@ fn run_verify(args: &Args) {
                 Json::int(report.records_scanned as usize),
             ),
             ("live_records", Json::int(report.live_records as usize)),
+            ("decoded_records", Json::int(decoded as usize)),
             ("payload_bytes", Json::num(report.payload_bytes as f64)),
             ("ok", Json::Bool(true)),
         ]);
         println!("{}", doc.to_pretty());
     } else {
         println!(
-            "{}: ok — {} records scanned ({} live), {} payload bytes, every checksum verified",
+            "{}: ok — {} records scanned ({} live, {} decoded), {} payload bytes, every \
+             checksum verified",
             args.store.display(),
             report.records_scanned,
             report.live_records,
+            decoded,
             report.payload_bytes
         );
     }

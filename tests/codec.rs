@@ -6,13 +6,20 @@
 //!   wire or store format.
 //! * Round trips: `decode(encode(x)) == x`, floats bit for bit, over arbitrary stats,
 //!   results, configurations and jobs, and re-encoding gives the same bytes.
+//! * Reading: the streaming readers (`StoreHandle::decode`, the job reader a `SHARD`
+//!   frame uses) return what `Json::parse` and a tree decode return — the same value or
+//!   the same error — over every truncation and seeded byte flips of the golden lines
+//!   and single faults, and nesting past the depth bound is an error.
 
 use std::fmt::Debug;
 use std::path::PathBuf;
 
-use athena_repro::engine::codec::Codec;
-use athena_repro::engine::json::Json;
-use athena_repro::engine::wire::{config_from_json, config_to_json, job_from_json, job_json};
+use athena_repro::engine::codec::{fill, Codec};
+use athena_repro::engine::json::{Json, JsonReader};
+use athena_repro::engine::report::job_output_from_json;
+use athena_repro::engine::wire::{
+    config_from_json, config_to_json, job_from_json, job_json, read_job,
+};
 use athena_repro::engine::{FileWorkload, Job, StoreHandle, TelemetrySpec, WorkloadRef};
 use athena_repro::prelude::*;
 use athena_repro::sim::{
@@ -595,4 +602,280 @@ proptest! {
         assert_eq!(format!("{back:?}"), format!("{job:?}"));
         assert_eq!(job_json(&back).to_string(), text);
     }
+}
+
+// ---------------------------------------------------------------------------------------
+// The streaming reader against the tree path: `StoreHandle::decode` and the job reader
+// walk the raw bytes once; the tree path parses them with `Json::parse` and decodes the
+// tree. Both must return the same value or the same error.
+// ---------------------------------------------------------------------------------------
+
+/// A store payload through the tree path: the checks `StoreHandle::decode` makes, in its
+/// order, on a parsed document.
+fn tree_decode(payload: &[u8]) -> Result<JobOutput, String> {
+    let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
+    let doc = Json::parse(text).map_err(|e| format!("payload is not JSON: {e}"))?;
+    if doc.get("schema").and_then(Json::as_str) != Some("athena-result-record-v1") {
+        return Err("payload does not declare schema 'athena-result-record-v1'".to_string());
+    }
+    job_output_from_json(doc.get("output").ok_or("payload has no 'output' field")?)
+}
+
+/// A job document read the way a `SHARD` frame reads one: a decode error is kept until
+/// the whole text has been checked for syntax.
+fn stream_job(text: &str) -> Result<Job, String> {
+    let mut r = JsonReader::new(text);
+    let mut job = None;
+    fill(&mut job, &mut r, read_job)
+        .and_then(|()| r.finish())
+        .map_err(|e| format!("not JSON: {e}"))?;
+    job.expect("fill fills the slot")
+}
+
+fn tree_job(text: &str) -> Result<Job, String> {
+    job_from_json(&Json::parse(text).map_err(|e| format!("not JSON: {e}"))?)
+}
+
+fn assert_records_agree(payload: &[u8]) -> Result<JobOutput, String> {
+    let streamed = StoreHandle::decode(payload);
+    assert_eq!(
+        streamed,
+        tree_decode(payload),
+        "stream and tree disagree on {:?}",
+        String::from_utf8_lossy(payload)
+    );
+    streamed
+}
+
+fn assert_jobs_agree(text: &str) -> Result<Job, String> {
+    let streamed = stream_job(text);
+    assert_eq!(
+        streamed,
+        tree_job(text),
+        "stream and tree disagree on {text}"
+    );
+    streamed
+}
+
+/// Bytes a flip writes: structure, digits, letters, whitespace, and a byte that is never
+/// UTF-8.
+const FLIPS: &[u8] = b"{}[]:,\"\\-.0159eE+ntfx \n\xff";
+
+#[test]
+fn store_decode_agrees_with_the_tree_path_on_truncations_and_byte_flips() {
+    let lines = golden_lines();
+    let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
+    let (mut ok, mut failed) = (0, 0);
+    for line in &lines[6..] {
+        let bytes = line.as_bytes();
+        assert!(assert_records_agree(bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(assert_records_agree(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for _ in 0..400 {
+            let mut flipped = bytes.to_vec();
+            let at = rng.gen_range(0..flipped.len());
+            flipped[at] = FLIPS[rng.gen_range(0..FLIPS.len())];
+            match assert_records_agree(&flipped) {
+                Ok(_) => ok += 1,
+                Err(_) => failed += 1,
+            }
+        }
+    }
+    // Both outcomes occur, so neither branch of the comparison is vacuous.
+    assert!(ok > 0 && failed > 0, "{ok} decoded, {failed} failed");
+}
+
+#[test]
+fn job_reader_agrees_with_the_tree_path_on_truncations_and_byte_flips() {
+    let lines = golden_lines();
+    let mut rng = StdRng::seed_from_u64(0x10b_f11e);
+    let (mut ok, mut failed) = (0, 0);
+    for line in &lines[..5] {
+        assert!(assert_jobs_agree(line).is_ok());
+        for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            assert!(assert_jobs_agree(&line[..cut]).is_err(), "cut at {cut}");
+        }
+        for _ in 0..400 {
+            let mut flipped = line.as_bytes().to_vec();
+            let at = rng.gen_range(0..flipped.len());
+            flipped[at] = FLIPS[rng.gen_range(0..FLIPS.len() - 1)];
+            let Ok(text) = String::from_utf8(flipped) else {
+                continue;
+            };
+            match assert_jobs_agree(&text) {
+                Ok(_) => ok += 1,
+                Err(_) => failed += 1,
+            }
+        }
+    }
+    assert!(ok > 0 && failed > 0, "{ok} decoded, {failed} failed");
+}
+
+/// One fault in an otherwise golden document: the text to replace (first occurrence),
+/// its replacement, and what the reader must say — `Ok` for a document that still
+/// decodes to the golden value, or a fragment of the error.
+type Fault = (&'static str, &'static str, Result<(), &'static str>);
+
+fn faulted(line: &str, (from, to, _): &Fault) -> String {
+    assert!(line.contains(from), "{from} is not in the golden line");
+    line.replacen(from, to, 1)
+}
+
+#[test]
+fn single_faults_in_a_record_read_the_same_both_ways() {
+    let line = golden_lines()[6];
+    let golden = StoreHandle::decode(line.as_bytes()).unwrap();
+    let faults: [Fault; 10] = [
+        (
+            "\"cycles\":7437,\"ipc\"",
+            "\"ipc\"",
+            Err("field 'result': missing field 'cycles'"),
+        ),
+        (
+            "\"loads\":1199",
+            "\"loads\":\"many\"",
+            Err("field 'stats': field 'loads': not an unsigned integer"),
+        ),
+        (
+            "\"stores\":6,",
+            "\"stores\":6.5,",
+            Err("field 'stores': not an unsigned integer"),
+        ),
+        (
+            "\"stores\":6,",
+            "\"stores\":-6,",
+            Err("field 'stores': not an unsigned integer"),
+        ),
+        (
+            "\"kind\":\"single\"",
+            "\"kind\":\"triple\"",
+            Err("unknown JobOutput kind 'triple'"),
+        ),
+        (
+            "\"cycles\":7437,\"ipc\"",
+            "\"cycles\":\"0x1d0g\",\"ipc\"",
+            Err("field 'cycles': not an unsigned integer"),
+        ),
+        (
+            "\"cycles\":7437,\"ipc\"",
+            "\"cycles\":7437,\"cycles\":1,\"ipc\"",
+            Ok(()),
+        ),
+        (
+            "\"cycles\":7437,\"ipc\"",
+            "\"cycles\":7437,\"bogus\":[1,{\"x\":null}],\"ipc\"",
+            Ok(()),
+        ),
+        (
+            "athena-result-record-v1",
+            "athena-result-record-v2",
+            Err("payload does not declare schema"),
+        ),
+        (
+            "\"timeline\":null}}}",
+            "\"timeline\":null}}} x",
+            Err("payload is not JSON: trailing characters after the document"),
+        ),
+    ];
+    for fault in &faults {
+        let text = faulted(line, fault);
+        match (assert_records_agree(text.as_bytes()), fault.2) {
+            (Ok(output), Ok(())) => assert_eq!(output, golden, "{}", fault.1),
+            (Err(e), Err(expected)) => assert!(e.contains(expected), "{}: {e}", fault.1),
+            (got, expected) => panic!("{}: got {got:?}, expected {expected:?}", fault.1),
+        }
+    }
+}
+
+#[test]
+fn single_faults_in_a_job_read_the_same_both_ways() {
+    let line = golden_lines()[0];
+    let golden = tree_job(line).unwrap();
+    let faults: [Fault; 9] = [
+        (
+            ",\"loads_per_iter\":3",
+            "",
+            Err("missing field 'loads_per_iter'"),
+        ),
+        (
+            "\"loads_per_iter\":3",
+            "\"loads_per_iter\":true",
+            Err("field 'loads_per_iter': not an unsigned integer"),
+        ),
+        (
+            "\"loads_per_iter\":3",
+            "\"loads_per_iter\":4294967296",
+            Err("field 'loads_per_iter': does not fit in u32"),
+        ),
+        (
+            "\"loads_per_iter\":3",
+            "\"loads_per_iter\":2.5",
+            Err("field 'loads_per_iter': not an unsigned integer"),
+        ),
+        (
+            "\"kind\":\"stream\"",
+            "\"kind\":\"river\"",
+            Err("unknown Pattern kind 'river'"),
+        ),
+        (
+            "\"seed\":\"0x",
+            "\"seed\":\"0y",
+            Err("field 'seed': not a \"0x…\" hex string"),
+        ),
+        (
+            "\"loads_per_iter\":3",
+            "\"loads_per_iter\":3,\"loads_per_iter\":4",
+            Ok(()),
+        ),
+        (
+            "\"loads_per_iter\":3",
+            "\"loads_per_iter\":3,\"bogus\":{\"deep\":[[]]}",
+            Ok(()),
+        ),
+        (
+            "\"telemetry\":null,",
+            "\"telemetry\":null,\"x\":1} ]",
+            Err("not JSON: trailing characters after the document"),
+        ),
+    ];
+    for fault in &faults {
+        let text = faulted(line, fault);
+        match (assert_jobs_agree(&text), fault.2) {
+            (Ok(job), Ok(())) => assert_eq!(job, golden, "{}", fault.1),
+            (Err(e), Err(expected)) => assert!(e.contains(expected), "{}: {e}", fault.1),
+            (got, expected) => panic!("{}: got {got:?}, expected {expected:?}", fault.1),
+        }
+    }
+    // A field moved ahead of the tag still reads: order never matters.
+    let reordered = line.replacen(
+        "{\"kind\":\"stream\",\"footprint\":33554432,",
+        "{\"footprint\":33554432,\"kind\":\"stream\",",
+        1,
+    );
+    assert_ne!(reordered, line);
+    assert_eq!(assert_jobs_agree(&reordered), Ok(golden));
+}
+
+#[test]
+fn nesting_past_the_depth_bound_is_an_error_not_a_stack_overflow() {
+    let deep = "[".repeat(1_000_000);
+    let err = Json::parse(&deep).unwrap_err();
+    assert_eq!(
+        (err.message.as_str(), err.offset),
+        ("arrays and objects nest deeper than 128 levels", 128)
+    );
+    let prefix = "{\"schema\":\"athena-result-record-v1\",\"output\":";
+    let payload = format!("{prefix}{deep}");
+    let err = StoreHandle::decode(payload.as_bytes()).unwrap_err();
+    assert_eq!(
+        err,
+        format!(
+            "payload is not JSON: arrays and objects nest deeper than 128 levels at byte {}",
+            prefix.len() + 127
+        )
+    );
+    // At the bound itself a document still parses.
+    let at_bound = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    assert!(Json::parse(&at_bound).is_ok());
 }

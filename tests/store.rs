@@ -19,6 +19,7 @@ use proptest::prelude::*;
 
 mod common;
 
+use athena_repro::engine::json::Json;
 use athena_repro::engine::{with_recording, Engine, Job, RecordKey, StoreHandle};
 use athena_repro::harness::experiments::{run_experiment, tuning_set};
 use athena_repro::prelude::*;
@@ -419,6 +420,52 @@ fn the_results_cli_names_the_offending_key_on_malformed_records() {
     for dir in [q_dir, a_dir, b_dir] {
         fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+#[test]
+fn results_verify_decodes_every_live_record() {
+    let dir = tmp("verify-decode");
+    let jobs = engine_jobs(2);
+    {
+        let handle = StoreHandle::open(&dir, StorePolicy::ReadWrite).unwrap();
+        for job in &jobs {
+            handle.persist(job, &job.run());
+        }
+    }
+    let verify = |extra: &[&str]| {
+        let mut args = vec!["verify", "--store", dir.to_str().unwrap()];
+        args.extend(extra);
+        common::run_bin("results", &args, &[])
+    };
+    let out = verify(&[]);
+    let stdout = common::text(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", common::text(&out.stderr));
+    assert!(stdout.contains("2 live, 2 decoded"), "{stdout}");
+    let out = verify(&["--json"]);
+    let doc = Json::parse(&common::text(&out.stdout)).unwrap();
+    assert_eq!(doc.get("decoded_records").and_then(Json::as_f64), Some(2.0));
+
+    // A record whose checksum holds but whose output does not decode: verify names it
+    // and fails, as a warm fetch of it would.
+    let bad = RecordKey {
+        identity: 0xbad,
+        variant: 0x1,
+    };
+    {
+        let mut store = athena_repro::store::ResultStore::open(&dir, false).unwrap();
+        let payload = r#"{"schema":"athena-result-record-v1","output":{"kind":"single"}}"#;
+        store.put(bad, payload.as_bytes()).unwrap();
+        store.flush().unwrap();
+    }
+    let out = verify(&[]);
+    let stderr = common::text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("0000000000000bad.0000000000000001")
+            && stderr.contains("missing field 'result'"),
+        "verify must name the record and its decode error: {stderr}"
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Builds a small store fixture directly (no simulation) and returns its payloads.
