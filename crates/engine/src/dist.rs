@@ -62,11 +62,11 @@
 //! every worker of the pool, so a later batch on the same pool starts from fresh
 //! processes.
 //!
-//! Worker-side *cell* panics are neither: they are caught per cell (exactly like the
-//! in-process pool does) and travel back as `error` results, merging as that cell's
-//! `Err` outcome with no retry.
+//! Worker-side *cell* panics are neither: they are caught per cell (by the same cell
+//! runner the in-process executor uses) and travel back as `error` results, merging as
+//! that cell's `Err` outcome with no retry.
 //!
-//! Every lifecycle step emits a structured event ([`athena_probe::Event`]:
+//! Every lifecycle step emits a structured event ([`Event`]:
 //! `worker_joined` once per process, `shard_dispatched` once per shard, `worker_died`,
 //! `cell_reassigned`) so a distributed run is observable after the fact.
 
@@ -79,10 +79,11 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use athena_probe::{metrics, CellOrigin, Event, PhaseProfile, ProbeSink};
+use athena_probe::{metrics, PhaseProfile};
 use athena_store::fnv64;
 
 use crate::codec::{fill, read_envelope, take, u64_json, Codec};
+use crate::events::{CellOrigin, Event, ProbeSink};
 use crate::exec::{run_cell, CellOutcome};
 use crate::job::{Job, JobOutput};
 use crate::json::{Json, JsonReader, JsonWriter};
@@ -1165,7 +1166,7 @@ mod tests {
             decode_result(7, doc.to_string().as_bytes(), jobs)
         }))
         .expect_err("a corrupt result must not decode");
-        crate::pool::panic_message(err.as_ref())
+        crate::exec::panic_message(err.as_ref())
     }
 
     #[test]

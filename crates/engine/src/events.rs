@@ -1,15 +1,16 @@
 //! The structured event stream: lifecycle [`Event`]s and the JSONL [`ProbeSink`] that
 //! writes them.
 //!
-//! One event is one line of hand-rolled JSON. Every line leads with the schema id
-//! ([`EVENTS_SCHEMA_ID`]) and the event kind, followed by the event's deterministic
-//! fields (experiment, label, seed, counts — everything derived from the jobs
-//! themselves), followed by the wall-clock fields: `wall_ms` (the cell's simulation
-//! wall-clock, on `cell_finished` only) and `t_ms` (milliseconds since the sink was
-//! created, on every line). The engine emits all per-cell events on the batch's calling
-//! thread at deterministic merge points — never live from worker threads — so two logs
-//! of the same batch at different `--jobs` values are byte-identical once the fields in
-//! [`WALL_CLOCK_FIELDS`] are stripped (`tests/probe.rs` locks this in).
+//! One event is one line of JSON, written through the crate's one serialiser
+//! ([`JsonWriter`]). Every line leads with the schema id ([`EVENTS_SCHEMA_ID`]) and the
+//! event kind, followed by the event's deterministic fields (experiment, label, seed,
+//! counts — everything derived from the jobs themselves), followed by the wall-clock
+//! fields: `wall_ms` (the cell's simulation wall-clock, on `cell_finished` only) and
+//! `t_ms` (milliseconds since the sink was created, on every line). The engine emits all
+//! per-cell events on the batch's calling thread at deterministic merge points — never
+//! live from worker threads — so two logs of the same batch at different `--jobs` values
+//! are byte-identical once the fields in [`WALL_CLOCK_FIELDS`] are stripped
+//! (`tests/probe.rs` locks this in; `tests/event_lines.rs` pins every variant's bytes).
 //!
 //! A cell that ran on a distributed worker gets its events at the same merge points,
 //! built by the coordinator from the cell's result and stamped with the worker's
@@ -17,17 +18,18 @@
 //! the [`TOPOLOGY_EVENT_KINDS`] lines — extends the byte-stability guarantee across
 //! worker counts, in-process included.
 
-use crate::profile::PhaseProfile;
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The schema id carried by every event line. `athena-engine`'s `report::EVENTS_SCHEMA`
-/// renders the same id from its `Schema` constant; a unit test there asserts agreement
-/// (this crate sits below the engine and cannot share the constant directly).
+use athena_probe::PhaseProfile;
+
+use crate::codec::Codec;
+use crate::json::JsonWriter;
+
+/// The schema id carried by every event line.
 pub const EVENTS_SCHEMA_ID: &str = "athena-events-v1";
 
 /// The per-line fields that carry wall-clock readings (or equally host-dependent values,
@@ -73,7 +75,7 @@ pub struct CellOrigin {
 /// `CellFinished` (or `CellPanicked`) at merge.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// A batch of cells entered [`Engine::run`](../athena_engine/struct.Engine.html).
+    /// A batch of cells entered [`Engine::run`](crate::Engine::run).
     BatchOpened {
         /// Experiment of the batch's first cell (batches are per-experiment in practice).
         experiment: String,
@@ -227,20 +229,20 @@ impl Event {
         }
     }
 
-    /// Renders the line without the trailing `t_ms` field (the sink appends it).
-    fn render_deterministic(&self, line: &mut String) {
-        let _ = write!(line, "{{\"schema\":\"{EVENTS_SCHEMA_ID}\"");
-        let _ = write!(line, ",\"kind\":\"{}\"", self.kind());
-        let mut str_field = |name: &str, value: &str| {
-            let _ = write!(line, ",\"{name}\":\"{}\"", escape_json(value));
-        };
+    /// Writes the line without its trailing `t_ms` field and closing brace (the sink
+    /// appends both).
+    fn write_fields(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        string_field(w, "schema", EVENTS_SCHEMA_ID);
+        string_field(w, "kind", self.kind());
         match self {
             Event::BatchOpened { experiment, cells } => {
-                str_field("experiment", experiment);
-                let _ = write!(line, ",\"cells\":{cells}");
+                string_field(w, "experiment", experiment);
+                count_field(w, "cells", *cells);
             }
             Event::StoreFetch { hits, misses } => {
-                let _ = write!(line, ",\"hits\":{hits},\"misses\":{misses}");
+                count_field(w, "hits", *hits);
+                count_field(w, "misses", *misses);
             }
             Event::CellStoreHit {
                 experiment,
@@ -252,9 +254,9 @@ impl Event {
                 label,
                 seed,
             } => {
-                str_field("experiment", experiment);
-                str_field("label", label);
-                let _ = write!(line, ",\"seed\":\"{seed:#018x}\"");
+                cell_fields(w, experiment, label);
+                w.key("seed");
+                w.hex(*seed);
             }
             Event::CellReused {
                 experiment,
@@ -262,22 +264,18 @@ impl Event {
                 seed,
                 source,
             } => {
-                str_field("experiment", experiment);
-                str_field("label", label);
-                let _ = write!(
-                    line,
-                    ",\"seed\":\"{seed:#018x}\",\"source\":\"{}\"",
-                    escape_json(source)
-                );
+                cell_fields(w, experiment, label);
+                w.key("seed");
+                w.hex(*seed);
+                string_field(w, "source", source);
             }
             Event::CellStarted {
                 experiment,
                 label,
                 origin,
             } => {
-                str_field("experiment", experiment);
-                str_field("label", label);
-                render_origin(line, *origin);
+                cell_fields(w, experiment, label);
+                origin_fields(w, *origin);
             }
             Event::CellFinished {
                 experiment,
@@ -286,14 +284,14 @@ impl Event {
                 profile,
                 origin,
             } => {
-                str_field("experiment", experiment);
-                str_field("label", label);
-                let _ = write!(line, ",\"wall_ms\":{wall_ms}");
+                cell_fields(w, experiment, label);
+                w.key("wall_ms");
+                w.f64(*wall_ms);
                 if let Some(profile) = profile {
-                    line.push_str(",\"profile\":");
-                    render_profile(line, profile);
+                    w.key("profile");
+                    profile.write(w);
                 }
-                render_origin(line, *origin);
+                origin_fields(w, *origin);
             }
             Event::CellPanicked {
                 experiment,
@@ -301,38 +299,37 @@ impl Event {
                 error,
                 origin,
             } => {
-                str_field("experiment", experiment);
-                str_field("label", label);
-                str_field("error", error);
-                render_origin(line, *origin);
+                cell_fields(w, experiment, label);
+                string_field(w, "error", error);
+                origin_fields(w, *origin);
             }
-            Event::StorePersist { cells } => {
-                let _ = write!(line, ",\"cells\":{cells}");
-            }
+            Event::StorePersist { cells } => count_field(w, "cells", *cells),
             Event::ReportWritten { path, bytes } => {
-                str_field("path", path);
-                let _ = write!(line, ",\"bytes\":{bytes}");
+                string_field(w, "path", path);
+                count_field(w, "bytes", *bytes);
             }
             Event::WorkerJoined { worker, pid } => {
-                let _ = write!(line, ",\"worker\":{worker},\"pid\":{pid}");
+                count_field(w, "worker", *worker);
+                w.key("pid");
+                w.u64(*pid);
             }
             Event::ShardDispatched {
                 worker,
                 cells,
                 bytes,
             } => {
-                let _ = write!(
-                    line,
-                    ",\"worker\":{worker},\"cells\":{cells},\"bytes\":{bytes}"
-                );
+                count_field(w, "worker", *worker);
+                count_field(w, "cells", *cells);
+                count_field(w, "bytes", *bytes);
             }
             Event::WorkerDied {
                 worker,
                 outstanding,
                 error,
             } => {
-                str_field("error", error);
-                let _ = write!(line, ",\"worker\":{worker},\"outstanding\":{outstanding}");
+                string_field(w, "error", error);
+                count_field(w, "worker", *worker);
+                count_field(w, "outstanding", *outstanding);
             }
             Event::CellReassigned {
                 experiment,
@@ -340,63 +337,38 @@ impl Event {
                 from_worker,
                 to_worker,
             } => {
-                str_field("experiment", experiment);
-                str_field("label", label);
-                let _ = write!(
-                    line,
-                    ",\"from_worker\":{from_worker},\"to_worker\":{to_worker}"
-                );
+                cell_fields(w, experiment, label);
+                count_field(w, "from_worker", *from_worker);
+                count_field(w, "to_worker", *to_worker);
             }
         }
     }
 }
 
-/// Renders the worker-attribution tail of a cell event: `,"worker":N,"pid":P`, or
-/// nothing for an in-process cell. `worker` is deterministic-but-scheduling-dependent
+fn string_field(w: &mut JsonWriter, name: &str, value: &str) {
+    w.key(name);
+    w.string(value);
+}
+
+fn count_field(w: &mut JsonWriter, name: &str, value: usize) {
+    w.key(name);
+    w.u64(value as u64);
+}
+
+fn cell_fields(w: &mut JsonWriter, experiment: &str, label: &str) {
+    string_field(w, "experiment", experiment);
+    string_field(w, "label", label);
+}
+
+/// Writes the worker-attribution tail of a cell event: `"worker":N,"pid":P`, or nothing
+/// for an in-process cell. `worker` is deterministic-but-scheduling-dependent
 /// ([`WORKER_ATTRIBUTION_FIELDS`]); `pid` is host state ([`WALL_CLOCK_FIELDS`]).
-fn render_origin(line: &mut String, origin: Option<CellOrigin>) {
+fn origin_fields(w: &mut JsonWriter, origin: Option<CellOrigin>) {
     if let Some(CellOrigin { worker, pid }) = origin {
-        let _ = write!(line, ",\"worker\":{worker},\"pid\":{pid}");
+        count_field(w, "worker", worker);
+        w.key("pid");
+        w.u64(pid);
     }
-}
-
-/// Renders a phase profile as `{"phases":{<name>:{"calls":C,"nanos":N},…},"total_nanos":T}`
-/// — non-empty phases in hierarchy order, the same shape the engine's report module uses
-/// for profiles embedded in JSON documents.
-fn render_profile(line: &mut String, profile: &PhaseProfile) {
-    line.push_str("{\"phases\":{");
-    for (i, stat) in profile.stats().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        let _ = write!(
-            line,
-            "\"{}\":{{\"calls\":{},\"nanos\":{}}}",
-            stat.phase.name(),
-            stat.calls,
-            stat.nanos
-        );
-    }
-    let _ = write!(line, "}},\"total_nanos\":{}}}", profile.total_nanos());
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Where a sink's lines go: an open log file, or an in-memory buffer drained with
@@ -506,18 +478,20 @@ impl ProbeSink {
     /// Panics when the write fails (disk full, file gone) — an event log that silently
     /// drops records would lie about the run it documents.
     pub fn emit(&self, event: &Event) {
-        let mut line = String::with_capacity(160);
-        event.render_deterministic(&mut line);
-        let t_ms = self.epoch.elapsed().as_secs_f64() * 1e3;
-        let _ = write!(line, ",\"t_ms\":{t_ms}}}");
-        line.push('\n');
+        let mut w = JsonWriter::new();
+        event.write_fields(&mut w);
+        w.key("t_ms");
+        w.f64(self.epoch.elapsed().as_secs_f64() * 1e3);
+        w.end_object();
+        let mut line = w.into_bytes();
+        line.push(b'\n');
         let mut inner = self.inner.lock().expect("probe sink mutex poisoned");
         match &mut inner.target {
             SinkTarget::File(writer) => writer
-                .write_all(line.as_bytes())
+                .write_all(&line)
                 .and_then(|()| writer.flush())
                 .unwrap_or_else(|e| panic!("event log {}: write failed: {e}", self.path.display())),
-            SinkTarget::Memory(buffer) => buffer.extend_from_slice(line.as_bytes()),
+            SinkTarget::Memory(buffer) => buffer.extend_from_slice(&line),
         }
     }
 }
@@ -527,7 +501,7 @@ mod tests {
     use super::*;
 
     fn temp_log(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("athena-probe-{}-{tag}.jsonl", std::process::id()))
+        std::env::temp_dir().join(format!("athena-events-{}-{tag}.jsonl", std::process::id()))
     }
 
     #[test]
@@ -563,7 +537,7 @@ mod tests {
 
     #[test]
     fn origins_and_profiles_render_on_cell_events() {
-        use crate::profile::Phase;
+        use athena_probe::Phase;
 
         let sink = ProbeSink::buffered();
         let mut profile = PhaseProfile::new();
@@ -605,38 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn reused_cells_name_the_experiment_that_simulated_them() {
-        let sink = ProbeSink::buffered();
-        sink.emit(&Event::CellReused {
-            experiment: "fig8a".into(),
-            label: "w/baseline/<cfg>".into(),
-            seed: 0xab,
-            source: "fig7".into(),
-        });
-        let lines = sink.take_lines();
-        assert!(lines[0].starts_with(
-            "{\"schema\":\"athena-events-v1\",\"kind\":\"cell_reused\",\"experiment\":\"fig8a\",\
-             \"label\":\"w/baseline/<cfg>\",\"seed\":\"0x00000000000000ab\",\"source\":\"fig7\",\"t_ms\":"
-        ));
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let path = temp_log("escape");
-        let sink = ProbeSink::create(&path).unwrap();
-        sink.emit(&Event::CellPanicked {
-            experiment: "t".into(),
-            label: "a\"b\\c".into(),
-            error: "line1\nline2\ttab".into(),
-            origin: None,
-        });
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("a\\\"b\\\\c"));
-        assert!(text.contains("line1\\nline2\\ttab"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn clones_share_the_file_and_compare_by_path() {
         let path = temp_log("clone");
         let sink = ProbeSink::create(&path).unwrap();
@@ -646,20 +588,6 @@ mod tests {
         assert_eq!(sink, clone);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn seeds_render_as_full_width_hex() {
-        let path = temp_log("hex");
-        let sink = ProbeSink::create(&path).unwrap();
-        sink.emit(&Event::CellScheduled {
-            experiment: "t".into(),
-            label: "l".into(),
-            seed: 0xff,
-        });
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"seed\":\"0x00000000000000ff\""));
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,13 +5,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use athena_probe::{metrics, CellOrigin, Event, Phase, PhaseProfile, ProbeSink};
+use athena_probe::{metrics, Phase, PhaseProfile};
 use athena_sim::MultiCoreResult;
 
 use crate::dist::DistPool;
+use crate::events::{CellOrigin, Event, ProbeSink};
 use crate::job::{Job, JobOutput, RunResult};
 use crate::memo::{CellMemo, MemoKey};
-use crate::pool::{available_parallelism, panic_message, parallel_map};
+use crate::pool::{available_parallelism, parallel_map};
 use crate::record;
 use crate::store::StoreHandle;
 
@@ -67,7 +68,7 @@ impl Engine {
     }
 
     /// Attaches a structured event sink: batches emit their lifecycle events
-    /// ([`athena_probe::Event`]) as JSONL through it. Observation is not identity — the
+    /// ([`Event`]) as JSONL through it. Observation is not identity — the
     /// sink sees results, results never see the sink, so attaching one cannot change a
     /// table byte. All events are emitted on the calling thread at deterministic points.
     pub fn with_probe(mut self, probe: Option<ProbeSink>) -> Self {
@@ -230,14 +231,8 @@ impl Engine {
                     "\r[{n}/{total} cells simulated, {hits} cached, {reused} reused, ~{eta:.0}s left]  "
                 );
             }
-            cell
-        })
-        .into_iter()
-        .map(|outcome| {
-            let (cell, _) = outcome.expect("run_cell catches the cell's own panics");
             (cell, None)
-        })
-        .collect();
+        });
         if self.progress && total > 0 {
             eprintln!();
         }
@@ -476,6 +471,17 @@ pub(crate) fn run_cell(job: &Job, prelude: impl FnOnce()) -> CellOutcome {
         output,
         wall,
         profile: (!profile.is_empty()).then_some(profile),
+    }
+}
+
+/// Extracts a human-readable message from a caught panic payload.
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "job panicked".to_string()
     }
 }
 

@@ -171,11 +171,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Decodes a `"0x…"` hex string written by [`Json::hex`] back into a `u64`.
-    pub fn as_hex_u64(&self) -> Option<u64> {
-        hex_u64(self.as_str()?)
-    }
 }
 
 /// Reads a `"0x…"` hex string's contents back into a `u64`. Strict: only hex digits may
@@ -1100,14 +1095,17 @@ mod tests {
         );
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("t").and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("h").and_then(Json::as_hex_u64), Some(255));
+        assert_eq!(
+            doc.get("h").and_then(Json::as_str).and_then(hex_u64),
+            Some(255)
+        );
         assert_eq!(doc.get("missing"), None);
         assert_eq!(Json::Null.get("a"), None);
         let hex = Json::hex(u64::MAX - 3);
-        assert_eq!(hex.as_hex_u64(), Some(u64::MAX - 3));
+        assert_eq!(hex.as_str().and_then(hex_u64), Some(u64::MAX - 3));
         // Strictly hex digits after the prefix — no signs, no empty payload.
-        assert_eq!(Json::str("0x+ff").as_hex_u64(), None);
-        assert_eq!(Json::str("0x").as_hex_u64(), None);
+        assert_eq!(hex_u64("0x+ff"), None);
+        assert_eq!(hex_u64("0x"), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   derived from the cell identity ([`seed`]), never from scheduling, so a batch produces
 //!   bit-identical results at any worker count and in any submission order.
 //! * **Panic isolation** — one poisoned cell fails that cell only; the rest of the batch
-//!   completes ([`pool::parallel_map`]).
+//!   completes ([`Engine::run`]).
 //! * **In-order collection** — results come back in submission order with per-cell
 //!   wall-clock accounting ([`Engine::run`]).
 //! * **Machine-readable results** — a hand-rolled JSON writer ([`json::JsonWriter`], under
@@ -20,6 +20,9 @@
 //!   [`ExperimentTable`]s, per-cell records ([`with_recording`]) and the `BENCH_sim.json`
 //!   phase profile ([`report::SIM_BENCH_SCHEMA`]); every document declares a shared
 //!   [`report::Schema`] constant.
+//! * **Event stream** — an optional JSONL log of every batch's lifecycle ([`Event`],
+//!   written by a [`ProbeSink`] through the same JSON writer), emitted at deterministic
+//!   merge points ([`Engine::with_probe`]).
 //! * **Result caching** — an optional persistent content-addressed store
 //!   ([`StoreHandle`], crate `athena-store`) serves previously simulated cells, keyed by
 //!   [`Job::identity_hash`], so warm re-runs simulate nothing and killed sweeps resume
@@ -52,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod events;
 mod exec;
 mod fingerprint;
 mod job;
@@ -70,6 +74,10 @@ pub mod store;
 pub mod wire;
 
 pub use dist::{DistPool, RemoteCell, WorkerCommand};
+pub use events::{
+    CellOrigin, Event, ProbeSink, EVENTS_SCHEMA_ID, TOPOLOGY_EVENT_KINDS, WALL_CLOCK_FIELDS,
+    WORKER_ATTRIBUTION_FIELDS,
+};
 pub use exec::{CellResult, Engine};
 pub use job::{
     simulate, simulate_multicore, FileWorkload, Job, JobOutput, RunResult, TelemetrySpec,
@@ -80,7 +88,7 @@ pub use memo::CellMemo;
 pub use pool::available_parallelism;
 pub use record::{with_recording, CellRecord};
 pub use seed::SeedHasher;
-pub use store::{record_key, variant_hash, StoreHandle};
+pub use store::{record_key, variant_hash, RecordEnvelope, StoreHandle};
 pub use table::ExperimentTable;
 
 // Re-exported so store consumers need only this crate.
@@ -90,8 +98,7 @@ pub use athena_store::{
 
 // Re-exported so observability consumers (the CLIs, the tune crate) need only this crate.
 pub use athena_probe::{
-    metrics, profiling_enabled, set_profiling, swap_cell, take_cell, CellOrigin, Counter, Event,
-    Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Phase, PhaseProfile, PhaseStat,
-    ProbeSink, WorkerUtil, ALL_PHASES, EVENTS_SCHEMA_ID, TOPOLOGY_EVENT_KINDS, WALL_CLOCK_FIELDS,
-    WORKER_ATTRIBUTION_FIELDS,
+    metrics, profiling_enabled, set_profiling, swap_cell, take_cell, Counter, Histogram,
+    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Phase, PhaseProfile, PhaseStat,
+    WorkerUtil, ALL_PHASES,
 };

@@ -53,7 +53,7 @@ pub struct CellRecord {
     pub profile: Option<athena_probe::PhaseProfile>,
     /// The distributed worker that simulated the cell (`None` for in-process and
     /// cached cells).
-    pub origin: Option<athena_probe::CellOrigin>,
+    pub origin: Option<crate::CellOrigin>,
 }
 
 impl CellRecord {

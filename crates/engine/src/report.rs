@@ -29,8 +29,9 @@ use crate::table::ExperimentTable;
 /// A named, versioned JSON document schema.
 ///
 /// The id rendered into documents is `athena-<name>-v<version>`. Constants for every
-/// document the workspace writes live alongside this type; consumers match documents with
-/// [`Schema::matches`] instead of comparing hand-typed strings.
+/// document the workspace writes live alongside this type, except the event-log line id
+/// ([`crate::EVENTS_SCHEMA_ID`]), which lives with the event writer; consumers match
+/// documents with [`Schema::matches`] instead of comparing hand-typed strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schema {
     /// Schema family name (e.g. `"figure-result"`).
@@ -50,10 +51,6 @@ pub const TUNE_CONFIG_SCHEMA: Schema = Schema::new("tune-config", 1);
 /// Schema of one result-store record payload ([`job_output_json`] wrapped by the engine's
 /// store module).
 pub const RESULT_RECORD_SCHEMA: Schema = Schema::new("result-record", 1);
-/// Schema of the engine's structured event-stream lines (`--events`). The sink itself
-/// lives below this crate in `athena-probe`, which carries the rendered id as a literal
-/// ([`athena_probe::EVENTS_SCHEMA_ID`]); a test here asserts the two agree.
-pub const EVENTS_SCHEMA: Schema = Schema::new("events", 1);
 /// Schema of the `BENCH_sim.json` snapshot (the `figures --profile` per-phase aggregate).
 pub const SIM_BENCH_SCHEMA: Schema = Schema::new("sim-bench", 1);
 /// Schema of a distributed worker's handshake frame (`crate::dist`).
@@ -506,10 +503,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_schema_agrees_with_the_probe_crate() {
-        // athena-probe sits below this crate and carries the rendered id as a literal;
-        // the Schema constant here is the single registry of document schemas.
-        assert_eq!(EVENTS_SCHEMA.id(), athena_probe::EVENTS_SCHEMA_ID);
+    fn schema_ids_render_name_and_version() {
         assert_eq!(SIM_BENCH_SCHEMA.id(), "athena-sim-bench-v1");
     }
 

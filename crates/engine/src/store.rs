@@ -13,7 +13,8 @@
 //! * **Payloads** — [`StoreHandle::encode`] / [`StoreHandle::decode`] wrap the lossless
 //!   [`JobOutput`] codec ([`crate::codec`]) in a small self-describing envelope
 //!   ([`crate::report::RESULT_RECORD_SCHEMA`]) carrying the cell's experiment, label and
-//!   hashes, so `results query` can browse a store without re-deriving jobs.
+//!   hashes, so `results query` can browse a store without re-deriving jobs
+//!   ([`RecordEnvelope`]).
 //!
 //! Failure discipline: decode and store errors inside a batch are **loud** — the engine
 //! panics with the store directory and cell label rather than silently re-simulating over
@@ -289,6 +290,65 @@ impl RecordFields {
     }
 }
 
+/// The self-describing half of a store record: the cell fields
+/// [`StoreHandle::write_record`] writes around the output, for browsing a store without
+/// decoding outputs (`results query`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordEnvelope {
+    /// The cell's experiment.
+    pub experiment: String,
+    /// The cell's label.
+    pub label: String,
+    /// The cell's workload (or multi-core mix) name.
+    pub workload: String,
+    /// The cell's coordinator name.
+    pub coordinator: String,
+    /// The cell's instruction budget.
+    pub instructions: u64,
+    /// The cell's derived seed.
+    pub seed: u64,
+}
+
+impl RecordEnvelope {
+    /// Reads the envelope of a record payload, skipping its `output` (which is still
+    /// syntax-checked). Fails on a payload that is not UTF-8 or not JSON, and names the
+    /// first missing or mistyped field.
+    pub fn decode(payload: &[u8]) -> Result<Self, String> {
+        let text =
+            std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
+        let mut r = JsonReader::new(text);
+        let [mut experiment, mut label, mut workload, mut coordinator] = [None, None, None, None];
+        let [mut instructions, mut seed] = [None, None];
+        read_envelope(&mut r, |key, r| match key {
+            "experiment" => fill(&mut experiment, r, String::read),
+            "label" => fill(&mut label, r, String::read),
+            "workload" => fill(&mut workload, r, String::read),
+            "coordinator" => fill(&mut coordinator, r, String::read),
+            "instructions" => fill(&mut instructions, r, hex::read),
+            "seed" => fill(&mut seed, r, hex::read),
+            _ => r.skip_value(),
+        })
+        .and_then(|()| r.finish())
+        .map_err(|e| format!("payload is not JSON: {e}"))?;
+        let string = |slot: Option<Result<String, String>>, name: &str| {
+            slot.and_then(Result::ok)
+                .ok_or(format!("no '{name}' field"))
+        };
+        let hex = |slot: Option<Result<u64, String>>, name: &str| {
+            slot.and_then(Result::ok)
+                .ok_or(format!("no hex '{name}' field"))
+        };
+        Ok(Self {
+            experiment: string(experiment, "experiment")?,
+            label: string(label, "label")?,
+            workload: string(workload, "workload")?,
+            coordinator: string(coordinator, "coordinator")?,
+            instructions: hex(instructions, "instructions")?,
+            seed: hex(seed, "seed")?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,6 +416,37 @@ mod tests {
         let output = job.run();
         let payload = StoreHandle::encode(&job, &output);
         assert_eq!(StoreHandle::decode(&payload).unwrap(), output);
+    }
+
+    #[test]
+    fn envelopes_read_the_cell_fields_and_name_a_missing_one() {
+        let job = one_job();
+        let payload = StoreHandle::encode(&job, &job.run());
+        let envelope = RecordEnvelope::decode(&payload).unwrap();
+        assert_eq!(envelope.experiment, job.experiment);
+        assert_eq!(envelope.label, job.label());
+        assert_eq!(envelope.workload, job.cell.name());
+        assert_eq!(envelope.coordinator, job.coordinator.name());
+        assert_eq!(envelope.instructions, job.instructions);
+        assert_eq!(envelope.seed, job.seed);
+
+        let text = std::str::from_utf8(&payload).unwrap();
+        let no_seed = text.replacen("\"seed\"", "\"sead\"", 1);
+        assert_eq!(
+            RecordEnvelope::decode(no_seed.as_bytes()),
+            Err("no hex 'seed' field".to_string())
+        );
+        let numeric_label = text.replacen(&format!("\"{}\"", job.label()), "7", 1);
+        assert_eq!(
+            RecordEnvelope::decode(numeric_label.as_bytes()),
+            Err("no 'label' field".to_string())
+        );
+        assert!(RecordEnvelope::decode(b"")
+            .unwrap_err()
+            .contains("not JSON"));
+        assert!(RecordEnvelope::decode(&payload[..payload.len() - 1])
+            .unwrap_err()
+            .contains("not JSON"));
     }
 
     #[test]

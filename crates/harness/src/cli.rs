@@ -355,10 +355,9 @@ tune — explore the Athena agent's design space (hyperparameters, reward weight
 usage: tune [options]
 
 search space & strategy:
-  --strategy <S>       'halving' (default): screen candidates on a short instruction
-                       budget and promote the best 1/eta to an eta-times-longer budget,
-                       repeating until the survivors have run the full budget;
-                       'random': evaluate every sampled candidate at the full budget
+  Successive halving screens the candidates on a short instruction budget and promotes
+  the best 1/eta to an eta-times-longer budget, repeating until the survivors have run
+  the full budget. --rungs 1 runs every candidate at the full budget (random search).
   --samples <N>        candidates entering the search (default 16; when the space's full
                        grid is no larger than N, the grid is enumerated instead of
                        sampled)
@@ -584,9 +583,11 @@ mod tests {
     #[test]
     fn help_texts_document_the_tuning_subsystem() {
         assert!(FIGURES_HELP.contains("--tuned-config"));
-        for flag in ["--strategy", "--samples", "--objective"] {
+        for flag in ["--samples", "--eta", "--rungs", "--objective"] {
             assert!(TUNE_HELP.contains(flag), "missing {flag}");
         }
+        // One search strategy: `--rungs 1` is random search.
+        assert!(!TUNE_HELP.contains("--strategy"));
         // Neither CLI times itself: `e2ebench/` is the one bench surface.
         for help in [FIGURES_HELP, TUNE_HELP] {
             assert!(!help.contains("--bench-report"));

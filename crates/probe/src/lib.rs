@@ -1,13 +1,7 @@
 //! # athena-probe
 //!
-//! Zero-cost-when-off observability for the Athena reproduction, in three parts:
+//! Zero-cost-when-off observability for the Athena reproduction, in two parts:
 //!
-//! * **Structured event stream** ([`event`]) — the experiment engine emits lifecycle
-//!   events (batch opened, cell scheduled / store-hit / started / finished / panicked,
-//!   store fetch/persist, report written) as hand-rolled JSONL records through a shared
-//!   [`ProbeSink`]. Every record declares the schema id [`EVENTS_SCHEMA_ID`]; wall-clock
-//!   readings live only in the dedicated `t_ms` / `wall_ms` fields, so the remaining
-//!   (deterministic) fields of a log are byte-stable across worker counts.
 //! * **Hot-path phase profiler** ([`profile`]) — lightweight span instrumentation over
 //!   the simulator's stages (trace generation, core stepping, cache lookups, prefetch
 //!   issue, OCP prediction, coordinator updates, DRAM accesses) and the engine's stages
@@ -20,15 +14,17 @@
 //!   (cell wall-clock, store fetch/persist latency, wire frame bytes, retries) and
 //!   snapshotted in deterministic order into the CLIs' JSON reports.
 //!
+//! The structured event stream (`--events`) is not here: its lines are JSON documents,
+//! so they live with the engine's JSON writer (`athena_engine::{Event, ProbeSink}`).
+//!
 //! **Observation is not identity.** Nothing in this crate feeds back into a simulation:
-//! events and profiles are derived from results, never consulted by them, so enabling
+//! profiles and metrics are derived from results, never consulted by them, so enabling
 //! either must not change a single table byte (the engine's tests lock this in). The
 //! disabled path compiles to near-nothing — one relaxed atomic load and a branch per
-//! span site, and a no-op sink when no `--events` file is attached.
+//! span site.
 //!
 //! This crate sits below `athena-sim` and `athena-engine` in the dependency order and
-//! therefore depends on nothing; the JSONL writer is hand-rolled here, and the engine's
-//! `report::EVENTS_SCHEMA` constant asserts agreement with [`EVENTS_SCHEMA_ID`] by test.
+//! therefore depends on nothing.
 
 // `deny` rather than `forbid`: the clock module holds the crate's single, documented
 // exemption (the `rdtsc` intrinsic backing span timestamps).
@@ -36,14 +32,9 @@
 #![warn(missing_docs)]
 
 mod clock;
-pub mod event;
 pub mod metrics;
 pub mod profile;
 
-pub use event::{
-    CellOrigin, Event, ProbeSink, EVENTS_SCHEMA_ID, TOPOLOGY_EVENT_KINDS, WALL_CLOCK_FIELDS,
-    WORKER_ATTRIBUTION_FIELDS,
-};
 pub use metrics::{
     metrics, Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, WorkerUtil,
 };

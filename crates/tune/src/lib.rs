@@ -9,11 +9,9 @@
 //! * a [`DesignSpace`] declares what may vary — hyperparameter grids or ranges for
 //!   (α, γ, ε, τ), candidate reward-weight vectors, candidate feature subsets drawn from
 //!   Table 1's seven features;
-//! * a [`TuneStrategy`] decides how the space is searched — seeded
-//!   [random search](TuneStrategy::Random) or
-//!   [successive halving](TuneStrategy::Halving), which screens many candidates on short
-//!   instruction budgets and promotes the best fraction to longer ones
-//!   ([`halving_schedule`]);
+//! * a [`TuneStrategy`] sets the search: successive halving over seeded samples, which
+//!   screens many candidates on short instruction budgets and promotes the best fraction
+//!   to longer ones ([`halving_schedule`]); with one rung it is plain random search;
 //! * every evaluation runs as an [`athena_engine::Job`] batch on the caller's engine
 //!   ([`TuneOptions::engine`]), inheriting its worker pool, panic isolation, result store
 //!   and distributed workers, plus `--trace-dir` replay;
@@ -33,7 +31,7 @@
 //! let workloads: Vec<_> = tuning_workloads().into_iter().take(2).collect();
 //! let board = tune(
 //!     &DesignSpace::quick(),
-//!     &TuneStrategy::Halving { samples: 6, eta: 2, rungs: 2 },
+//!     &TuneStrategy { samples: 6, eta: 2, rungs: 2 },
 //!     &workloads,
 //!     &TuneOptions::new(8_192).with_engine(Engine::new(2)),
 //! );

@@ -4,13 +4,11 @@
 //! every (candidate × workload) pair — plus one shared prefetchers-only baseline run per
 //! workload and budget — becomes an [`athena_engine::Job`] run on [`TuneOptions::engine`],
 //! so the search inherits the engine's worker pool, per-cell panic isolation, result
-//! store and trace-directory replay wholesale. Two strategies are provided:
-//!
-//! * **seeded random search** — draw N candidates from the space with a seeded RNG and
-//!   evaluate all of them at the full instruction budget;
-//! * **successive halving** — screen all candidates on a short budget, promote the best
-//!   `1/η` to an η-times-longer budget, and repeat until the survivors have run the full
-//!   budget ([`halving_schedule`]).
+//! store and trace-directory replay wholesale. The search is successive halving over
+//! seeded samples: draw N candidates from the space with a seeded RNG, screen them all on
+//! a short budget, promote the best `1/η` to an η-times-longer budget, and repeat until
+//! the survivors have run the full budget ([`halving_schedule`]). One rung is plain
+//! random search: every candidate runs the full budget.
 //!
 //! Everything downstream of the engine is a pure fold over the in-order cell results, so
 //! the returned [`Leaderboard`] is byte-identical at any worker count and under trace
@@ -97,25 +95,19 @@ impl TuneOptions {
     }
 }
 
-/// How candidates are drawn and promoted.
+/// How candidates are drawn and promoted: successive halving screens `samples`
+/// candidates over `rungs` budgets growing by a factor of `eta`, keeping the best `1/eta`
+/// at each promotion. With `rungs: 1` every candidate runs the full budget (random
+/// search).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuneStrategy {
-    /// Evaluate `samples` candidates at the full budget.
-    Random {
-        /// Number of candidates to draw.
-        samples: usize,
-    },
-    /// Successive halving: screen `samples` candidates over `rungs` budgets growing by a
-    /// factor of `eta`, keeping the best `1/eta` at each promotion.
-    Halving {
-        /// Number of candidates entering the first rung.
-        samples: usize,
-        /// Promotion/elimination factor (clamped to ≥ 2).
-        eta: usize,
-        /// Number of budget rungs (clamped to ≥ 1); the last rung always runs the full
-        /// budget.
-        rungs: usize,
-    },
+pub struct TuneStrategy {
+    /// Number of candidates entering the first rung.
+    pub samples: usize,
+    /// Promotion/elimination factor (clamped to ≥ 2).
+    pub eta: usize,
+    /// Number of budget rungs (clamped to ≥ 1); the last rung always runs the full
+    /// budget.
+    pub rungs: usize,
 }
 
 /// One rung of a halving schedule: how many candidates run, and for how long.
@@ -217,25 +209,13 @@ pub fn tune(
     opts: &TuneOptions,
 ) -> Leaderboard {
     assert!(!workloads.is_empty(), "tuning needs at least one workload");
-    let (configs, rungs) = match strategy {
-        TuneStrategy::Random { samples } => {
-            let configs = initial_candidates(space, *samples, opts.seed);
-            let rungs = vec![Rung {
-                candidates: configs.len(),
-                budget: opts.instructions.max(1),
-            }];
-            (configs, rungs)
-        }
-        TuneStrategy::Halving {
-            samples,
-            eta,
-            rungs,
-        } => {
-            let configs = initial_candidates(space, *samples, opts.seed);
-            let schedule = halving_schedule(configs.len(), *eta, *rungs, opts.instructions);
-            (configs, schedule)
-        }
-    };
+    let configs = initial_candidates(space, strategy.samples, opts.seed);
+    let rungs = halving_schedule(
+        configs.len(),
+        strategy.eta,
+        strategy.rungs,
+        opts.instructions,
+    );
 
     let mut entries: Vec<CandidateResult> = configs
         .into_iter()
@@ -420,7 +400,11 @@ mod tests {
         let workloads: Vec<WorkloadSpec> = tuning_workloads().into_iter().take(2).collect();
         let random = tune(
             &space,
-            &TuneStrategy::Random { samples: 6 },
+            &TuneStrategy {
+                samples: 6,
+                eta: 2,
+                rungs: 1,
+            },
             &workloads,
             &tiny_opts(),
         );
@@ -431,7 +415,7 @@ mod tests {
 
         let halving = tune(
             &space,
-            &TuneStrategy::Halving {
+            &TuneStrategy {
                 samples: 6,
                 eta: 2,
                 rungs: 2,
@@ -454,7 +438,7 @@ mod tests {
     fn leaderboards_are_identical_at_any_worker_count() {
         let space = DesignSpace::quick();
         let workloads: Vec<WorkloadSpec> = tuning_workloads().into_iter().take(2).collect();
-        let strategy = TuneStrategy::Halving {
+        let strategy = TuneStrategy {
             samples: 6,
             eta: 2,
             rungs: 2,

@@ -24,11 +24,11 @@
 //! reference (also rendered into `docs/CLI.md`).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use athena_engine::json::Json;
 use athena_engine::report::METRICS_SCHEMA;
-use athena_engine::{RecordKey, StoreHandle, StorePolicy, EVENTS_SCHEMA_ID};
+use athena_engine::{RecordEnvelope, RecordKey, StoreHandle, StorePolicy, EVENTS_SCHEMA_ID};
 use athena_harness::cli::{fail, fail_env, open_store, RESULTS_HELP as HELP};
 
 #[derive(PartialEq)]
@@ -172,55 +172,6 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// The self-describing half of a record payload (everything but the output itself).
-struct Envelope {
-    experiment: String,
-    label: String,
-    workload: String,
-    coordinator: String,
-    instructions: u64,
-    seed: u64,
-}
-
-/// Parses a record envelope, failing loudly on any malformed payload.
-fn envelope(key: RecordKey, payload: &[u8]) -> Result<Envelope, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| {
-        format!(
-            "record {:016x}.{:016x}: payload is not UTF-8: {e}",
-            key.identity, key.variant
-        )
-    })?;
-    let doc = Json::parse(text).map_err(|e| {
-        format!(
-            "record {:016x}.{:016x}: payload is not JSON: {e}",
-            key.identity, key.variant
-        )
-    })?;
-    let field = |name: &str| -> Result<String, String> {
-        doc.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or(format!(
-                "record {:016x}.{:016x} has no '{name}' field",
-                key.identity, key.variant
-            ))
-    };
-    let hex = |name: &str| -> Result<u64, String> {
-        doc.get(name).and_then(Json::as_hex_u64).ok_or(format!(
-            "record {:016x}.{:016x} has no hex '{name}' field",
-            key.identity, key.variant
-        ))
-    };
-    Ok(Envelope {
-        experiment: field("experiment")?,
-        label: field("label")?,
-        workload: field("workload")?,
-        coordinator: field("coordinator")?,
-        instructions: hex("instructions")?,
-        seed: hex("seed")?,
-    })
-}
-
 fn run_stats(args: &Args) {
     let handle = open_store(&args.store, StorePolicy::ReadOnly);
     let stats = handle.lock().stats();
@@ -255,10 +206,14 @@ fn run_query(args: &Args) {
             Ok(None) => continue,
             Err(e) => fail_env(format!("result store {}: {e}", args.store.display())),
         };
-        let env = match envelope(key, &payload) {
-            Ok(env) => env,
-            Err(e) => fail_env(format!("result store {}: {e}", args.store.display())),
-        };
+        let env = RecordEnvelope::decode(&payload).unwrap_or_else(|e| {
+            fail_env(format!(
+                "result store {}: record {:016x}.{:016x}: {e}",
+                args.store.display(),
+                key.identity,
+                key.variant
+            ))
+        });
         if args
             .experiment
             .as_deref()
@@ -492,14 +447,67 @@ fn run_verify(args: &Args) {
     }
 }
 
+/// One line of an event log, parsed and checked against the events schema.
+struct EventLine<'a> {
+    path: &'a Path,
+    /// 1-based line number in the log.
+    number: usize,
+    doc: Json,
+    kind: String,
+}
+
+impl EventLine<'_> {
+    /// Exits naming the log file and line.
+    fn malformed(&self, what: &str) -> ! {
+        malformed_line(self.path, self.number, what)
+    }
+}
+
+fn malformed_line(path: &Path, number: usize, what: &str) -> ! {
+    fail_env(format!(
+        "event log {}: line {number}: {what}",
+        path.display()
+    ))
+}
+
+/// Reads the event log at `path` and hands every non-empty line to `visit`, in order.
+/// A line that is not JSON, declares another schema or has no `kind` ends the program
+/// with an error naming the file and the line.
+fn for_each_event(path: &Path, mut visit: impl FnMut(&EventLine<'_>)) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail_env(format!("event log {}: {e}", path.display())));
+    for (idx, line) in text.lines().enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        let number = idx + 1;
+        let malformed = |what: &str| -> ! { malformed_line(path, number, what) };
+        let doc = Json::parse(line).unwrap_or_else(|e| malformed(&format!("not JSON: {e}")));
+        match doc.get("schema").and_then(Json::as_str) {
+            Some(schema) if schema == EVENTS_SCHEMA_ID => {}
+            Some(schema) => malformed(&format!("schema '{schema}' is not '{EVENTS_SCHEMA_ID}'")),
+            None => malformed("no 'schema' field"),
+        }
+        let kind = doc
+            .get("kind")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| malformed("no 'kind' field"))
+            .to_string();
+        visit(&EventLine {
+            path,
+            number,
+            doc,
+            kind,
+        });
+    }
+}
+
 /// `events <FILE>`: summarise an event log written by `figures --events` /
 /// `tune --events` — counts by kind, the store cache-hit ratio, the cells reused from an
 /// earlier experiment of the run, the slowest cells, and
 /// (for distributed logs) the per-worker breakdown.
 fn run_events(args: &Args) {
     let path = &args.events_file;
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail_env(format!("event log {}: {e}", path.display())));
     let mut by_kind: Vec<(String, usize)> = Vec::new();
     let mut hits = 0usize;
     let mut reused = 0usize;
@@ -514,29 +522,9 @@ fn run_events(args: &Args) {
     let mut cells_reassigned = 0usize;
     let mut shard_frames = 0usize;
     let mut shard_bytes = 0.0f64;
-    for (idx, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let malformed = |what: &str| -> ! {
-            fail_env(format!(
-                "event log {}: line {}: {what}",
-                path.display(),
-                idx + 1
-            ))
-        };
-        let doc = Json::parse(line).unwrap_or_else(|e| malformed(&format!("not JSON: {e}")));
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(schema) if schema == EVENTS_SCHEMA_ID => {}
-            Some(schema) => malformed(&format!("schema '{schema}' is not '{EVENTS_SCHEMA_ID}'")),
-            None => malformed("no 'schema' field"),
-        }
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| malformed("no 'kind' field"))
-            .to_string();
-        match by_kind.iter_mut().find(|(k, _)| *k == kind) {
+    for_each_event(path, |event| {
+        let EventLine { doc, kind, .. } = event;
+        match by_kind.iter_mut().find(|(k, _)| k == kind) {
             Some((_, n)) => *n += 1,
             None => by_kind.push((kind.clone(), 1)),
         }
@@ -566,19 +554,19 @@ fn run_events(args: &Args) {
             "cell_finished" => finished.push((
                 doc.get("experiment")
                     .and_then(Json::as_str)
-                    .unwrap_or_else(|| malformed("cell_finished without 'experiment'"))
+                    .unwrap_or_else(|| event.malformed("cell_finished without 'experiment'"))
                     .to_string(),
                 doc.get("label")
                     .and_then(Json::as_str)
-                    .unwrap_or_else(|| malformed("cell_finished without 'label'"))
+                    .unwrap_or_else(|| event.malformed("cell_finished without 'label'"))
                     .to_string(),
                 doc.get("wall_ms")
                     .and_then(Json::as_f64)
-                    .unwrap_or_else(|| malformed("cell_finished without 'wall_ms'")),
+                    .unwrap_or_else(|| event.malformed("cell_finished without 'wall_ms'")),
             )),
             _ => {}
         }
-    }
+    });
     let total: usize = by_kind.iter().map(|(_, n)| n).sum();
     by_kind.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let cells = hits + reused + scheduled;
@@ -711,35 +699,15 @@ struct TraceInstant {
 /// numbered thread lanes; a cell's phase profile becomes child slices under its span.
 fn run_trace(args: &Args) {
     let path = &args.events_file;
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail_env(format!("event log {}: {e}", path.display())));
     let mut spans: Vec<CellSpan> = Vec::new();
     let mut instants: Vec<TraceInstant> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let malformed = |what: &str| -> ! {
-            fail_env(format!(
-                "event log {}: line {}: {what}",
-                path.display(),
-                idx + 1
-            ))
-        };
-        let doc = Json::parse(line).unwrap_or_else(|e| malformed(&format!("not JSON: {e}")));
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(schema) if schema == EVENTS_SCHEMA_ID => {}
-            Some(schema) => malformed(&format!("schema '{schema}' is not '{EVENTS_SCHEMA_ID}'")),
-            None => malformed("no 'schema' field"),
-        }
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| malformed("no 'kind' field"));
+    for_each_event(path, |event| {
+        let EventLine { doc, kind, .. } = event;
+        let kind = kind.as_str();
         let t_us = doc
             .get("t_ms")
             .and_then(Json::as_f64)
-            .unwrap_or_else(|| malformed("no 't_ms' field"))
+            .unwrap_or_else(|| event.malformed("no 't_ms' field"))
             * 1e3;
         // Worker-attributed lines land on that worker's process row; everything else is
         // the coordinator's (process 0).
@@ -758,7 +726,7 @@ fn run_trace(args: &Args) {
                 let wall_us = doc
                     .get("wall_ms")
                     .and_then(Json::as_f64)
-                    .unwrap_or_else(|| malformed("cell_finished without 'wall_ms'"))
+                    .unwrap_or_else(|| event.malformed("cell_finished without 'wall_ms'"))
                     * 1e3;
                 // Synthetic or clock-skewed logs can put a span start before the sink
                 // epoch; clamp so the viewer never sees negative timestamps.
@@ -806,7 +774,7 @@ fn run_trace(args: &Args) {
             // cell_finished span covers them.
             _ => {}
         }
-    }
+    });
 
     // Greedy lane packing per process: each span takes the lowest-numbered lane that is
     // free at its start. Lane 0 of every process is reserved for instants.

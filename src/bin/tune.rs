@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --bin tune -- --quick --jobs 4
-//! cargo run --release --bin tune -- --strategy halving --samples 16 --rungs 3
+//! cargo run --release --bin tune -- --samples 16 --rungs 3
 //! cargo run --release --bin tune -- --quick --trace-dir traces/
 //! ```
 //!
@@ -40,7 +40,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut run = RunFlags::default();
-    let mut strategy_name = "halving".to_string();
     let mut samples = 16usize;
     let mut eta = 2usize;
     let mut rungs = 3usize;
@@ -55,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
             continue;
         }
         match arg.as_str() {
-            "--strategy" => strategy_name = value(&arg, &mut args)?,
             "--samples" => samples = count(&arg, &mut args)?,
             "--eta" => eta = parsed(&arg, &mut args)?,
             "--rungs" => rungs = parsed(&arg, &mut args)?,
@@ -93,14 +91,10 @@ fn parse_args() -> Result<Args, String> {
     } else {
         DesignSpace::paper_default()
     };
-    let strategy = match strategy_name.as_str() {
-        "halving" => TuneStrategy::Halving {
-            samples,
-            eta,
-            rungs,
-        },
-        "random" => TuneStrategy::Random { samples },
-        other => return Err(format!("unknown strategy '{other}' (halving, random)")),
+    let strategy = TuneStrategy {
+        samples,
+        eta,
+        rungs,
     };
     let run = run.into_options()?;
     let tune_opts = TuneOptions {

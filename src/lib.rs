@@ -23,14 +23,15 @@
 //! * [`trace_io`] — the binary on-disk trace format and streaming replay.
 //! * [`telemetry`] — windowed time-series telemetry (per-interval IPC/MPKI/coverage
 //!   series, agent learning internals, learning curves).
-//! * [`probe`] — zero-cost-when-off observability: the structured JSONL event stream,
-//!   the hot-path phase profiler and the process-wide metrics registry.
+//! * [`probe`] — zero-cost-when-off observability: the hot-path phase profiler and the
+//!   process-wide metrics registry.
 //! * [`engine`] — the parallel experiment engine (jobs, deterministic seeding, worker
-//!   pool, JSON reports).
+//!   pool, JSON reports, and the structured JSONL event stream written through its JSON
+//!   writer).
 //! * [`store`] — the persistent content-addressed result store (append-only record log,
 //!   rebuildable index, single-writer locking) that caches finished cells across runs.
 //! * [`tune`] — deterministic design-space exploration over Athena configurations
-//!   (seeded random search, successive halving, objective scoring, leaderboards).
+//!   (successive halving over seeded samples, objective scoring, leaderboards).
 //! * [`harness`] — the per-figure experiment harness and the `figures` / `trace` /
 //!   `tune` / `results` CLIs.
 
@@ -55,12 +56,12 @@ pub use athena_workloads as workloads;
 pub mod prelude {
     pub use athena_coordinators::{FixedCombo, Hpac, Mab, NaiveAll, Tlp};
     pub use athena_core::{AthenaAgent, AthenaConfig, Feature, RewardWeights};
-    pub use athena_engine::{CellResult, Engine, Job, JobOutput, StoreHandle};
+    pub use athena_engine::{CellResult, Engine, Event, Job, JobOutput, ProbeSink, StoreHandle};
     pub use athena_harness::{
         simulate, simulate_multicore, CoordinatorKind, OcpKind, PrefetcherKind, RunOptions,
         RunResult, SystemConfig,
     };
-    pub use athena_probe::{Event, PhaseProfile, ProbeSink};
+    pub use athena_probe::PhaseProfile;
     pub use athena_sim::{
         Coordinator, CoordinatorTelemetry, EpochStats, OffChipPredictor, Prefetcher, SimConfig,
         Simulator, TraceRecord, TraceSource,

@@ -7,7 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-use athena_repro::engine::pool::parallel_map;
 use athena_repro::engine::{available_parallelism, Job};
 use athena_repro::harness::experiments::run_experiment;
 use athena_repro::prelude::*;
@@ -96,19 +95,33 @@ fn shuffled_submission_order_does_not_change_results() {
 
 #[test]
 fn one_poisoned_job_fails_only_its_cell() {
-    let items: Vec<u32> = (0..12).collect();
-    let out = parallel_map(4, &items, |&i| {
-        assert!(i != 5, "cell {i} is poisoned");
-        i * 10
-    });
-    assert_eq!(out.len(), 12);
-    for (i, o) in out.iter().enumerate() {
+    // Cell 5 replays a trace file that does not exist, so it panics inside the cell.
+    let missing = std::env::temp_dir().join(format!(
+        "athena-poisoned-{}-missing.trace",
+        std::process::id()
+    ));
+    let mut jobs = athena_jobs(12, 4_000);
+    jobs[5] = Job::from_file(
+        "determinism",
+        "poisoned",
+        &missing,
+        cd1(),
+        CoordinatorKind::Athena,
+        4_000,
+    );
+    let serial = Engine::new(1).run(jobs.clone());
+    let parallel = Engine::new(4).run(jobs);
+    assert_eq!(parallel.len(), 12);
+    for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
         if i == 5 {
-            let message = o.as_ref().expect_err("cell 5 fails");
-            assert!(message.contains("poisoned"));
+            let message = p.output.as_ref().expect_err("the poisoned cell fails");
+            assert!(
+                message.contains("missing.trace"),
+                "the error names the trace: {message}"
+            );
         } else {
-            let (value, _) = o.as_ref().expect("other cells complete");
-            assert_eq!(*value, i as u32 * 10);
+            assert!(p.output.is_ok(), "{}: the other cells complete", p.label);
+            assert_eq!(p.output, s.output, "{}: result changed", p.label);
         }
     }
 }

@@ -130,7 +130,11 @@ fn a_widened_tuning_search_resimulates_only_new_points() {
     let space = DesignSpace::quick();
     // 6 samples ≥ the quick grid, so the candidate set is the full enumeration both
     // times and the narrow run's cells all reappear in the wide one.
-    let strategy = TuneStrategy::Random { samples: 6 };
+    let strategy = TuneStrategy {
+        samples: 6,
+        eta: 2,
+        rungs: 1,
+    };
     let tune_opts = |store: Option<StoreHandle>| {
         TuneOptions::new(8_000).with_engine(Engine::new(2).with_store(store))
     };
@@ -375,6 +379,28 @@ fn the_results_cli_names_the_offending_key_on_malformed_records() {
         "query error must name the record key: {stderr}"
     );
 
+    // A record whose envelope lacks a field: the error names the key and the field.
+    let f_dir = tmp("cli-no-instructions");
+    {
+        let mut store = athena_repro::store::ResultStore::open(&f_dir, false).unwrap();
+        let payload = "{\"schema\":\"athena-result-record-v1\",\"experiment\":\"fig7\",\
+                       \"label\":\"w/athena/<cfg>\",\"workload\":\"w\",\"coordinator\":\"athena\",\
+                       \"seed\":\"0x0000000000000001\",\"output\":null}";
+        store.put(key, payload.as_bytes()).unwrap();
+        store.flush().unwrap();
+    }
+    let out = common::run_bin(
+        "results",
+        &["query", "--store", f_dir.to_str().unwrap()],
+        &[],
+    );
+    let stderr = common::text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("record 0000000000000abc.000000000000000d: no hex 'instructions' field"),
+        "query error must name the record key and the field: {stderr}"
+    );
+
     // `results diff --against` where the second store's record fails its checksum: the
     // fetch error must also say which key it was reading.
     let a_dir = tmp("cli-diff-a");
@@ -417,7 +443,7 @@ fn the_results_cli_names_the_offending_key_on_malformed_records() {
                 .all(|(i, c)| i == 16 || c.is_ascii_hexdigit()),
         "diff error must name the offending record key, got: {stderr}"
     );
-    for dir in [q_dir, a_dir, b_dir] {
+    for dir in [q_dir, f_dir, a_dir, b_dir] {
         fs::remove_dir_all(&dir).unwrap();
     }
 }

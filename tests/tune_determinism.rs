@@ -41,7 +41,7 @@ fn tune_opts(jobs: usize) -> TuneOptions {
 }
 
 fn strategy() -> TuneStrategy {
-    TuneStrategy::Halving {
+    TuneStrategy {
         samples: 6,
         eta: 2,
         rungs: 2,
