@@ -12,8 +12,8 @@ use athena_sim::{CacheLevel, LoadContext, OffChipPredictor};
 const TABLE_BITS: usize = 11;
 const TABLE_SIZE: usize = 1 << TABLE_BITS;
 const NUM_FEATURES: usize = 5;
-const WEIGHT_MAX: i32 = 31;
-const WEIGHT_MIN: i32 = -32;
+const WEIGHT_MAX: i8 = 31;
+const WEIGHT_MIN: i8 = -32;
 /// Prediction threshold: predict off-chip when the summed weight is at least this.
 const ACTIVATION_THRESHOLD: i32 = 2;
 /// Training threshold: keep training while |sum| is below this, even when correct.
@@ -22,7 +22,9 @@ const TRAINING_THRESHOLD: i32 = 14;
 /// The POPET hashed-perceptron off-chip predictor.
 #[derive(Debug, Clone)]
 pub struct Popet {
-    tables: Vec<Vec<i32>>,
+    /// One weight table per feature. Weights stay in `WEIGHT_MIN..=WEIGHT_MAX`, so a byte
+    /// holds each; sums are taken in `i32`.
+    tables: Box<[[i8; TABLE_SIZE]; NUM_FEATURES]>,
     predictions: u64,
     positive_predictions: u64,
 }
@@ -32,7 +34,7 @@ impl Popet {
     /// features, ~4 KB of weight storage).
     pub fn new() -> Self {
         Self {
-            tables: vec![vec![0; TABLE_SIZE]; NUM_FEATURES],
+            tables: Box::new([[0; TABLE_SIZE]; NUM_FEATURES]),
             predictions: 0,
             positive_predictions: 0,
         }
@@ -61,7 +63,11 @@ impl Popet {
     }
 
     fn sum(&self, idx: &[usize; NUM_FEATURES]) -> i32 {
-        self.tables.iter().zip(idx.iter()).map(|(t, &i)| t[i]).sum()
+        self.tables
+            .iter()
+            .zip(idx.iter())
+            .map(|(t, &i)| i32::from(t[i]))
+            .sum()
     }
 }
 
@@ -206,6 +212,98 @@ mod tests {
             q.train(&c, false);
         }
         assert!(q.confidence(&ctx(0x600, 0x40_0000, false)) < 0.5);
+    }
+
+    /// The predictor as it was before its weights were narrowed to bytes: one `i32` table
+    /// per feature, clamped to the same bounds.
+    struct WideReference {
+        tables: Vec<Vec<i32>>,
+    }
+
+    impl WideReference {
+        fn sum(&self, idx: &[usize; NUM_FEATURES]) -> i32 {
+            self.tables.iter().zip(idx.iter()).map(|(t, &i)| t[i]).sum()
+        }
+
+        fn predict(&self, ctx: &LoadContext) -> bool {
+            self.sum(&Popet::feature_indices(ctx)) >= ACTIVATION_THRESHOLD
+        }
+
+        fn confidence(&self, ctx: &LoadContext) -> f32 {
+            let sum = self.sum(&Popet::feature_indices(ctx));
+            let x = (sum - ACTIVATION_THRESHOLD) as f32 / TRAINING_THRESHOLD as f32;
+            (0.5 + 0.5 * x).clamp(0.0, 1.0)
+        }
+
+        fn train(&mut self, ctx: &LoadContext, went_off_chip: bool) {
+            let idx = Popet::feature_indices(ctx);
+            let sum = self.sum(&idx);
+            let predicted = sum >= ACTIVATION_THRESHOLD;
+            if predicted != went_off_chip || sum.abs() < TRAINING_THRESHOLD {
+                let delta = if went_off_chip { 1 } else { -1 };
+                for (table, &i) in self.tables.iter_mut().zip(idx.iter()) {
+                    table[i] =
+                        (table[i] + delta).clamp(i32::from(WEIGHT_MIN), i32::from(WEIGHT_MAX));
+                }
+            }
+        }
+    }
+
+    /// Random contexts from two families, built so that training drives weights to both
+    /// clamps. A "noise" family (two PCs) labels each of 16 control-flow hashes by the
+    /// hash's parity, pulling those shared hash weights far apart; the main family (one
+    /// PC) labels by first-access-to-page, so its two first-access weights must outweigh
+    /// that spread and saturate, one at each bound.
+    fn saturating_sample(r: u64) -> (LoadContext, bool) {
+        let hash = r % 16;
+        let noise = (r >> 4) % 10 < 7;
+        let (pc, first) = if noise {
+            (0x8000 + ((r >> 8) & 1) * 4, false)
+        } else {
+            (0x1000, (r >> 8) & 1 == 1)
+        };
+        let ctx = LoadContext {
+            pc,
+            addr: 0,
+            line_offset_in_page: ((r >> 9) % 4) as u8,
+            byte_offset: ((r >> 11) % 4) as u8,
+            first_access_to_page: first,
+            recent_pc_hash: hash,
+        };
+        let went_off_chip = if noise { hash & 1 == 0 } else { first };
+        (ctx, went_off_chip)
+    }
+
+    #[test]
+    fn byte_weights_match_wide_weights() {
+        let mut bytes = Popet::new();
+        let mut wide = WideReference {
+            tables: vec![vec![0; TABLE_SIZE]; NUM_FEATURES],
+        };
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..100_000 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (c, went_off_chip) = saturating_sample(seed >> 24);
+            assert_eq!(bytes.predict(&c), wide.predict(&c), "step {step}");
+            assert_eq!(
+                bytes.confidence(&c).to_bits(),
+                wide.confidence(&c).to_bits(),
+                "step {step}"
+            );
+            bytes.train(&c, went_off_chip);
+            wide.train(&c, went_off_chip);
+        }
+        for (narrow, wide) in bytes.tables.iter().zip(&wide.tables) {
+            assert!(narrow
+                .iter()
+                .map(|&w| i32::from(w))
+                .eq(wide.iter().copied()));
+        }
+        let weights = || wide.tables.iter().flatten().copied();
+        assert_eq!(weights().max(), Some(i32::from(WEIGHT_MAX)));
+        assert_eq!(weights().min(), Some(i32::from(WEIGHT_MIN)));
     }
 
     #[test]

@@ -5,24 +5,30 @@
 //! prefetch-induced pollution, prefetch usefulness and off-chip behaviour emerge from the
 //! simulated workload rather than from analytical approximations.
 //!
-//! Line state is stored structure-of-arrays (one flat array per field, indexed by
-//! `set * ways + way`) rather than as per-line structs: the hot lookup touches only the
-//! tag array until it has a hit, the tag scan over a set is a branch-free equality sweep
-//! over adjacent words, and the replacement / prefetch metadata arrays stay out of the
-//! cache lines the tag scan pulls in. The observable semantics — scan order, first-match
-//! priority, LRU tie-breaking on the first minimum, RRIP aging, every counter's update
-//! order — are identical to the former array-of-structs layout, which is what keeps
-//! end-of-run statistics byte-identical (pinned by `tests/sim_oracle.rs`).
+//! Line state is two flat arrays indexed by `set * ways + way`: the tags, and one 16-byte
+//! `LineMeta` record per line holding everything else (ready cycle, LRU stamp, SHiP
+//! signature, flag bits, RRIP value). The set scan reads only the tag array, a branch-free
+//! equality sweep over adjacent words; a hit or a fill then touches that one record instead
+//! of an entry in each of five arrays. The observable semantics — scan order,
+//! first-match priority, LRU tie-breaking on the first minimum, RRIP aging, every
+//! counter's update order — are those of the original per-line struct scan, which is what
+//! keeps end-of-run statistics byte-identical (pinned by `tests/sim_oracle.rs`).
+//!
+//! LRU stamps are 32-bit. Victim choice compares only the stamps within one set, and those
+//! are distinct, so before the clock would pass `u32::MAX` every set's stamps are replaced
+//! by their ranks and the clock restarts at `ways`, above every rank: the order, and so
+//! every decision, is unchanged. Only SHiP caches keep the signature table and line
+//! signatures; an LRU cache never reads them.
 //!
 //! Ways fill in index order and no line is ever invalidated, so a per-set fill count says
 //! which lines are valid: ways `0..filled[set]`. The tag sweep covers only those ways and
 //! needs no per-way validity test, and nothing ever reads a way at or beyond the count.
 //! That is what lets a new cache skip initialising its line arrays: a dropped cache hands
 //! its arrays to a small per-thread spare list, and the next cache of the same geometry on
-//! that thread takes them back as they are. Only the fill counts and the SHiP table are
-//! reset. The paper's hierarchy holds about 2 MB of line state and a short cell touches a
-//! small part of it, so initialising that state for every cell would dominate the cell's
-//! set-up cost.
+//! that thread takes them back as they are. Only the fill counts and, for a SHiP cache, the
+//! signature table are reset. The paper's hierarchy holds about 1.7 MB of line state and a
+//! short cell touches a small part of it, so initialising that state for every cell would
+//! dominate the cell's set-up cost.
 
 use crate::trace::LINE_SIZE;
 
@@ -131,22 +137,37 @@ const F_PREFETCH: u8 = 1 << 1;
 /// Demanded at least once while resident.
 const F_USED: u8 = 1 << 2;
 
+/// Everything a line holds besides its tag, packed so that a hit or a fill touches one
+/// 16-byte record.
+#[derive(Debug, Clone, Copy)]
+struct LineMeta {
+    /// Cycle at which the line's data is (or was) available.
+    ready: u64,
+    /// The cache clock at the line's last touch; replaced by its rank within the set when
+    /// the clock restarts.
+    lru: u32,
+    /// SHiP signature of the filling PC (SHiP caches only).
+    signature: u16,
+    /// `F_*` bits.
+    flags: u8,
+    /// RRIP re-reference prediction value.
+    rrpv: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<LineMeta>() == 16);
+
 /// Most dropped caches' arrays one thread keeps for reuse. A cell drops three caches per
 /// simulated core; beyond this many the oldest arrays are freed.
 const SPARE_CAP: usize = 32;
 
-/// The state arrays of one cache: its per-set fill counts, its SHiP table and its six
+/// The state arrays of one cache: its per-set fill counts, its SHiP table and its two
 /// per-line arrays (`sets * ways` long each). The per-line contents of a way at or beyond
 /// its set's fill count are stale, and nothing reads them there.
 struct CacheArrays {
     filled: Vec<u8>,
     ship_table: Vec<u8>,
     tags: Vec<u64>,
-    flags: Vec<u8>,
-    lru: Vec<u64>,
-    rrpv: Vec<u8>,
-    signature: Vec<u16>,
-    ready: Vec<u64>,
+    meta: Vec<LineMeta>,
 }
 
 thread_local! {
@@ -157,8 +178,9 @@ thread_local! {
 
 impl CacheArrays {
     /// Arrays for an empty cache of `sets` × `ways`: the most recently dropped ones of that
-    /// geometry on this thread, or new ones when there are none.
-    fn take(sets: usize, ways: usize) -> Self {
+    /// geometry on this thread, or new ones when there are none. `ship` says whether the
+    /// cache reads its SHiP table.
+    fn take(sets: usize, ways: usize, ship: bool) -> Self {
         let lines = sets * ways;
         let mut arrays = SPARE_ARRAYS
             .try_with(|spare| {
@@ -174,16 +196,23 @@ impl CacheArrays {
                 filled: vec![0; sets],
                 ship_table: vec![0; SHIP_TABLE_SIZE],
                 tags: vec![0; lines],
-                flags: vec![0; lines],
-                lru: vec![0; lines],
-                rrpv: vec![0; lines],
-                signature: vec![0; lines],
-                ready: vec![0; lines],
+                meta: vec![
+                    LineMeta {
+                        ready: 0,
+                        lru: 0,
+                        signature: 0,
+                        flags: 0,
+                        rrpv: 0,
+                    };
+                    lines
+                ],
             });
         // The only reset: no way holds a line, and every SHiP counter starts weakly
         // re-referenced.
         arrays.filled.fill(0);
-        arrays.ship_table.fill(1);
+        if ship {
+            arrays.ship_table.fill(1);
+        }
         arrays
     }
 
@@ -202,8 +231,8 @@ impl CacheArrays {
 
 /// A set-associative cache with exact content simulation.
 ///
-/// Line state lives in parallel flat arrays indexed by `set * ways + way` — see the
-/// module docs for the layout rationale.
+/// Line state lives in two flat arrays indexed by `set * ways + way`, the tags and one
+/// packed metadata record per line — see the module docs for the layout rationale.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -218,16 +247,14 @@ pub struct Cache {
     /// Whether the power-of-two fast path applies; otherwise division is used, producing
     /// the same `(set, tag)` values.
     pow2: bool,
+    /// Whether the replacement policy is SHiP, the only one that reads signatures.
+    ship: bool,
     /// Valid ways per set: ways `0..filled[set]` hold lines, the rest are empty.
     filled: Vec<u8>,
-    // --- structure-of-arrays line state, indexed by set * ways + way ---
+    // --- line state, indexed by set * ways + way ---
     tags: Vec<u64>,
-    flags: Vec<u8>,
-    lru: Vec<u64>,
-    rrpv: Vec<u8>,
-    signature: Vec<u16>,
-    ready: Vec<u64>,
-    lru_clock: u64,
+    meta: Vec<LineMeta>,
+    lru_clock: u32,
     /// SHiP signature outcome counters (2-bit saturating).
     ship_table: Vec<u8>,
     // Statistics.
@@ -255,16 +282,13 @@ impl Cache {
             u8::MAX
         );
         let set_count = config.sets();
+        let ship = config.replacement == Replacement::Ship;
         let CacheArrays {
             filled,
             ship_table,
             tags,
-            flags,
-            lru,
-            rrpv,
-            signature,
-            ready,
-        } = CacheArrays::take(set_count, ways);
+            meta,
+        } = CacheArrays::take(set_count, ways, ship);
         let pow2 = set_count.is_power_of_two();
         Self {
             config,
@@ -274,13 +298,10 @@ impl Cache {
             set_mask: set_count as u64 - 1,
             set_shift: set_count.trailing_zeros(),
             pow2,
+            ship,
             filled,
             tags,
-            flags,
-            lru,
-            rrpv,
-            signature,
-            ready,
+            meta,
             lru_clock: 0,
             ship_table,
             accesses: 0,
@@ -334,30 +355,64 @@ impl Cache {
         ((pc >> 2) ^ (pc >> 13)) as usize % SHIP_TABLE_SIZE
     }
 
+    /// Advances the LRU clock by one and returns it, restarting it first if it would pass
+    /// `u32::MAX`.
+    #[inline]
+    fn tick(&mut self) -> u32 {
+        if self.lru_clock == u32::MAX {
+            self.restart_clock();
+        }
+        self.lru_clock += 1;
+        self.lru_clock
+    }
+
+    /// Replaces every set's LRU stamps with their ranks within the set (0 for the oldest)
+    /// and restarts the clock at `ways`, above every rank. Victim choice reads only the
+    /// order of the stamps within one set, which the ranks keep (equal stamps, which do not
+    /// occur, would keep their way order), so no later decision changes.
+    #[cold]
+    #[inline(never)]
+    fn restart_clock(&mut self) {
+        let mut order: Vec<usize> = Vec::with_capacity(self.ways);
+        for set in 0..self.set_count {
+            let base = set * self.ways;
+            let lines = &mut self.meta[base..base + self.filled[set] as usize];
+            order.clear();
+            order.extend(0..lines.len());
+            order.sort_by_key(|&way| lines[way].lru);
+            for (rank, &way) in order.iter().enumerate() {
+                lines[way].lru = rank as u32;
+            }
+        }
+        self.lru_clock = self.ways as u32;
+    }
+
     /// Looks up `addr` as a demand access, updating replacement and prefetch-use metadata.
     /// Returns whether the access hit.
     pub fn lookup(&mut self, addr: u64) -> LookupOutcome {
         self.accesses += 1;
-        self.lru_clock += 1;
+        let clock = self.tick();
         let line_addr = addr & !(LINE_SIZE - 1);
         let (set, tag) = self.index_of(line_addr);
         if let Some(way) = self.find_way(set, tag) {
-            let i = set * self.ways + way;
             self.hits += 1;
-            let f = self.flags[i];
-            let first_use = f & F_PREFETCH != 0 && f & F_USED == 0;
+            let m = &mut self.meta[set * self.ways + way];
+            let first_use = m.flags & F_PREFETCH != 0 && m.flags & F_USED == 0;
+            m.flags = (m.flags | F_USED) & !F_PREFETCH;
+            m.lru = clock;
+            m.rrpv = 0;
+            let (signature, ready_cycle) = (m.signature, m.ready);
             if first_use {
                 self.useful_prefetches += 1;
             }
-            self.flags[i] = (f | F_USED) & !F_PREFETCH;
-            self.lru[i] = self.lru_clock;
-            self.rrpv[i] = 0;
-            // SHiP: the signature that filled this line produced a re-reference.
-            let sig = self.signature[i] as usize % SHIP_TABLE_SIZE;
-            self.ship_table[sig] = (self.ship_table[sig] + 1).min(3);
+            if self.ship {
+                // SHiP: the signature that filled this line produced a re-reference.
+                let sig = signature as usize % SHIP_TABLE_SIZE;
+                self.ship_table[sig] = (self.ship_table[sig] + 1).min(3);
+            }
             return LookupOutcome::Hit {
                 first_use_of_prefetch: first_use,
-                ready_cycle: self.ready[i],
+                ready_cycle,
             };
         }
         self.misses += 1;
@@ -377,7 +432,7 @@ impl Cache {
         let line_addr = addr & !(LINE_SIZE - 1);
         let (set, tag) = self.index_of(line_addr);
         if let Some(way) = self.find_way(set, tag) {
-            self.flags[set * self.ways + way] |= F_DIRTY;
+            self.meta[set * self.ways + way].flags |= F_DIRTY;
         }
     }
 
@@ -396,8 +451,7 @@ impl Cache {
     ) -> Option<EvictedLine> {
         let line_addr = addr & !(LINE_SIZE - 1);
         let (set, tag) = self.index_of(line_addr);
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
+        let clock = self.tick();
 
         if is_prefetch {
             self.prefetch_fills += 1;
@@ -407,12 +461,12 @@ impl Cache {
 
         // If already present just refresh metadata (e.g. a demand fill racing a prefetch).
         if let Some(way) = self.find_way(set, tag) {
-            let i = set * self.ways + way;
-            self.lru[i] = clock;
-            self.rrpv[i] = if is_prefetch { 2 } else { 0 };
-            self.ready[i] = self.ready[i].min(ready_cycle);
+            let m = &mut self.meta[set * self.ways + way];
+            m.lru = clock;
+            m.rrpv = if is_prefetch { 2 } else { 0 };
+            m.ready = m.ready.min(ready_cycle);
             if !is_prefetch {
-                self.flags[i] = (self.flags[i] | F_USED) & !F_PREFETCH;
+                m.flags = (m.flags | F_USED) & !F_PREFETCH;
             }
             return None;
         }
@@ -421,7 +475,7 @@ impl Cache {
         let full = self.filled[set] as usize == self.ways;
         let i = set * self.ways + self.choose_victim(set);
         let victim = if full {
-            let f = self.flags[i];
+            let f = self.meta[i].flags;
             Some(EvictedLine {
                 line_addr: (self.tags[i] * self.set_count as u64 + set as u64) * LINE_SIZE,
                 dirty: f & F_DIRTY != 0,
@@ -437,25 +491,35 @@ impl Cache {
         if let Some(ev) = &victim {
             if ev.was_prefetch && !ev.was_used {
                 self.evicted_unused_prefetches += 1;
-                // SHiP: the filling signature produced no re-reference.
-                let sig = self.signature[i] as usize % SHIP_TABLE_SIZE;
-                self.ship_table[sig] = self.ship_table[sig].saturating_sub(1);
+                if self.ship {
+                    // SHiP: the filling signature produced no re-reference.
+                    let sig = self.meta[i].signature as usize % SHIP_TABLE_SIZE;
+                    self.ship_table[sig] = self.ship_table[sig].saturating_sub(1);
+                }
             }
         }
 
-        let signature = Self::ship_index(pc) as u16;
-        let predicted_dead = self.config.replacement == Replacement::Ship
-            && self.ship_table[signature as usize % SHIP_TABLE_SIZE] == 0;
-        self.tags[i] = tag;
-        self.flags[i] = if is_prefetch { F_PREFETCH } else { F_USED };
-        self.lru[i] = clock;
-        self.rrpv[i] = if predicted_dead || is_prefetch {
-            RRPV_MAX - 1
+        let (signature, predicted_dead) = if self.ship {
+            let signature = Self::ship_index(pc) as u16;
+            (
+                signature,
+                self.ship_table[signature as usize % SHIP_TABLE_SIZE] == 0,
+            )
         } else {
-            1
+            (0, false)
         };
-        self.signature[i] = signature;
-        self.ready[i] = ready_cycle;
+        self.tags[i] = tag;
+        self.meta[i] = LineMeta {
+            ready: ready_cycle,
+            lru: clock,
+            signature,
+            flags: if is_prefetch { F_PREFETCH } else { F_USED },
+            rrpv: if predicted_dead || is_prefetch {
+                RRPV_MAX - 1
+            } else {
+                1
+            },
+        };
         victim
     }
 
@@ -466,18 +530,17 @@ impl Cache {
         if filled < self.ways {
             return filled;
         }
-        let base = set * self.ways;
+        let lines = &mut self.meta[set * self.ways..(set + 1) * self.ways];
         match self.config.replacement {
             Replacement::Lru => {
                 // First minimum wins, matching `Iterator::min_by_key` on the former
                 // per-line struct scan.
                 let mut best = 0usize;
-                let mut best_lru = self.lru[base];
-                for way in 1..self.ways {
-                    let stamp = self.lru[base + way];
-                    if stamp < best_lru {
+                let mut best_lru = lines[0].lru;
+                for (way, line) in lines.iter().enumerate().skip(1) {
+                    if line.lru < best_lru {
                         best = way;
-                        best_lru = stamp;
+                        best_lru = line.lru;
                     }
                 }
                 best
@@ -485,14 +548,11 @@ impl Cache {
             Replacement::Ship => {
                 // RRIP victim selection: evict a line with RRPV_MAX, aging until one exists.
                 loop {
-                    if let Some(idx) = self.rrpv[base..base + self.ways]
-                        .iter()
-                        .position(|&r| r >= RRPV_MAX)
-                    {
+                    if let Some(idx) = lines.iter().position(|l| l.rrpv >= RRPV_MAX) {
                         return idx;
                     }
-                    for r in &mut self.rrpv[base..base + self.ways] {
-                        *r = (*r + 1).min(RRPV_MAX);
+                    for l in lines.iter_mut() {
+                        l.rrpv = (l.rrpv + 1).min(RRPV_MAX);
                     }
                 }
             }
@@ -541,11 +601,7 @@ impl Drop for Cache {
             filled: std::mem::take(&mut self.filled),
             ship_table: std::mem::take(&mut self.ship_table),
             tags: std::mem::take(&mut self.tags),
-            flags: std::mem::take(&mut self.flags),
-            lru: std::mem::take(&mut self.lru),
-            rrpv: std::mem::take(&mut self.rrpv),
-            signature: std::mem::take(&mut self.signature),
-            ready: std::mem::take(&mut self.ready),
+            meta: std::mem::take(&mut self.meta),
         }
         .recycle();
     }
@@ -728,6 +784,61 @@ mod tests {
                 ..
             } => assert!(!first_use_of_prefetch),
             _ => panic!("expected hit"),
+        }
+    }
+
+    /// Replays a seeded mix of lookups, demand and prefetch fills and stores over 48 lines
+    /// (six times what the tiny cache holds), returning every answer.
+    fn replay_random_ops(c: &mut Cache, ops: usize, mut seed: u64) -> Vec<String> {
+        let mut answers = Vec::with_capacity(ops);
+        for _ in 0..ops {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = seed >> 33;
+            let addr = (r % 48) * LINE_SIZE + (r >> 8) % LINE_SIZE;
+            let pc = 0x400 + ((r >> 16) % 16) * 4;
+            answers.push(match (r >> 24) % 4 {
+                0 | 1 => format!("{:?}", c.lookup(addr)),
+                2 => format!("{:?}", c.fill(addr, r >> 30 & 1 == 1, pc, r % 1000)),
+                _ => {
+                    c.mark_dirty(addr);
+                    String::new()
+                }
+            });
+        }
+        answers.push(format!(
+            "{} {} {} {} {}",
+            c.hits(),
+            c.misses(),
+            c.prefetch_fills(),
+            c.useful_prefetches(),
+            c.evicted_unused_prefetches()
+        ));
+        answers
+    }
+
+    #[test]
+    fn restarting_the_lru_clock_changes_no_answer() {
+        const OPS: usize = 2_000;
+        for replacement in [Replacement::Lru, Replacement::Ship] {
+            for seed in 1..=4u64 {
+                let mut fresh = tiny_cache(replacement);
+                let mut wrapping = tiny_cache(replacement);
+                // It restarts after 500 ticks, when the sets are full and their stamps are
+                // no longer in way order.
+                wrapping.lru_clock = u32::MAX - 500;
+                assert_eq!(
+                    replay_random_ops(&mut wrapping, OPS, seed),
+                    replay_random_ops(&mut fresh, OPS, seed),
+                    "{replacement:?}, seed {seed}"
+                );
+                assert!(
+                    (wrapping.lru_clock as usize) < wrapping.ways + OPS,
+                    "{replacement:?}: the clock did not restart ({})",
+                    wrapping.lru_clock
+                );
+            }
         }
     }
 

@@ -77,13 +77,13 @@ pub struct MemoryHierarchy {
     /// Rolling hash of the last few load PCs, for OCP context features.
     recent_pc_hash: u64,
 
-    /// Recycled per-trigger prefetch-request batches: `(prefetcher index, requests)`
-    /// pairs filled and drained by [`MemoryHierarchy::trigger_prefetchers`]. Kept between
-    /// calls (with their inner buffers) so the per-access hot path performs no heap
-    /// allocation in steady state.
-    pf_batches: Vec<(usize, Vec<PrefetchRequest>)>,
-    /// Pool of empty request buffers recycled by `trigger_prefetchers`.
-    pf_pool: Vec<Vec<PrefetchRequest>>,
+    /// The requests of one trigger, every triggered prefetcher's appended in turn by
+    /// [`MemoryHierarchy::trigger_prefetchers`]. Kept empty between calls, with its
+    /// capacity, so the per-access hot path performs no heap allocation in steady state.
+    pf_requests: Vec<PrefetchRequest>,
+    /// `(prefetcher index, end)` per triggered prefetcher, in trigger order: its requests
+    /// are `pf_requests[previous end..end]`.
+    pf_ends: Vec<(usize, usize)>,
 
     /// Cumulative counters that are not part of `EpochStats`.
     total_prefetch_fills_from_dram: u64,
@@ -121,8 +121,8 @@ impl MemoryHierarchy {
             prefetch_provenance: FxHashMap::default(),
             recent_pages: RecentPages::default(),
             recent_pc_hash: 0,
-            pf_batches: Vec::new(),
-            pf_pool: Vec::new(),
+            pf_requests: Vec::new(),
+            pf_ends: Vec::new(),
             total_prefetch_fills_from_dram: 0,
             total_prefetch_fills_from_dram_unused: 0,
         }
@@ -132,8 +132,14 @@ impl MemoryHierarchy {
     pub fn attach_prefetcher(&mut self, prefetcher: Box<dyn Prefetcher>) {
         self.prefetchers_at[prefetcher.level() as usize].push(self.prefetchers.len());
         self.prefetchers.push(prefetcher);
-        let degrees: Vec<u32> = self.prefetchers.iter().map(|p| p.max_degree()).collect();
-        self.decision = CoordinationDecision::all_on(&degrees);
+        // Everything on at full degree, as `CoordinationDecision::all_on`, built in place.
+        let d = &mut self.decision;
+        d.enable_ocp = true;
+        d.prefetcher_enable.clear();
+        d.prefetcher_enable.resize(self.prefetchers.len(), true);
+        d.prefetcher_degree.clear();
+        d.prefetcher_degree
+            .extend(self.prefetchers.iter().map(|p| p.max_degree()));
     }
 
     /// Attaches the off-chip predictor.
@@ -481,10 +487,10 @@ impl MemoryHierarchy {
             ),
             is_store,
         };
-        // The batch list and its request buffers are recycled across calls (issue order —
-        // prefetchers in attach order, requests in production order — is unchanged).
-        let mut batches = std::mem::take(&mut self.pf_batches);
-        let mut pool = std::mem::take(&mut self.pf_pool);
+        // Every prefetcher produces before any request is issued; issue order is
+        // prefetchers in attach order, requests in production order.
+        let mut requests = std::mem::take(&mut self.pf_requests);
+        let mut ends = std::mem::take(&mut self.pf_ends);
         for &idx in &self.prefetchers_at[level as usize] {
             if !self
                 .decision
@@ -495,22 +501,20 @@ impl MemoryHierarchy {
             {
                 continue;
             }
-            let mut out = pool.pop().unwrap_or_default();
-            self.prefetchers[idx].on_access(&ev, &mut out);
-            if !out.is_empty() {
-                batches.push((idx, out));
-            } else {
-                pool.push(out);
-            }
+            self.prefetchers[idx].on_access(&ev, &mut requests);
+            ends.push((idx, requests.len()));
         }
-        for (idx, mut reqs) in batches.drain(..) {
-            for req in reqs.drain(..) {
+        let mut start = 0;
+        for &(idx, end) in &ends {
+            for &req in &requests[start..end] {
                 self.issue_prefetch(idx, level, req, pc, cycle);
             }
-            pool.push(reqs);
+            start = end;
         }
-        self.pf_batches = batches;
-        self.pf_pool = pool;
+        requests.clear();
+        ends.clear();
+        self.pf_requests = requests;
+        self.pf_ends = ends;
     }
 
     /// Issues one prefetch request from prefetcher `idx` attached at `level`.

@@ -220,8 +220,11 @@ pub trait Coordinator {
     /// default enables everything at full aggressiveness (the hardware reset state); static
     /// policies override it so that even the first epoch follows the policy.
     fn initial_decision(&mut self, prefetchers: &[PrefetcherInfo]) -> CoordinationDecision {
-        let degrees: Vec<u32> = prefetchers.iter().map(|p| p.max_degree).collect();
-        CoordinationDecision::all_on(&degrees)
+        CoordinationDecision {
+            enable_ocp: true,
+            prefetcher_enable: vec![true; prefetchers.len()],
+            prefetcher_degree: prefetchers.iter().map(|p| p.max_degree).collect(),
+        }
     }
 
     /// Called at the end of every epoch. Returns the decision for the next epoch.
