@@ -1,9 +1,15 @@
-//! One experiment per figure/table of the paper's evaluation.
+//! One experiment per figure/table of the paper's evaluation, each registered once in
+//! `EXPERIMENTS` and reached by name through [`run_experiment`]. Every experiment takes
+//! [`RunOptions`], so the same code powers the `figures` CLI, the `e2ebench` benchmark and
+//! the integration tests, and returns an [`ExperimentTable`] whose rows/series are the bars
+//! or lines of the original figure.
 //!
-//! Every function returns an [`ExperimentTable`] whose rows/series correspond to the bars or
-//! lines of the original figure. The functions take [`RunOptions`] so the same code powers
-//! the full `figures` CLI runs, the `e2ebench` benchmark (reduced instruction counts) and
-//! the integration tests.
+//! A figure is declared by its cells, rows and columns. `run_grid` runs `(config, policy)`
+//! series over the workloads as one engine batch; a `Sweep` adds the shared baseline and
+//! prefetchers-only classification series and turns each policy's runs into per-workload
+//! speedups. A row is a label plus one value per workload (a policy's speedups, the
+//! StaticBest maximum, or a statistic normalised to the baseline), a column is a typed
+//! workload `Slice`, and `Sweep::table` makes each cell its row's geomean over its column.
 //!
 //! Reproduction is *trend-level*: the absolute speedups differ from the paper because the
 //! core model and workloads are synthetic substitutes (see DESIGN.md), but the orderings the
@@ -11,7 +17,7 @@
 //! each ablation step contributes — are expected to hold. DESIGN.md §1 says what that
 //! trend-level reproduction means and lists the known deviations.
 
-use std::collections::HashMap;
+use std::fmt;
 
 use athena_core::{AthenaConfig, Feature, RewardWeights};
 use athena_engine::{CellResult, Job};
@@ -25,48 +31,64 @@ use crate::{
     SystemConfig,
 };
 
-/// The workload categories used as columns in most category tables.
-const CATEGORY_COLUMNS: [&str; 7] = [
-    "SPEC",
-    "PARSEC",
-    "Ligra",
-    "CVP",
-    "prefetcher-adverse",
-    "prefetcher-friendly",
-    "overall",
+/// A slice of a sweep's workloads: one column of a category table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slice {
+    /// The workloads of one suite.
+    Suite(Suite),
+    /// The workloads the prefetchers alone slow down (the paper's Figure 1 classification).
+    Adverse,
+    /// Every other workload.
+    Friendly,
+    /// Every workload.
+    Overall,
+}
+
+impl fmt::Display for Slice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slice::Suite(suite) => suite.fmt(f),
+            Slice::Adverse => f.write_str("prefetcher-adverse"),
+            Slice::Friendly => f.write_str("prefetcher-friendly"),
+            Slice::Overall => f.write_str("overall"),
+        }
+    }
+}
+
+/// The columns of the per-category tables: the four suites, then the classes.
+const CATEGORIES: [Slice; 7] = [
+    Slice::Suite(Suite::Spec),
+    Slice::Suite(Suite::Parsec),
+    Slice::Suite(Suite::Ligra),
+    Slice::Suite(Suite::Cvp),
+    Slice::Adverse,
+    Slice::Friendly,
+    Slice::Overall,
 ];
+
+/// The columns of the per-class tables.
+const CLASSES: [Slice; 3] = [Slice::Adverse, Slice::Friendly, Slice::Overall];
 
 /// The workload sample an experiment runs on under `opts`.
 ///
 /// With no [`RunOptions::workload_limit`] this is the full 100-workload evaluation suite.
 /// With a limit, a balanced slice is kept: designed-friendly and designed-adverse
-/// workloads are interleaved so even heavily truncated runs exercise both categories.
+/// workloads are interleaved so even heavily truncated runs exercise both categories, and
+/// a limit past the suite's size keeps every workload.
 /// Exposed publicly so the `trace` CLI's `--quick` recording preset captures exactly the
 /// workloads the quick experiments replay.
 pub fn workload_set(opts: &RunOptions) -> Vec<WorkloadSpec> {
-    let mut w = all_workloads();
-    if let Some(limit) = opts.workload_limit {
-        let friendly: Vec<WorkloadSpec> =
-            w.iter().filter(|x| x.designed_friendly).cloned().collect();
-        let adverse: Vec<WorkloadSpec> =
-            w.iter().filter(|x| !x.designed_friendly).cloned().collect();
-        let mut out = Vec::new();
-        let mut fi = friendly.into_iter();
-        let mut ai = adverse.into_iter();
-        while out.len() < limit {
-            if let Some(f) = fi.next() {
-                out.push(f);
-            }
-            if out.len() >= limit {
-                break;
-            }
-            if let Some(a) = ai.next() {
-                out.push(a);
-            }
-        }
-        w = out;
-    }
-    w
+    let all = all_workloads();
+    let Some(limit) = opts.workload_limit else {
+        return all;
+    };
+    let (friendly, adverse): (Vec<_>, Vec<_>) = all.into_iter().partition(|w| w.designed_friendly);
+    (0..friendly.len().max(adverse.len()))
+        .flat_map(|i| [friendly.get(i), adverse.get(i)])
+        .flatten()
+        .take(limit)
+        .cloned()
+        .collect()
 }
 
 /// The held-out tuning-workload sample an experiment (or the `tune` CLI) runs on under
@@ -102,48 +124,47 @@ pub(crate) fn cell_job(
     )
 }
 
-/// Enumerates one engine job per workload for one (config, policy) pair.
-fn single_jobs(
+/// Runs each `(config, policy)` series over `specs`, series by series, as one engine batch
+/// (`opts.jobs` workers), and returns each series' results in workload order. Every cell is
+/// a pure function of its job, so the results are bit-identical at any worker count.
+fn run_grid(
     experiment: &str,
     specs: &[WorkloadSpec],
-    config: &SystemConfig,
-    kind: &CoordinatorKind,
+    series: &[(&SystemConfig, CoordinatorKind)],
     opts: &RunOptions,
-) -> Vec<Job> {
-    specs
+) -> Vec<Vec<RunResult>> {
+    let jobs = series
         .iter()
-        .map(|spec| cell_job(experiment, spec, config, kind, opts))
-        .collect()
-}
-
-/// Executes a batch of single-core jobs on the experiment engine (`opts.jobs` workers) and
-/// returns the results in submission order. Every cell is a pure function of its job, so
-/// the returned results are bit-identical at any worker count.
-fn run_batch(jobs: Vec<Job>, opts: &RunOptions) -> Vec<RunResult> {
-    opts.engine()
+        .flat_map(|(config, kind)| {
+            specs
+                .iter()
+                .map(move |spec| cell_job(experiment, spec, config, kind, opts))
+        })
+        .collect();
+    let mut results = opts
+        .engine()
         .run(jobs)
         .into_iter()
-        .map(CellResult::into_single)
+        .map(CellResult::into_single);
+    series
+        .iter()
+        .map(|_| results.by_ref().take(specs.len()).collect())
         .collect()
 }
 
-/// All per-workload results for one policy.
-struct PolicyRuns {
-    /// Speedup over the no-prefetching/no-OCP baseline, per workload (same order as specs).
-    speedups: Vec<f64>,
-    /// Raw run results, per workload.
-    runs: Vec<RunResult>,
-}
+/// A table row: a label plus one value per workload of the sweep.
+type Row = (String, Vec<f64>);
 
 /// Runs a set of policies over a set of workloads on one configuration, sharing the
 /// baseline runs.
 struct Sweep {
     specs: Vec<WorkloadSpec>,
     baseline: Vec<RunResult>,
-    policies: Vec<(String, PolicyRuns)>,
-    /// Indices of workloads empirically classified prefetcher-adverse (prefetchers-only
-    /// speedup below 1.0, as in the paper's Figure 1 classification).
-    adverse_idx: Vec<usize>,
+    /// Each policy's name and its runs, per workload (same order as specs).
+    policies: Vec<(String, Vec<RunResult>)>,
+    /// Per workload: whether it is empirically prefetcher-adverse (prefetchers-only speedup
+    /// below 1.0, as in the paper's Figure 1 classification).
+    adverse: Vec<bool>,
 }
 
 impl Sweep {
@@ -156,10 +177,8 @@ impl Sweep {
         Self::run_on(experiment, workload_set(opts), config, policies, opts)
     }
 
-    /// Enumerates every (workload × policy) cell of the sweep — plus the shared baseline
-    /// and classification runs — as one engine batch, then slices the in-order results back
-    /// out per policy. The classification runs double as the `prefetchers-only` policy
-    /// runs, exactly like the original serial loop did.
+    /// Runs the baseline, the prefetchers-only classification and every other policy as
+    /// one grid. The classification runs double as the `prefetchers-only` policy runs.
     fn run_on(
         experiment: &str,
         specs: Vec<WorkloadSpec>,
@@ -167,125 +186,124 @@ impl Sweep {
         policies: &[(&str, CoordinatorKind)],
         opts: &RunOptions,
     ) -> Self {
-        let n = specs.len();
-        let mut jobs = single_jobs(experiment, &specs, config, &CoordinatorKind::Baseline, opts);
-        jobs.extend(single_jobs(
-            experiment,
-            &specs,
-            config,
-            &CoordinatorKind::PrefetchersOnly,
-            opts,
-        ));
-        for (_, kind) in policies {
-            if *kind != CoordinatorKind::PrefetchersOnly {
-                jobs.extend(single_jobs(experiment, &specs, config, kind, opts));
-            }
-        }
-        let mut results = run_batch(jobs, opts).into_iter();
-
-        let baseline: Vec<RunResult> = results.by_ref().take(n).collect();
-        // Classification run: prefetchers only.
-        let classify: Vec<RunResult> = results.by_ref().take(n).collect();
-        let adverse_idx: Vec<usize> = classify
-            .iter()
-            .zip(baseline.iter())
-            .enumerate()
-            .filter(|(_, (c, b))| c.ipc < b.ipc)
-            .map(|(i, _)| i)
-            .collect();
-
-        let mut out_policies = Vec::new();
-        for (name, kind) in policies {
-            let runs: Vec<RunResult> = match kind {
-                // Reuse the classification runs for the prefetchers-only policy.
-                CoordinatorKind::PrefetchersOnly => classify.clone(),
-                _ => results.by_ref().take(n).collect(),
-            };
-            let speedups = runs
+        let mut series = vec![
+            (config, CoordinatorKind::Baseline),
+            (config, CoordinatorKind::PrefetchersOnly),
+        ];
+        series.extend(
+            policies
                 .iter()
-                .zip(baseline.iter())
-                .map(|(r, b)| r.ipc / b.ipc.max(1e-12))
-                .collect();
-            out_policies.push((name.to_string(), PolicyRuns { speedups, runs }));
-        }
+                .filter(|(_, kind)| *kind != CoordinatorKind::PrefetchersOnly)
+                .map(|(_, kind)| (config, kind.clone())),
+        );
+        let mut results = run_grid(experiment, &specs, &series, opts).into_iter();
+        let baseline = results.next().expect("baseline series");
+        let classify = results.next().expect("classification series");
+        let adverse = classify
+            .iter()
+            .zip(&baseline)
+            .map(|(c, b)| c.ipc < b.ipc)
+            .collect();
+        let policies = policies
+            .iter()
+            .map(|(name, kind)| {
+                let runs = match kind {
+                    CoordinatorKind::PrefetchersOnly => classify.clone(),
+                    _ => results.next().expect("policy series"),
+                };
+                (name.to_string(), runs)
+            })
+            .collect();
         Self {
             specs,
             baseline,
-            policies: out_policies,
-            adverse_idx,
+            policies,
+            adverse,
         }
     }
 
-    fn indices_for(&self, column: &str) -> Vec<usize> {
-        match column {
-            "overall" => (0..self.specs.len()).collect(),
-            "prefetcher-adverse" => self.adverse_idx.clone(),
-            "prefetcher-friendly" => (0..self.specs.len())
-                .filter(|i| !self.adverse_idx.contains(i))
-                .collect(),
-            suite => {
-                let suite = match suite {
-                    "SPEC" => Suite::Spec,
-                    "PARSEC" => Suite::Parsec,
-                    "Ligra" => Suite::Ligra,
-                    "CVP" => Suite::Cvp,
-                    "Google" => Suite::GoogleLike,
-                    _ => return Vec::new(),
-                };
-                (0..self.specs.len())
-                    .filter(|&i| self.specs[i].suite == suite)
-                    .collect()
-            }
-        }
+    /// The indices of the workloads in `slice`, in ascending order.
+    fn indices(&self, slice: Slice) -> Vec<usize> {
+        (0..self.specs.len())
+            .filter(|&i| match slice {
+                Slice::Suite(suite) => self.specs[i].suite == suite,
+                Slice::Adverse => self.adverse[i],
+                Slice::Friendly => !self.adverse[i],
+                Slice::Overall => true,
+            })
+            .collect()
     }
 
-    fn geomean_speedup(&self, policy: &str, indices: &[usize]) -> f64 {
-        let p = self
+    /// One policy's per-workload speedups over the no-prefetching/no-OCP baseline.
+    fn speedups(&self, policy: &str) -> Vec<f64> {
+        let (_, runs) = self
             .policies
             .iter()
-            .find(|(n, _)| n == policy)
-            .map(|(_, p)| p)
+            .find(|(name, _)| name == policy)
             .expect("unknown policy");
-        let values: Vec<f64> = indices.iter().map(|&i| p.speedups[i]).collect();
-        geomean(&values)
+        runs.iter()
+            .zip(&self.baseline)
+            .map(|(r, b)| r.ipc / b.ipc.max(1e-12))
+            .collect()
     }
 
-    /// Per-workload best static combination (the StaticBest oracle), as a speedup vector.
-    /// Requires the sweep to contain the four static policies.
-    fn static_best(&self, indices: &[usize]) -> f64 {
-        let static_policies = ["baseline-combo", "ocp-only", "prefetchers-only", "naive"];
-        let values: Vec<f64> = indices
+    /// Every policy's speedup row, in the order the sweep ran them.
+    fn speedup_rows(&self) -> Vec<Row> {
+        self.policies
             .iter()
-            .map(|&i| {
-                static_policies
-                    .iter()
-                    .filter_map(|name| {
-                        self.policies
-                            .iter()
-                            .find(|(n, _)| n == name)
-                            .map(|(_, p)| p.speedups[i])
-                    })
-                    .fold(1.0f64, f64::max)
-            })
-            .collect();
-        geomean(&values)
+            .map(|(name, _)| (name.clone(), self.speedups(name)))
+            .collect()
     }
 
-    fn category_table(&self, title: &str, policy_order: &[&str]) -> ExperimentTable {
+    /// The per-workload best static combination (the StaticBest oracle): the largest
+    /// speedup among the four [`static_combo_policies`], and never below the baseline's 1.0.
+    fn static_best(&self) -> Vec<f64> {
+        let statics = ["baseline-combo", "ocp-only", "prefetchers-only", "naive"]
+            .map(|name| self.speedups(name));
+        (0..self.specs.len())
+            .map(|i| statics.iter().map(|s| s[i]).fold(1.0f64, f64::max))
+            .collect()
+    }
+
+    /// A table with one column per slice: each cell is the geomean of its row's
+    /// per-workload values over the column's workloads.
+    fn table(
+        &self,
+        title: &str,
+        row_label: &str,
+        slices: &[Slice],
+        rows: Vec<Row>,
+    ) -> ExperimentTable {
+        let columns: Vec<Vec<usize>> = slices.iter().map(|&s| self.indices(s)).collect();
         let mut table = ExperimentTable::new(
             title,
-            "policy",
-            CATEGORY_COLUMNS.iter().map(|s| s.to_string()).collect(),
+            row_label,
+            slices.iter().map(Slice::to_string).collect(),
         );
-        for policy in policy_order {
-            let row: Vec<f64> = CATEGORY_COLUMNS
+        for (label, values) in rows {
+            let cells = columns
                 .iter()
-                .map(|col| self.geomean_speedup(policy, &self.indices_for(col)))
+                .map(|idx| geomean(&idx.iter().map(|&i| values[i]).collect::<Vec<f64>>()))
                 .collect();
-            table.push_row(*policy, row);
+            table.push_row(label, cells);
         }
         table
     }
+}
+
+/// The value at quantile `q` of an ascending sample, by truncated rank; an empty sample
+/// reads 1.0.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    match sorted.len() {
+        0 => 1.0,
+        n => sorted[((n - 1) as f64 * q) as usize],
+    }
+}
+
+/// Sorts a sample ascending for [`quantile`].
+fn sorted(mut values: Vec<f64>) -> Vec<f64> {
+    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    values
 }
 
 /// The four static combinations used by the StaticBest oracle.
@@ -308,6 +326,10 @@ fn cd1() -> SystemConfig {
     SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet)
 }
 
+fn cd2() -> SystemConfig {
+    SystemConfig::cd2(PrefetcherKind::Ipcp, OcpKind::Popet)
+}
+
 fn cd4() -> SystemConfig {
     SystemConfig::cd4(PrefetcherKind::Ipcp, PrefetcherKind::Pythia, OcpKind::Popet)
 }
@@ -318,134 +340,112 @@ fn cd4() -> SystemConfig {
 
 /// Figure 1: per-workload speedups of the OCP (POPET) and the prefetcher (Pythia) alone,
 /// sorted by the prefetcher's speedup.
-pub fn fig1(opts: &RunOptions) -> ExperimentTable {
-    let config = cd1();
+fn fig1(opts: &RunOptions) -> ExperimentTable {
     let sweep = Sweep::run(
         "fig1",
-        &config,
+        &cd1(),
         &[
             ("popet", CoordinatorKind::OcpOnly),
             ("pythia", CoordinatorKind::PrefetchersOnly),
         ],
         opts,
     );
+    let (popet, pythia) = (sweep.speedups("popet"), sweep.speedups("pythia"));
     let mut order: Vec<usize> = (0..sweep.specs.len()).collect();
-    let pythia = &sweep.policies[1].1.speedups;
     order.sort_by(|&a, &b| pythia[a].partial_cmp(&pythia[b]).unwrap());
     let mut table = ExperimentTable::new(
         "Figure 1: POPET vs Pythia per-workload speedup (sorted by Pythia speedup)",
         "workload",
         vec!["popet".into(), "pythia".into()],
     );
-    for &i in &order {
-        table.push_row(
-            sweep.specs[i].name.clone(),
-            vec![sweep.policies[0].1.speedups[i], pythia[i]],
-        );
+    for i in order {
+        table.push_row(sweep.specs[i].name.clone(), vec![popet[i], pythia[i]]);
     }
     table
+}
+
+/// A StaticBest comparison in CD1: `extra` policies run beside the four static
+/// combinations, and the table lists the `rows` policies, then the StaticBest oracle, by
+/// class.
+fn static_best_fig(
+    experiment: &str,
+    title: &str,
+    row_label: &str,
+    extra: &[(&str, CoordinatorKind)],
+    rows: &[&str],
+    opts: &RunOptions,
+) -> ExperimentTable {
+    let mut policies = static_combo_policies();
+    policies.extend_from_slice(extra);
+    let sweep = Sweep::run(experiment, &cd1(), &policies, opts);
+    let mut rows: Vec<Row> = rows
+        .iter()
+        .map(|p| (p.to_string(), sweep.speedups(p)))
+        .collect();
+    rows.push(("static-best".into(), sweep.static_best()));
+    sweep.table(title, row_label, &CLASSES, rows)
 }
 
 /// Figure 2: geomean speedup of POPET, Pythia, their naive combination and the StaticBest
 /// oracle, by workload category.
-pub fn fig2(opts: &RunOptions) -> ExperimentTable {
-    let config = cd1();
-    let sweep = Sweep::run("fig2", &config, &static_combo_policies(), opts);
-    let mut table = ExperimentTable::new(
+fn fig2(opts: &RunOptions) -> ExperimentTable {
+    static_best_fig(
+        "fig2",
         "Figure 2: naive combination vs StaticBest",
         "combination",
-        vec![
-            "prefetcher-adverse".into(),
-            "prefetcher-friendly".into(),
-            "overall".into(),
-        ],
-    );
-    for policy in ["ocp-only", "prefetchers-only", "naive"] {
-        let row: Vec<f64> = ["prefetcher-adverse", "prefetcher-friendly", "overall"]
-            .iter()
-            .map(|c| sweep.geomean_speedup(policy, &sweep.indices_for(c)))
-            .collect();
-        table.push_row(policy, row);
-    }
-    let sb: Vec<f64> = ["prefetcher-adverse", "prefetcher-friendly", "overall"]
-        .iter()
-        .map(|c| sweep.static_best(&sweep.indices_for(c)))
-        .collect();
-    table.push_row("static-best", sb);
-    table
+        &[],
+        &["ocp-only", "prefetchers-only", "naive"],
+        opts,
+    )
 }
 
 /// Figure 3: fraction of prefetch fills from off-chip main memory that are never used, for
 /// an L1D prefetcher (IPCP) and an L2C prefetcher (Pythia).
-pub fn fig3(opts: &RunOptions) -> ExperimentTable {
+fn fig3(opts: &RunOptions) -> ExperimentTable {
     let specs = workload_set(opts);
+    let configs = [("ipcp@L1D", cd2()), ("pythia@L2C", cd1())];
+    let series: Vec<_> = configs
+        .iter()
+        .map(|(_, config)| (config, CoordinatorKind::PrefetchersOnly))
+        .collect();
     let mut table = ExperimentTable::new(
         "Figure 3: fraction of off-chip prefetch fills that are inaccurate",
         "prefetcher",
         vec!["mean".into(), "q1".into(), "median".into(), "q3".into()],
     );
-    let configs = [
-        (
-            "ipcp@L1D",
-            SystemConfig::cd2(PrefetcherKind::Ipcp, OcpKind::Popet),
-        ),
-        ("pythia@L2C", cd1()),
-    ];
-    let mut jobs = Vec::new();
-    for (_, config) in &configs {
-        jobs.extend(single_jobs(
-            "fig3",
-            &specs,
-            config,
-            &CoordinatorKind::PrefetchersOnly,
-            opts,
-        ));
-    }
-    let mut results = run_batch(jobs, opts).into_iter();
-    for (label, _) in configs {
-        let mut fractions: Vec<f64> = results
-            .by_ref()
-            .take(specs.len())
-            .map(|r| r.stats.offchip_prefetch_inaccuracy())
-            .collect();
-        fractions.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    for ((label, _), runs) in configs.iter().zip(run_grid("fig3", &specs, &series, opts)) {
+        let fractions = sorted(
+            runs.iter()
+                .map(|r| r.stats.offchip_prefetch_inaccuracy())
+                .collect(),
+        );
         let mean = fractions.iter().sum::<f64>() / fractions.len().max(1) as f64;
-        let quart = |q: f64| fractions[((fractions.len() - 1) as f64 * q) as usize];
-        table.push_row(label, vec![mean, quart(0.25), quart(0.5), quart(0.75)]);
+        table.push_row(
+            *label,
+            vec![
+                mean,
+                quantile(&fractions, 0.25),
+                quantile(&fractions, 0.5),
+                quantile(&fractions, 0.75),
+            ],
+        );
     }
     table
 }
 
 /// Figure 4: prior coordination policies (HPAC, MAB) against Naive and StaticBest in CD1.
-pub fn fig4(opts: &RunOptions) -> ExperimentTable {
-    let config = cd1();
-    let mut policies = static_combo_policies();
-    policies.push(("hpac", CoordinatorKind::Hpac));
-    policies.push(("mab", CoordinatorKind::Mab));
-    let sweep = Sweep::run("fig4", &config, &policies, opts);
-    let columns = ["prefetcher-adverse", "prefetcher-friendly", "overall"];
-    let mut table = ExperimentTable::new(
+fn fig4(opts: &RunOptions) -> ExperimentTable {
+    static_best_fig(
+        "fig4",
         "Figure 4: prior coordination policies vs Naive and StaticBest (CD1)",
         "policy",
-        columns.iter().map(|s| s.to_string()).collect(),
-    );
-    for policy in ["naive", "hpac", "mab"] {
-        table.push_row(
-            policy,
-            columns
-                .iter()
-                .map(|c| sweep.geomean_speedup(policy, &sweep.indices_for(c)))
-                .collect(),
-        );
-    }
-    table.push_row(
-        "static-best",
-        columns
-            .iter()
-            .map(|c| sweep.static_best(&sweep.indices_for(c)))
-            .collect(),
-    );
-    table
+        &[
+            ("hpac", CoordinatorKind::Hpac),
+            ("mab", CoordinatorKind::Mab),
+        ],
+        &["naive", "hpac", "mab"],
+        opts,
+    )
 }
 
 // ---------------------------------------------------------------------------------------
@@ -467,120 +467,92 @@ fn cache_design_policies(include_tlp: bool) -> Vec<(&'static str, CoordinatorKin
     p
 }
 
-fn cache_design_row_order(include_tlp: bool) -> Vec<&'static str> {
-    let mut rows = vec!["ocp-only", "prefetchers-only", "naive"];
-    if include_tlp {
-        rows.push("tlp");
-    }
-    rows.extend_from_slice(&["hpac", "mab", "athena"]);
-    rows
-}
-
 /// Figure 7: speedup in cache design 1 (OCP + Pythia at L2C).
-pub fn fig7(opts: &RunOptions) -> ExperimentTable {
+fn fig7(opts: &RunOptions) -> ExperimentTable {
     let sweep = Sweep::run("fig7", &cd1(), &cache_design_policies(false), opts);
-    sweep.category_table(
+    sweep.table(
         "Figure 7: speedup in CD1 (POPET + Pythia@L2C)",
-        &cache_design_row_order(false),
+        "policy",
+        &CATEGORIES,
+        sweep.speedup_rows(),
     )
 }
 
 /// Figure 8(a): workload-category quartile statistics in CD1.
-pub fn fig8a(opts: &RunOptions) -> ExperimentTable {
+fn fig8a(opts: &RunOptions) -> ExperimentTable {
     let sweep = Sweep::run("fig8a", &cd1(), &cache_design_policies(false), opts);
     let mut table = ExperimentTable::new(
         "Figure 8a: per-category speedup quartiles in CD1",
         "policy",
-        vec![
-            "adverse-q1".into(),
-            "adverse-q3".into(),
-            "friendly-q1".into(),
-            "friendly-q3".into(),
-            "overall-q1".into(),
-            "overall-q3".into(),
-        ],
+        ["adverse", "friendly", "overall"]
+            .iter()
+            .flat_map(|class| [format!("{class}-q1"), format!("{class}-q3")])
+            .collect(),
     );
-    let quartiles = |values: &mut Vec<f64>| -> (f64, f64) {
-        if values.is_empty() {
-            return (1.0, 1.0);
-        }
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let q = |f: f64| values[((values.len() - 1) as f64 * f) as usize];
-        (q(0.25), q(0.75))
-    };
-    for (name, runs) in &sweep.policies {
-        let mut row = Vec::new();
-        for col in ["prefetcher-adverse", "prefetcher-friendly", "overall"] {
-            let idx = sweep.indices_for(col);
-            let mut values: Vec<f64> = idx.iter().map(|&i| runs.speedups[i]).collect();
-            let (q1, q3) = quartiles(&mut values);
-            row.push(q1);
-            row.push(q3);
-        }
-        table.push_row(name.clone(), row);
+    for (name, speedups) in sweep.speedup_rows() {
+        let row = CLASSES
+            .iter()
+            .flat_map(|&slice| {
+                let values = sorted(sweep.indices(slice).iter().map(|&i| speedups[i]).collect());
+                [quantile(&values, 0.25), quantile(&values, 0.75)]
+            })
+            .collect();
+        table.push_row(name, row);
     }
     table
 }
 
 /// Figure 8(b): Athena against the StaticBest oracle in CD1.
-pub fn fig8b(opts: &RunOptions) -> ExperimentTable {
-    let config = cd1();
-    let mut policies = static_combo_policies();
-    policies.push(("hpac", CoordinatorKind::Hpac));
-    policies.push(("mab", CoordinatorKind::Mab));
-    policies.push(("athena", CoordinatorKind::Athena));
-    let sweep = Sweep::run("fig8b", &config, &policies, opts);
-    let columns = ["prefetcher-adverse", "prefetcher-friendly", "overall"];
-    let mut table = ExperimentTable::new(
+fn fig8b(opts: &RunOptions) -> ExperimentTable {
+    static_best_fig(
+        "fig8b",
         "Figure 8b: Athena vs StaticBest (CD1)",
         "policy",
-        columns.iter().map(|s| s.to_string()).collect(),
-    );
-    for policy in ["naive", "hpac", "mab", "athena"] {
-        table.push_row(
-            policy,
-            columns
-                .iter()
-                .map(|c| sweep.geomean_speedup(policy, &sweep.indices_for(c)))
-                .collect(),
-        );
-    }
-    table.push_row(
-        "static-best",
-        columns
-            .iter()
-            .map(|c| sweep.static_best(&sweep.indices_for(c)))
-            .collect(),
-    );
-    table
+        &[
+            ("hpac", CoordinatorKind::Hpac),
+            ("mab", CoordinatorKind::Mab),
+            ("athena", CoordinatorKind::Athena),
+        ],
+        &["naive", "hpac", "mab", "athena"],
+        opts,
+    )
 }
 
 /// Figure 9: speedup in cache design 2 (OCP + IPCP at L1D), including TLP.
-pub fn fig9(opts: &RunOptions) -> ExperimentTable {
-    let config = SystemConfig::cd2(PrefetcherKind::Ipcp, OcpKind::Popet);
-    let sweep = Sweep::run("fig9", &config, &cache_design_policies(true), opts);
-    sweep.category_table(
+fn fig9(opts: &RunOptions) -> ExperimentTable {
+    let sweep = Sweep::run("fig9", &cd2(), &cache_design_policies(true), opts);
+    sweep.table(
         "Figure 9: speedup in CD2 (POPET + IPCP@L1D)",
-        &cache_design_row_order(true),
+        "policy",
+        &CATEGORIES,
+        sweep.speedup_rows(),
     )
 }
 
 /// Figure 10: speedup in cache design 3 (OCP + SMS and Pythia at L2C).
-pub fn fig10(opts: &RunOptions) -> ExperimentTable {
-    let config = SystemConfig::cd3(PrefetcherKind::Sms, PrefetcherKind::Pythia, OcpKind::Popet);
-    let sweep = Sweep::run("fig10", &config, &cache_design_policies(false), opts);
-    sweep.category_table(
+fn fig10(opts: &RunOptions) -> ExperimentTable {
+    let sweep = Sweep::run(
+        "fig10",
+        &SystemConfig::cd3(PrefetcherKind::Sms, PrefetcherKind::Pythia, OcpKind::Popet),
+        &cache_design_policies(false),
+        opts,
+    );
+    sweep.table(
         "Figure 10: speedup in CD3 (POPET + SMS+Pythia@L2C)",
-        &cache_design_row_order(false),
+        "policy",
+        &CATEGORIES,
+        sweep.speedup_rows(),
     )
 }
 
 /// Figure 11: speedup in cache design 4 (OCP + IPCP at L1D + Pythia at L2C), including TLP.
-pub fn fig11(opts: &RunOptions) -> ExperimentTable {
+fn fig11(opts: &RunOptions) -> ExperimentTable {
     let sweep = Sweep::run("fig11", &cd4(), &cache_design_policies(true), opts);
-    sweep.category_table(
+    sweep.table(
         "Figure 11: speedup in CD4 (POPET + IPCP@L1D + Pythia@L2C)",
-        &cache_design_row_order(true),
+        "policy",
+        &CATEGORIES,
+        sweep.speedup_rows(),
     )
 }
 
@@ -588,39 +560,36 @@ pub fn fig11(opts: &RunOptions) -> ExperimentTable {
 // Sensitivity studies
 // ---------------------------------------------------------------------------------------
 
+/// One sweep per configuration, in order; each column is one configuration's overall
+/// geomean speedup of each `rows` policy.
 fn overall_sweep_table(
     experiment: &str,
     title: &str,
     configs: Vec<(String, SystemConfig)>,
     policies: &[(&str, CoordinatorKind)],
-    row_order: &[&str],
+    rows: &[&str],
     opts: &RunOptions,
 ) -> ExperimentTable {
+    let columns: Vec<Vec<f64>> = configs
+        .iter()
+        .map(|(_, config)| {
+            let sweep = Sweep::run(experiment, config, policies, opts);
+            rows.iter().map(|p| geomean(&sweep.speedups(p))).collect()
+        })
+        .collect();
     let mut table = ExperimentTable::new(
         title,
         "policy",
-        configs.iter().map(|(n, _)| n.clone()).collect(),
+        configs.into_iter().map(|(name, _)| name).collect(),
     );
-    let mut cells: HashMap<(String, String), f64> = HashMap::new();
-    for (col, config) in &configs {
-        let sweep = Sweep::run(experiment, config, policies, opts);
-        for policy in row_order {
-            let v = sweep.geomean_speedup(policy, &sweep.indices_for("overall"));
-            cells.insert((policy.to_string(), col.clone()), v);
-        }
-    }
-    for policy in row_order {
-        let row: Vec<f64> = configs
-            .iter()
-            .map(|(col, _)| cells[&(policy.to_string(), col.clone())])
-            .collect();
-        table.push_row(*policy, row);
+    for (r, policy) in rows.iter().enumerate() {
+        table.push_row(*policy, columns.iter().map(|column| column[r]).collect());
     }
     table
 }
 
 /// Figure 12(a): sensitivity to the L2C prefetcher type in CD1.
-pub fn fig12a(opts: &RunOptions) -> ExperimentTable {
+fn fig12a(opts: &RunOptions) -> ExperimentTable {
     let configs = [
         PrefetcherKind::Pythia,
         PrefetcherKind::SppPpf,
@@ -641,13 +610,13 @@ pub fn fig12a(opts: &RunOptions) -> ExperimentTable {
 }
 
 /// Figure 12(b): sensitivity to the OCP type in CD1.
-pub fn fig12b(opts: &RunOptions) -> ExperimentTable {
+fn fig12b(opts: &RunOptions) -> ExperimentTable {
     let configs = [OcpKind::Popet, OcpKind::Hmp, OcpKind::Ttp]
         .iter()
-        .map(|o| {
+        .map(|&ocp| {
             (
-                o.name().to_string(),
-                SystemConfig::cd1(PrefetcherKind::Pythia, *o),
+                ocp.name().to_string(),
+                SystemConfig::cd1(PrefetcherKind::Pythia, ocp),
             )
         })
         .collect();
@@ -662,7 +631,7 @@ pub fn fig12b(opts: &RunOptions) -> ExperimentTable {
 }
 
 /// Figure 12(c): sensitivity to the OCP request issue latency in CD1.
-pub fn fig12c(opts: &RunOptions) -> ExperimentTable {
+fn fig12c(opts: &RunOptions) -> ExperimentTable {
     let configs = [6u64, 18, 30]
         .iter()
         .map(|lat| (format!("{lat}-cycles"), cd1().with_ocp_issue_latency(*lat)))
@@ -678,7 +647,7 @@ pub fn fig12c(opts: &RunOptions) -> ExperimentTable {
 }
 
 /// Figure 13: sensitivity to the L1D prefetcher type in CD4.
-pub fn fig13(opts: &RunOptions) -> ExperimentTable {
+fn fig13(opts: &RunOptions) -> ExperimentTable {
     let configs = [PrefetcherKind::Ipcp, PrefetcherKind::Berti]
         .iter()
         .map(|p| {
@@ -699,7 +668,7 @@ pub fn fig13(opts: &RunOptions) -> ExperimentTable {
 }
 
 /// Figure 14: sensitivity to main-memory bandwidth in CD4.
-pub fn fig14(opts: &RunOptions) -> ExperimentTable {
+fn fig14(opts: &RunOptions) -> ExperimentTable {
     let configs = [1.6f64, 3.2, 6.4, 12.8]
         .iter()
         .map(|bw| (format!("{bw}GB/s"), cd4().with_bandwidth(*bw)))
@@ -745,27 +714,27 @@ fn multicore_fig(
     };
     let mix_list = mixes(cores, per_category, MIX_SEED);
     let config = cd1();
-    let policies = [
-        ("ocp-only", CoordinatorKind::OcpOnly),
-        ("prefetchers-only", CoordinatorKind::PrefetchersOnly),
-        ("naive", CoordinatorKind::Naive),
-        ("hpac", CoordinatorKind::Hpac),
-        ("mab", CoordinatorKind::Mab),
-        ("athena", CoordinatorKind::Athena),
+    let policies = cache_design_policies(false);
+    // Each column's mix category; `None` is every mix.
+    let columns = [
+        ("adverse-mix", Some(MixCategory::PrefetcherAdverse)),
+        ("friendly-mix", Some(MixCategory::PrefetcherFriendly)),
+        ("random-mix", Some(MixCategory::Random)),
+        ("overall", None),
     ];
-    let columns = ["adverse-mix", "friendly-mix", "random-mix", "overall"];
     let mut table = ExperimentTable::new(
         title,
         "policy",
-        columns.iter().map(|s| s.to_string()).collect(),
+        columns.iter().map(|(name, _)| name.to_string()).collect(),
     );
     let instructions = opts.instructions / 2;
 
     // One engine batch: the per-mix baselines followed by every (policy × mix) cell.
-    let multicore_jobs = |kind: &CoordinatorKind| -> Vec<Job> {
-        mix_list
-            .iter()
-            .map(|m| {
+    let jobs = [CoordinatorKind::Baseline]
+        .iter()
+        .chain(policies.iter().map(|(_, kind)| kind))
+        .flat_map(|kind| {
+            mix_list.iter().map(|m| {
                 Job::multicore(
                     experiment,
                     m.clone(),
@@ -774,12 +743,8 @@ fn multicore_fig(
                     instructions,
                 )
             })
-            .collect()
-    };
-    let mut jobs = multicore_jobs(&CoordinatorKind::Baseline);
-    for (_, kind) in &policies {
-        jobs.extend(multicore_jobs(kind));
-    }
+        })
+        .collect();
     let mut results = opts
         .engine()
         .run(jobs)
@@ -794,17 +759,12 @@ fn multicore_fig(
             .zip(results.by_ref().take(mix_list.len()))
             .map(|((m, base), run)| (m.category, run.geomean_speedup_over(base)))
             .collect();
-        let row: Vec<f64> = columns
+        let row = columns
             .iter()
-            .map(|col| {
+            .map(|(_, category)| {
                 let values: Vec<f64> = speedups
                     .iter()
-                    .filter(|(cat, _)| match *col {
-                        "adverse-mix" => *cat == MixCategory::PrefetcherAdverse,
-                        "friendly-mix" => *cat == MixCategory::PrefetcherFriendly,
-                        "random-mix" => *cat == MixCategory::Random,
-                        _ => true,
-                    })
+                    .filter(|(cat, _)| category.is_none_or(|c| c == *cat))
                     .map(|(_, s)| *s)
                     .collect();
                 geomean(&values)
@@ -816,12 +776,12 @@ fn multicore_fig(
 }
 
 /// Figure 15: four-core workload mixes in CD1.
-pub fn fig15(opts: &RunOptions) -> ExperimentTable {
+fn fig15(opts: &RunOptions) -> ExperimentTable {
     multicore_fig("fig15", "Figure 15: four-core mixes (CD1)", 4, opts)
 }
 
 /// Figure 16: eight-core workload mixes in CD1.
-pub fn fig16(opts: &RunOptions) -> ExperimentTable {
+fn fig16(opts: &RunOptions) -> ExperimentTable {
     multicore_fig("fig16", "Figure 16: eight-core mixes (CD1)", 8, opts)
 }
 
@@ -831,170 +791,136 @@ pub fn fig16(opts: &RunOptions) -> ExperimentTable {
 
 /// Figure 17: case study of Athena's action distribution and the static combinations on one
 /// phase-alternating CVP workload, at 3.2 GB/s and 25.6 GB/s.
-pub fn fig17(opts: &RunOptions) -> ExperimentTable {
+fn fig17(opts: &RunOptions) -> ExperimentTable {
     let spec = all_workloads()
         .into_iter()
         .find(|w| w.name == "cvp-compute_fp_17")
         .expect("case-study workload exists");
-    let mut table = ExperimentTable::new(
-        "Figure 17: case study (cvp-compute_fp_17): Athena action distribution and static combos",
-        "quantity",
-        vec!["3.2GB/s".into(), "25.6GB/s".into()],
-    );
-    let mut rows: Vec<(String, Vec<f64>)> = vec![
-        ("action: enable-none %".into(), Vec::new()),
-        ("action: enable-ocp %".into(), Vec::new()),
-        ("action: enable-prefetcher %".into(), Vec::new()),
-        ("action: enable-both %".into(), Vec::new()),
-        ("speedup: ocp-alone".into(), Vec::new()),
-        ("speedup: prefetcher-alone".into(), Vec::new()),
-        ("speedup: naive".into(), Vec::new()),
-        ("speedup: athena".into(), Vec::new()),
+    let rows = [
+        "action: enable-none %",
+        "action: enable-ocp %",
+        "action: enable-prefetcher %",
+        "action: enable-both %",
+        "speedup: ocp-alone",
+        "speedup: prefetcher-alone",
+        "speedup: naive",
+        "speedup: athena",
     ];
-    // Both bandwidth points and all five policies as one ten-cell engine batch.
-    let case_kinds = [
+    // Both bandwidth points and all five policies as one ten-cell grid.
+    let configs = [cd1().with_bandwidth(3.2), cd1().with_bandwidth(25.6)];
+    let kinds = [
         CoordinatorKind::Baseline,
         CoordinatorKind::OcpOnly,
         CoordinatorKind::PrefetchersOnly,
         CoordinatorKind::Naive,
         CoordinatorKind::Athena,
     ];
-    let mut jobs = Vec::new();
-    for bw in [3.2, 25.6] {
-        let config = cd1().with_bandwidth(bw);
-        for kind in &case_kinds {
-            jobs.push(cell_job("fig17", &spec, &config, kind, opts));
-        }
-    }
-    let mut results = run_batch(jobs, opts).into_iter();
-    for _bw in [3.2, 25.6] {
-        let base = results.next().expect("baseline cell");
-        let ocp = results.next().expect("ocp cell");
-        let pf = results.next().expect("prefetchers cell");
-        let naive = results.next().expect("naive cell");
-        let athena = results.next().expect("athena cell");
-        // Reconstruct the action distribution from epoch telemetry: which mechanisms were
-        // active in each epoch.
-        let mut counts = [0u64; 4];
-        for e in &athena.epochs {
-            let pf_on = e.prefetches_issued > 0;
-            let ocp_on = e.ocp_predictions > 0;
-            let idx = match (ocp_on, pf_on) {
-                (false, false) => 0,
-                (true, false) => 1,
-                (false, true) => 2,
-                (true, true) => 3,
-            };
-            counts[idx] += 1;
-        }
-        let total = counts.iter().sum::<u64>().max(1) as f64;
-        for (i, c) in counts.iter().enumerate() {
-            rows[i].1.push(100.0 * *c as f64 / total);
-        }
-        rows[4].1.push(ocp.ipc / base.ipc);
-        rows[5].1.push(pf.ipc / base.ipc);
-        rows[6].1.push(naive.ipc / base.ipc);
-        rows[7].1.push(athena.ipc / base.ipc);
-    }
-    for (label, values) in rows {
-        table.push_row(label, values);
+    let series: Vec<_> = configs
+        .iter()
+        .flat_map(|config| kinds.iter().map(move |kind| (config, kind.clone())))
+        .collect();
+    let runs: Vec<RunResult> = run_grid("fig17", &[spec], &series, opts)
+        .into_iter()
+        .flatten()
+        .collect();
+    // Per bandwidth point: Athena's action shares, then each policy's speedup.
+    let columns: Vec<Vec<f64>> = runs
+        .chunks(kinds.len())
+        .map(|cells| {
+            let (base, athena) = (&cells[0], &cells[4]);
+            // Reconstruct the action distribution from epoch telemetry: which mechanisms
+            // were active in each epoch.
+            let mut counts = [0u64; 4];
+            for e in &athena.epochs {
+                let ocp_on = usize::from(e.ocp_predictions > 0);
+                let pf_on = usize::from(e.prefetches_issued > 0);
+                counts[ocp_on + 2 * pf_on] += 1;
+            }
+            let total = counts.iter().sum::<u64>().max(1) as f64;
+            let shares = counts.iter().map(|&c| 100.0 * c as f64 / total);
+            shares
+                .chain(cells[1..].iter().map(|run| run.ipc / base.ipc))
+                .collect()
+        })
+        .collect();
+    let mut table = ExperimentTable::new(
+        "Figure 17: case study (cvp-compute_fp_17): Athena action distribution and static combos",
+        "quantity",
+        vec!["3.2GB/s".into(), "25.6GB/s".into()],
+    );
+    for (r, label) in rows.iter().enumerate() {
+        table.push_row(*label, columns.iter().map(|column| column[r]).collect());
     }
     table
 }
 
 /// Figure 18: ablation study — stateless Athena, progressively adding state features, then
 /// the uncorrelated reward component.
-pub fn fig18(opts: &RunOptions) -> ExperimentTable {
-    let config = cd1();
-    let steps: Vec<(&str, CoordinatorKind)> = vec![
+fn fig18(opts: &RunOptions) -> ExperimentTable {
+    let features = [
+        ("+prefetcher-accuracy", Feature::PrefetcherAccuracy),
+        ("+ocp-accuracy", Feature::OcpAccuracy),
+        ("+bandwidth-usage", Feature::BandwidthUsage),
+        ("+cache-pollution", Feature::CachePollution),
+    ];
+    // Each step adds one more feature to the stateless agent's prior-work-style reward.
+    let mut steps = vec![
         ("mab", CoordinatorKind::Mab),
         (
             "stateless-athena",
-            CoordinatorKind::AthenaWith(athena_step(&[], false)),
+            CoordinatorKind::AthenaWith(athena_step(vec![])),
         ),
-        (
-            "+prefetcher-accuracy",
-            CoordinatorKind::AthenaWith(athena_step(&[Feature::PrefetcherAccuracy], false)),
-        ),
-        (
-            "+ocp-accuracy",
-            CoordinatorKind::AthenaWith(athena_step(
-                &[Feature::PrefetcherAccuracy, Feature::OcpAccuracy],
-                false,
-            )),
-        ),
-        (
-            "+bandwidth-usage",
-            CoordinatorKind::AthenaWith(athena_step(
-                &[
-                    Feature::PrefetcherAccuracy,
-                    Feature::OcpAccuracy,
-                    Feature::BandwidthUsage,
-                ],
-                false,
-            )),
-        ),
-        (
-            "+cache-pollution",
-            CoordinatorKind::AthenaWith(athena_step(
-                &[
-                    Feature::PrefetcherAccuracy,
-                    Feature::OcpAccuracy,
-                    Feature::BandwidthUsage,
-                    Feature::CachePollution,
-                ],
-                false,
-            )),
-        ),
-        ("athena (+uncorrelated reward)", CoordinatorKind::Athena),
     ];
-    let policy_refs: Vec<(&str, CoordinatorKind)> =
-        steps.iter().map(|(n, k)| (*n, k.clone())).collect();
-    let sweep = Sweep::run("fig18", &config, &policy_refs, opts);
-    let mut table = ExperimentTable::new(
+    for n in 1..=features.len() {
+        let state = features[..n].iter().map(|(_, feature)| *feature).collect();
+        steps.push((
+            features[n - 1].0,
+            CoordinatorKind::AthenaWith(athena_step(state)),
+        ));
+    }
+    steps.push(("athena (+uncorrelated reward)", CoordinatorKind::Athena));
+    let sweep = Sweep::run("fig18", &cd1(), &steps, opts);
+    sweep.table(
         "Figure 18: contribution of state features and the composite reward (CD1, overall geomean)",
         "configuration",
-        vec!["overall".into()],
-    );
-    for (name, _) in &steps {
-        table.push_row(
-            *name,
-            vec![sweep.geomean_speedup(name, &sweep.indices_for("overall"))],
-        );
-    }
-    table
+        &[Slice::Overall],
+        sweep.speedup_rows(),
+    )
 }
 
-fn athena_step(features: &[Feature], uncorrelated: bool) -> AthenaConfig {
-    let mut cfg = default_athena_config()
-        .with_features(features.to_vec())
-        .with_uncorrelated_reward(uncorrelated);
-    if !uncorrelated {
-        // Prior-work-style reward: IPC (cycle) change only.
-        cfg = cfg.with_reward_weights(RewardWeights {
+/// The default agent with state `features` and a prior-work-style reward: no uncorrelated
+/// component, and the IPC (cycle) change only.
+fn athena_step(features: Vec<Feature>) -> AthenaConfig {
+    default_athena_config()
+        .with_features(features)
+        .with_uncorrelated_reward(false)
+        .with_reward_weights(RewardWeights {
             lambda_cycle: 1.6,
             lambda_llc_misses: 0.0,
             lambda_llc_miss_latency: 0.0,
             lambda_loads: 0.0,
             lambda_mispredicted_branches: 0.0,
-        });
-    }
-    cfg
+        })
 }
 
 /// Figure 19: Athena managing two L2C prefetchers without an OCP (generalisability study).
-pub fn fig19(opts: &RunOptions) -> ExperimentTable {
-    let config = SystemConfig::prefetchers_only(PrefetcherKind::Sms, PrefetcherKind::Pythia);
-    let policies = vec![
-        ("prefetchers-only", CoordinatorKind::PrefetchersOnly),
-        ("hpac", CoordinatorKind::Hpac),
-        ("mab", CoordinatorKind::Mab),
-        ("athena", CoordinatorKind::Athena),
-    ];
-    let sweep = Sweep::run("fig19", &config, &policies, opts);
-    sweep.category_table(
+fn fig19(opts: &RunOptions) -> ExperimentTable {
+    let sweep = Sweep::run(
+        "fig19",
+        &SystemConfig::prefetchers_only(PrefetcherKind::Sms, PrefetcherKind::Pythia),
+        &[
+            ("prefetchers-only", CoordinatorKind::PrefetchersOnly),
+            ("hpac", CoordinatorKind::Hpac),
+            ("mab", CoordinatorKind::Mab),
+            ("athena", CoordinatorKind::Athena),
+        ],
+        opts,
+    );
+    sweep.table(
         "Figure 19: prefetcher-only management (SMS+Pythia@L2C, no OCP)",
-        &["prefetchers-only", "hpac", "mab", "athena"],
+        "policy",
+        &CATEGORIES,
+        sweep.speedup_rows(),
     )
 }
 
@@ -1003,7 +929,7 @@ pub fn fig19(opts: &RunOptions) -> ExperimentTable {
 // ---------------------------------------------------------------------------------------
 
 /// Figure 20(a): main-memory requests, normalised to the baseline, per policy (CD1).
-pub fn fig20a(opts: &RunOptions) -> ExperimentTable {
+fn fig20a(opts: &RunOptions) -> ExperimentTable {
     normalised_stat_fig(
         "fig20a",
         "Figure 20a: main-memory requests normalised to no-prefetching/no-OCP (CD1)",
@@ -1013,7 +939,7 @@ pub fn fig20a(opts: &RunOptions) -> ExperimentTable {
 }
 
 /// Figure 20(b): average LLC miss latency, normalised to the baseline, per policy (CD1).
-pub fn fig20b(opts: &RunOptions) -> ExperimentTable {
+fn fig20b(opts: &RunOptions) -> ExperimentTable {
     normalised_stat_fig(
         "fig20b",
         "Figure 20b: average LLC load miss latency normalised to no-prefetching/no-OCP (CD1)",
@@ -1029,48 +955,34 @@ fn normalised_stat_fig(
     stat: fn(&RunResult) -> f64,
 ) -> ExperimentTable {
     let sweep = Sweep::run(experiment, &cd1(), &cache_design_policies(false), opts);
-    let columns = ["prefetcher-adverse", "prefetcher-friendly", "overall"];
-    let mut table = ExperimentTable::new(
-        title,
-        "policy",
-        columns.iter().map(|s| s.to_string()).collect(),
-    );
-    for (name, runs) in &sweep.policies {
-        let row: Vec<f64> = columns
-            .iter()
-            .map(|col| {
-                let idx = sweep.indices_for(col);
-                let ratios: Vec<f64> = idx
-                    .iter()
-                    .map(|&i| stat(&runs.runs[i]) / stat(&sweep.baseline[i]).max(1e-12))
-                    .collect();
-                geomean(&ratios)
-            })
-            .collect();
-        table.push_row(name.clone(), row);
-    }
-    table
+    let rows = sweep
+        .policies
+        .iter()
+        .map(|(name, runs)| {
+            let ratios = runs
+                .iter()
+                .zip(&sweep.baseline)
+                .map(|(run, base)| stat(run) / stat(base).max(1e-12))
+                .collect();
+            (name.clone(), ratios)
+        })
+        .collect();
+    sweep.table(title, "policy", &CLASSES, rows)
 }
 
 /// Figure 21: unseen (Google-warehouse-style) workloads in CD4.
-pub fn fig21(opts: &RunOptions) -> ExperimentTable {
+fn fig21(opts: &RunOptions) -> ExperimentTable {
     let mut specs = google_like_workloads();
     if let Some(limit) = opts.workload_limit {
         specs.truncate(limit.max(3));
     }
     let sweep = Sweep::run_on("fig21", specs, &cd4(), &cache_design_policies(true), opts);
-    let mut table = ExperimentTable::new(
+    sweep.table(
         "Figure 21: unseen Google-like workloads (CD4)",
         "policy",
-        vec!["overall".into()],
-    );
-    for policy in cache_design_row_order(true) {
-        table.push_row(
-            policy,
-            vec![sweep.geomean_speedup(policy, &sweep.indices_for("overall"))],
-        );
-    }
-    table
+        &[Slice::Overall],
+        sweep.speedup_rows(),
+    )
 }
 
 // ---------------------------------------------------------------------------------------
@@ -1080,14 +992,9 @@ pub fn fig21(opts: &RunOptions) -> ExperimentTable {
 /// Table 3 (reduced): grid search over SARSA hyperparameters on the 20 held-out tuning
 /// workloads. The grid is coarser than the paper's (which sweeps in steps of 0.1) so the
 /// experiment completes in minutes; the selected point is reported per row.
-pub fn tab3_dse(opts: &RunOptions) -> ExperimentTable {
+fn tab3_dse(opts: &RunOptions) -> ExperimentTable {
     let specs = tuning_set(opts);
     let config = cd1();
-    let mut table = ExperimentTable::new(
-        "Table 3 (reduced grid): hyperparameter search on the tuning workloads",
-        "configuration",
-        vec!["overall".into()],
-    );
     let grid = [
         (0.2, 0.3),
         (0.2, 0.6),
@@ -1096,25 +1003,27 @@ pub fn tab3_dse(opts: &RunOptions) -> ExperimentTable {
         (0.6, 0.9),
         (0.9, 0.6),
     ];
-    // One batch: the shared baselines plus every grid point's runs.
-    let mut jobs = single_jobs("tab3", &specs, &config, &CoordinatorKind::Baseline, opts);
-    for (alpha, gamma) in grid {
-        let cfg = default_athena_config().with_hyperparameters(alpha, gamma, 0.05, 0.12);
-        jobs.extend(single_jobs(
-            "tab3",
-            &specs,
-            &config,
-            &CoordinatorKind::AthenaWith(cfg),
-            opts,
-        ));
-    }
-    let mut results = run_batch(jobs, opts).into_iter();
-    let baseline: Vec<RunResult> = results.by_ref().take(specs.len()).collect();
-    for (alpha, gamma) in grid {
-        let speedups: Vec<f64> = results
-            .by_ref()
-            .take(specs.len())
-            .zip(baseline.iter())
+    // One grid: the shared baselines plus every grid point's runs.
+    let series: Vec<_> = [CoordinatorKind::Baseline]
+        .into_iter()
+        .chain(grid.iter().map(|&(alpha, gamma)| {
+            CoordinatorKind::AthenaWith(
+                default_athena_config().with_hyperparameters(alpha, gamma, 0.05, 0.12),
+            )
+        }))
+        .map(|kind| (&config, kind))
+        .collect();
+    let mut results = run_grid("tab3", &specs, &series, opts).into_iter();
+    let baseline = results.next().expect("baseline series");
+    let mut table = ExperimentTable::new(
+        "Table 3 (reduced grid): hyperparameter search on the tuning workloads",
+        "configuration",
+        vec!["overall".into()],
+    );
+    for ((alpha, gamma), runs) in grid.iter().zip(results) {
+        let speedups: Vec<f64> = runs
+            .iter()
+            .zip(&baseline)
             .map(|(r, b)| r.ipc / b.ipc.max(1e-12))
             .collect();
         table.push_row(
@@ -1126,23 +1035,22 @@ pub fn tab3_dse(opts: &RunOptions) -> ExperimentTable {
 }
 
 /// Table 4 / Table 8: storage overhead of Athena and of every evaluated mechanism class.
-pub fn tab4_storage(_opts: &RunOptions) -> ExperimentTable {
+fn tab4_storage(_opts: &RunOptions) -> ExperimentTable {
     let overhead = AthenaConfig::default().storage_overhead();
     let mut table = ExperimentTable::new(
         "Table 4: storage overhead of Athena (bytes per core)",
         "structure",
         vec!["bytes".into()],
     );
-    table.push_row("qvstore", vec![overhead.qvstore_bytes as f64]);
-    table.push_row(
-        "accuracy-tracker",
-        vec![overhead.accuracy_tracker_bytes as f64],
-    );
-    table.push_row(
-        "pollution-tracker",
-        vec![overhead.pollution_tracker_bytes as f64],
-    );
-    table.push_row("total", vec![overhead.total_bytes() as f64]);
+    let rows = [
+        ("qvstore", overhead.qvstore_bytes),
+        ("accuracy-tracker", overhead.accuracy_tracker_bytes),
+        ("pollution-tracker", overhead.pollution_tracker_bytes),
+        ("total", overhead.total_bytes()),
+    ];
+    for (label, bytes) in rows {
+        table.push_row(label, vec![bytes as f64]);
+    }
     table
 }
 
@@ -1159,7 +1067,7 @@ pub fn tab4_storage(_opts: &RunOptions) -> ExperimentTable {
 ///
 /// Panics when no configuration file is set or it cannot be loaded; the `figures` CLI
 /// validates the flag before dispatching here.
-pub fn tuned(opts: &RunOptions) -> ExperimentTable {
+fn tuned(opts: &RunOptions) -> ExperimentTable {
     let path = opts
         .tuned_config
         .as_ref()
@@ -1167,24 +1075,13 @@ pub fn tuned(opts: &RunOptions) -> ExperimentTable {
     let cfg = athena_tune::load_config(path).unwrap_or_else(|e| panic!("{e}"));
     let specs = tuning_set(opts);
     let config = cd1();
-
-    let mut jobs = single_jobs(
-        "tuned",
-        &specs,
-        &config,
-        &CoordinatorKind::PrefetchersOnly,
-        opts,
-    );
-    jobs.extend(single_jobs(
-        "tuned",
-        &specs,
-        &config,
-        &CoordinatorKind::AthenaWith(cfg),
-        opts,
-    ));
-    let mut results = run_batch(jobs, opts).into_iter();
-    let baselines: Vec<RunResult> = results.by_ref().take(specs.len()).collect();
-    let runs: Vec<RunResult> = results.collect();
+    let series = [
+        (&config, CoordinatorKind::PrefetchersOnly),
+        (&config, CoordinatorKind::AthenaWith(cfg)),
+    ];
+    let mut results = run_grid("tuned", &specs, &series, opts).into_iter();
+    let baselines = results.next().expect("baseline series");
+    let runs = results.next().expect("tuned series");
 
     let mut table = ExperimentTable::new(
         "Tuned Athena configuration vs prefetchers-only (CD1, tuning workloads)",
@@ -1213,17 +1110,45 @@ pub fn tuned(opts: &RunOptions) -> ExperimentTable {
     table
 }
 
+/// One experiment: a table computed from the run options.
+type Experiment = fn(&RunOptions) -> ExperimentTable;
+
+/// Every experiment `--all` runs, keyed by the identifier the `figures` CLI accepts.
+const EXPERIMENTS: [(&str, Experiment); 25] = [
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig7", fig7),
+    ("fig8a", fig8a),
+    ("fig8b", fig8b),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12a", fig12a),
+    ("fig12b", fig12b),
+    ("fig12c", fig12c),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20a", fig20a),
+    ("fig20b", fig20b),
+    ("fig21", fig21),
+    ("tab3", tab3_dse),
+    ("tab4", tab4_storage),
+];
+
 /// Every experiment, keyed by the identifier the `figures` CLI accepts.
 ///
 /// The `tuned` experiment is deliberately absent: it needs a configuration file
 /// ([`RunOptions::tuned_config`]), so `--all` must not select it implicitly. It is still
 /// dispatched by [`run_experiment`] when asked for by name.
 pub fn experiment_names() -> Vec<&'static str> {
-    vec![
-        "fig1", "fig2", "fig3", "fig4", "fig7", "fig8a", "fig8b", "fig9", "fig10", "fig11",
-        "fig12a", "fig12b", "fig12c", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-        "fig19", "fig20a", "fig20b", "fig21", "tab3", "tab4",
-    ]
+    EXPERIMENTS.iter().map(|(name, _)| *name).collect()
 }
 
 /// Runs the experiment with the given identifier.
@@ -1232,36 +1157,13 @@ pub fn experiment_names() -> Vec<&'static str> {
 /// [`experiment_names`], plus `tuned` (which additionally needs
 /// [`RunOptions::tuned_config`]).
 pub fn run_experiment(name: &str, opts: &RunOptions) -> Option<ExperimentTable> {
-    let table = match name {
-        "tuned" => tuned(opts),
-        "fig1" => fig1(opts),
-        "fig2" => fig2(opts),
-        "fig3" => fig3(opts),
-        "fig4" => fig4(opts),
-        "fig7" => fig7(opts),
-        "fig8a" => fig8a(opts),
-        "fig8b" => fig8b(opts),
-        "fig9" => fig9(opts),
-        "fig10" => fig10(opts),
-        "fig11" => fig11(opts),
-        "fig12a" => fig12a(opts),
-        "fig12b" => fig12b(opts),
-        "fig12c" => fig12c(opts),
-        "fig13" => fig13(opts),
-        "fig14" => fig14(opts),
-        "fig15" => fig15(opts),
-        "fig16" => fig16(opts),
-        "fig17" => fig17(opts),
-        "fig18" => fig18(opts),
-        "fig19" => fig19(opts),
-        "fig20a" => fig20a(opts),
-        "fig20b" => fig20b(opts),
-        "fig21" => fig21(opts),
-        "tab3" => tab3_dse(opts),
-        "tab4" => tab4_storage(opts),
-        _ => return None,
-    };
-    Some(table)
+    if name == "tuned" {
+        return Some(tuned(opts));
+    }
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, experiment)| experiment(opts))
 }
 
 #[cfg(test)]
@@ -1292,6 +1194,23 @@ mod tests {
     }
 
     #[test]
+    fn slice_headers_name_the_suites_and_classes() {
+        let headers: Vec<String> = CATEGORIES.iter().map(Slice::to_string).collect();
+        assert_eq!(
+            headers,
+            [
+                "SPEC",
+                "PARSEC",
+                "Ligra",
+                "CVP",
+                "prefetcher-adverse",
+                "prefetcher-friendly",
+                "overall"
+            ]
+        );
+    }
+
+    #[test]
     fn storage_table_matches_paper_total() {
         let t = tab4_storage(&tiny());
         assert_eq!(t.get("total", "bytes"), Some(3072.0));
@@ -1299,22 +1218,41 @@ mod tests {
 
     #[test]
     fn experiment_registry_is_complete() {
-        for name in experiment_names() {
-            // Only run the cheap ones here; existence is checked for all.
-            if name == "tab4" {
-                assert!(run_experiment(name, &tiny()).is_some());
-            }
+        let names = experiment_names();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "'{name}' is registered twice");
         }
+        // Only run the cheap one here; existence is checked for all.
+        assert!(run_experiment("tab4", &tiny()).is_some());
         assert!(run_experiment("nonexistent", &tiny()).is_none());
     }
 
     #[test]
     fn static_best_is_at_least_naive() {
         let sweep = Sweep::run("test", &cd1(), &static_combo_policies(), &tiny());
-        let idx = sweep.indices_for("overall");
-        let naive = sweep.geomean_speedup("naive", &idx);
-        let best = sweep.static_best(&idx);
+        let naive = geomean(&sweep.speedups("naive"));
+        let best = geomean(&sweep.static_best());
         assert!(best >= naive - 1e-9);
         assert!(best >= 1.0 - 1e-9);
+    }
+
+    #[test]
+    fn a_workload_limit_interleaves_and_stops_at_the_suite_size() {
+        let mut opts = tiny();
+        let set = workload_set(&opts);
+        let friendly: Vec<bool> = set.iter().map(|w| w.designed_friendly).collect();
+        assert_eq!(friendly, [true, false, true, false]);
+        opts.workload_limit = Some(all_workloads().len() + 1);
+        assert_eq!(workload_set(&opts).len(), all_workloads().len());
+    }
+
+    #[test]
+    fn quantiles_read_by_truncated_rank() {
+        let values = sorted(vec![4.0, 1.0, 3.0, 2.0, 5.0]);
+        assert_eq!(quantile(&values, 0.25), 2.0);
+        assert_eq!(quantile(&values, 0.5), 3.0);
+        assert_eq!(quantile(&values, 0.75), 4.0);
+        assert_eq!(quantile(&[], 0.5), 1.0);
     }
 }

@@ -8,11 +8,12 @@
 //!
 //! * [`SystemConfig`] — the four cache designs (CD1–CD4) and their sensitivity variants;
 //! * [`simulate`] — one single-core run of a workload under a configuration and policy;
-//! * [`experiments`] — one function per paper figure (`fig1()` … `fig21()`, plus the DSE
-//!   and storage tables), each returning an [`ExperimentTable`] that can be printed or
-//!   written as CSV/JSON. Every experiment enumerates its simulation cells as jobs on the
-//!   `athena-engine` worker pool; [`RunOptions::jobs`] picks the worker count and the
-//!   results are bit-identical at any value;
+//! * [`experiments`] — one experiment per paper figure (`fig1` … `fig21`, plus the DSE
+//!   and storage tables), run by name through [`experiments::run_experiment`], each
+//!   returning an [`ExperimentTable`] that can be printed or written as CSV/JSON. Every
+//!   experiment enumerates its simulation cells as jobs on the `athena-engine` worker pool;
+//!   [`RunOptions::jobs`] picks the worker count and the results are bit-identical at any
+//!   value;
 //! * the `figures` binary (built by the umbrella package, like every CLI that drives
 //!   this crate) — `cargo run --release --bin figures -- --fig fig7 --jobs 8`;
 //! * the `trace` binary — records workloads to binary trace files (`trace record --quick
