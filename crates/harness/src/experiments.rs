@@ -701,18 +701,22 @@ const MIX_SEED: u64 = 0x5eed;
 /// Mixes per category at full scale (the paper uses 30; a workload limit scales down).
 const FULL_MIXES_PER_CATEGORY: usize = 10;
 
+/// Mixes per category: [`FULL_MIXES_PER_CATEGORY`], scaled down by a workload limit so
+/// quick runs stay quick, never up.
+fn mixes_per_category(opts: &RunOptions) -> usize {
+    opts.workload_limit
+        .map_or(FULL_MIXES_PER_CATEGORY, |limit| {
+            (limit / 3).clamp(1, FULL_MIXES_PER_CATEGORY)
+        })
+}
+
 fn multicore_fig(
     experiment: &str,
     title: &str,
     cores: usize,
     opts: &RunOptions,
 ) -> ExperimentTable {
-    // Scale the mix count down with the workload limit so quick runs stay quick.
-    let per_category = match opts.workload_limit {
-        Some(limit) => (limit / 3).clamp(1, 30),
-        None => FULL_MIXES_PER_CATEGORY,
-    };
-    let mix_list = mixes(cores, per_category, MIX_SEED);
+    let mix_list = mixes(cores, mixes_per_category(opts), MIX_SEED);
     let config = cd1();
     let policies = cache_design_policies(false);
     // Each column's mix category; `None` is every mix.
@@ -1245,6 +1249,22 @@ mod tests {
         assert_eq!(friendly, [true, false, true, false]);
         opts.workload_limit = Some(all_workloads().len() + 1);
         assert_eq!(workload_set(&opts).len(), all_workloads().len());
+    }
+
+    #[test]
+    fn a_workload_limit_only_scales_the_mix_count_down() {
+        let mut opts = tiny();
+        for (limit, mixes) in [
+            (None, 10),
+            (Some(100), 10),
+            (Some(33), 10),
+            (Some(12), 4),
+            (Some(8), 2),
+            (Some(1), 1),
+        ] {
+            opts.workload_limit = limit;
+            assert_eq!(mixes_per_category(&opts), mixes, "limit {limit:?}");
+        }
     }
 
     #[test]
