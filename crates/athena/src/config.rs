@@ -173,9 +173,10 @@ impl AthenaConfig {
 pub struct StorageOverhead {
     /// QVStore bytes (planes × rows × actions × 8 bits).
     pub qvstore_bytes: usize,
-    /// Prefetcher-accuracy Bloom filter bytes.
+    /// Prefetcher-accuracy Bloom filter bytes: the paper's budget; the simulator counts the
+    /// feature exactly instead.
     pub accuracy_tracker_bytes: usize,
-    /// Pollution Bloom filter bytes.
+    /// Pollution Bloom filter bytes: the paper's budget, likewise.
     pub pollution_tracker_bytes: usize,
 }
 

@@ -12,8 +12,6 @@
 //!   quantisation into the state vector;
 //! * [`CompositeReward`] — the correlated / uncorrelated reward framework of §4.3 and
 //!   Table 2;
-//! * [`BloomFilter`], [`AccuracyTracker`], [`PollutionTracker`] — the hardware measurement
-//!   structures of §5.2;
 //! * [`AthenaAgent`] — the agent itself, implementing [`athena_sim::Coordinator`], including
 //!   the Q-value-driven prefetch-degree control of Algorithm 1;
 //! * [`AthenaConfig`] — every hyperparameter, defaulting to the values found by the paper's
@@ -33,14 +31,12 @@
 #![warn(missing_docs)]
 
 mod agent;
-mod bloom;
 mod config;
 mod features;
 mod qvstore;
 mod reward;
 
 pub use agent::{Action, AthenaAgent};
-pub use bloom::{AccuracyTracker, BloomFilter, PollutionTracker};
 pub use config::{AthenaConfig, RewardWeights, StorageOverhead};
 pub use features::{Feature, FeatureVector, LEVELS_PER_FEATURE};
 pub use qvstore::{QvStore, QvSummary};

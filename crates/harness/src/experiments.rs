@@ -1198,23 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_headers_name_the_suites_and_classes() {
-        let headers: Vec<String> = CATEGORIES.iter().map(Slice::to_string).collect();
-        assert_eq!(
-            headers,
-            [
-                "SPEC",
-                "PARSEC",
-                "Ligra",
-                "CVP",
-                "prefetcher-adverse",
-                "prefetcher-friendly",
-                "overall"
-            ]
-        );
-    }
-
-    #[test]
     fn storage_table_matches_paper_total() {
         let t = tab4_storage(&tiny());
         assert_eq!(t.get("total", "bytes"), Some(3072.0));

@@ -158,11 +158,6 @@ impl MemoryHierarchy {
         self.apply_decision(initial);
     }
 
-    /// Returns the name of the attached coordinator, if any.
-    pub fn coordinator_name(&self) -> Option<&'static str> {
-        self.coordinator.as_ref().map(|c| c.name())
-    }
-
     /// Snapshot of the attached coordinator's learning internals (`None` when no
     /// coordinator is attached or the policy has none). Called by the core loop only when
     /// agent telemetry was explicitly enabled, so it is off the ordinary hot path.
@@ -184,11 +179,6 @@ impl MemoryHierarchy {
             }
         }
         self.decision = decision;
-    }
-
-    /// The decision currently in force.
-    pub fn current_decision(&self) -> &CoordinationDecision {
-        &self.decision
     }
 
     /// Snapshot of the DRAM channel statistics (for whole-run reporting). In multi-core

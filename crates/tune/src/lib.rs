@@ -6,7 +6,7 @@
 //!
 //! The subsystem sits between the experiment engine and the per-figure harness:
 //!
-//! * a [`DesignSpace`] declares what may vary — hyperparameter grids or ranges for
+//! * a [`DesignSpace`] declares what may vary — hyperparameter grids for
 //!   (α, γ, ε, τ), candidate reward-weight vectors, candidate feature subsets drawn from
 //!   Table 1's seven features;
 //! * a [`TuneStrategy`] sets the search: successive halving over seeded samples, which

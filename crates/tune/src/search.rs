@@ -164,19 +164,18 @@ pub fn halving_schedule(samples: usize, eta: usize, rungs: usize, final_budget: 
     schedule
 }
 
-/// The candidates entering the first rung: the space's full enumeration when it is
-/// enumerable and no larger than `samples` (the grid *is* the search, no need to sample
-/// it), otherwise `samples` seeded draws.
+/// The candidates entering the first rung: the space's full enumeration when it is no
+/// larger than `samples` (the grid *is* the search, no need to sample it), otherwise
+/// `samples` seeded draws.
 fn initial_candidates(
     space: &DesignSpace,
     samples: usize,
     seed: u64,
 ) -> Vec<athena_core::AthenaConfig> {
     let samples = samples.max(1);
-    if let Some(all) = space.enumerate() {
-        if all.len() <= samples && !all.is_empty() {
-            return all;
-        }
+    let all = space.enumerate();
+    if all.len() <= samples && !all.is_empty() {
+        return all;
     }
     let mut rng = StdRng::seed_from_u64(seed);
     (0..samples).map(|_| space.sample(&mut rng)).collect()

@@ -1,7 +1,7 @@
 //! Declarative design spaces over [`AthenaConfig`].
 //!
 //! A [`DesignSpace`] names, for every explorable dimension of the agent configuration,
-//! either a grid of values or a continuous range: the four SARSA hyperparameters (α, γ,
+//! a grid of values: the four SARSA hyperparameters (α, γ,
 //! ε, τ), a set of candidate reward-weight vectors, and a set of candidate state-feature
 //! subsets drawn from `athena_core::Feature`'s Table 1 candidates. Everything the space
 //! does not explore is taken from a base configuration, so a candidate differs from the
@@ -11,58 +11,30 @@ use athena_core::{AthenaConfig, Feature, RewardWeights};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// One scalar dimension of a design space: a finite grid or a continuous range.
+/// One scalar dimension of a design space: a finite grid of values, sampled uniformly and
+/// enumerated exhaustively.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ParamSpace {
-    /// A finite set of values, sampled uniformly and enumerable exhaustively.
-    Grid(Vec<f64>),
-    /// A half-open continuous range `[lo, hi)`, sampled uniformly. Ranges cannot be
-    /// enumerated, so a space containing one supports random search only.
-    Range {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
-}
+pub struct ParamSpace(pub Vec<f64>);
 
 impl ParamSpace {
     /// A grid with a single point (a dimension held fixed).
     pub fn fixed(value: f64) -> Self {
-        ParamSpace::Grid(vec![value])
+        ParamSpace(vec![value])
     }
 
     /// Draws one value.
     ///
     /// # Panics
     ///
-    /// Panics on an empty grid or an empty range — both describe no design at all.
+    /// Panics on an empty grid — it describes no design at all.
     pub fn sample(&self, rng: &mut StdRng) -> f64 {
-        match self {
-            ParamSpace::Grid(values) => {
-                assert!(!values.is_empty(), "empty grid has nothing to sample");
-                values[rng.gen_range(0..values.len())]
-            }
-            ParamSpace::Range { lo, hi } => rng.gen_range(*lo..*hi),
-        }
+        assert!(!self.0.is_empty(), "empty grid has nothing to sample");
+        self.0[rng.gen_range(0..self.0.len())]
     }
 
-    /// The grid values, or `None` for a range.
-    pub fn grid(&self) -> Option<&[f64]> {
-        match self {
-            ParamSpace::Grid(values) => Some(values),
-            ParamSpace::Range { .. } => None,
-        }
-    }
-
-    /// Number of distinct values an enumeration would visit (`None` for a range).
-    pub fn len(&self) -> Option<usize> {
-        self.grid().map(<[f64]>::len)
-    }
-
-    /// Whether an enumeration of this dimension would be empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == Some(0)
+    /// The grid values.
+    pub fn grid(&self) -> &[f64] {
+        &self.0
     }
 }
 
@@ -96,10 +68,10 @@ impl DesignSpace {
         let tenths =
             |from: u64, to: u64| -> Vec<f64> { (from..=to).map(|i| i as f64 / 10.0).collect() };
         Self {
-            alpha: ParamSpace::Grid(tenths(1, 9)),
-            gamma: ParamSpace::Grid(tenths(1, 9)),
-            epsilon: ParamSpace::Grid(vec![0.0, 0.01, 0.05, 0.1]),
-            tau: ParamSpace::Grid(vec![0.06, 0.12, 0.24]),
+            alpha: ParamSpace(tenths(1, 9)),
+            gamma: ParamSpace(tenths(1, 9)),
+            epsilon: ParamSpace(vec![0.0, 0.01, 0.05, 0.1]),
+            tau: ParamSpace(vec![0.06, 0.12, 0.24]),
             reward_weights: vec![
                 RewardWeights::default(),
                 // IPC-change-only (prior-work style).
@@ -119,8 +91,8 @@ impl DesignSpace {
     pub fn quick() -> Self {
         let base = athena_engine::default_athena_config();
         Self {
-            alpha: ParamSpace::Grid(vec![0.2, 0.6, 0.9]),
-            gamma: ParamSpace::Grid(vec![0.3, 0.6]),
+            alpha: ParamSpace(vec![0.2, 0.6, 0.9]),
+            gamma: ParamSpace(vec![0.3, 0.6]),
             epsilon: ParamSpace::fixed(base.epsilon),
             tau: ParamSpace::fixed(base.tau),
             reward_weights: vec![base.reward_weights],
@@ -168,32 +140,24 @@ impl DesignSpace {
         self.build(alpha, gamma, epsilon, tau, weights, features)
     }
 
-    /// Number of distinct candidates an enumeration would visit, or `None` if any scalar
-    /// dimension is a continuous range.
-    pub fn size(&self) -> Option<usize> {
-        Some(
-            self.alpha.len()?
-                * self.gamma.len()?
-                * self.epsilon.len()?
-                * self.tau.len()?
-                * self.reward_weights.len()
-                * self.feature_sets.len(),
-        )
+    /// Number of distinct candidates an enumeration visits.
+    pub fn size(&self) -> usize {
+        self.alpha.grid().len()
+            * self.gamma.grid().len()
+            * self.epsilon.grid().len()
+            * self.tau.grid().len()
+            * self.reward_weights.len()
+            * self.feature_sets.len()
     }
 
-    /// Enumerates every candidate of a fully-gridded space in a fixed nested order
-    /// (α outermost, feature set innermost), or returns `None` if any scalar dimension is
-    /// a continuous range.
-    pub fn enumerate(&self) -> Option<Vec<AthenaConfig>> {
-        let alphas = self.alpha.grid()?;
-        let gammas = self.gamma.grid()?;
-        let epsilons = self.epsilon.grid()?;
-        let taus = self.tau.grid()?;
-        let mut out = Vec::with_capacity(self.size().unwrap_or(0));
-        for &alpha in alphas {
-            for &gamma in gammas {
-                for &epsilon in epsilons {
-                    for &tau in taus {
+    /// Enumerates every candidate in a fixed nested order (α outermost, feature set
+    /// innermost).
+    pub fn enumerate(&self) -> Vec<AthenaConfig> {
+        let mut out = Vec::with_capacity(self.size());
+        for &alpha in self.alpha.grid() {
+            for &gamma in self.gamma.grid() {
+                for &epsilon in self.epsilon.grid() {
+                    for &tau in self.tau.grid() {
                         for weights in &self.reward_weights {
                             for features in &self.feature_sets {
                                 out.push(self.build(
@@ -210,7 +174,7 @@ impl DesignSpace {
                 }
             }
         }
-        Some(out)
+        out
     }
 }
 
@@ -230,8 +194,8 @@ mod tests {
     #[test]
     fn quick_space_enumerates_six_candidates() {
         let space = DesignSpace::quick();
-        assert_eq!(space.size(), Some(6));
-        let all = space.enumerate().unwrap();
+        assert_eq!(space.size(), 6);
+        let all = space.enumerate();
         assert_eq!(all.len(), 6);
         // Everything but α/γ comes from the base.
         for cfg in &all {
@@ -252,30 +216,17 @@ mod tests {
         assert_eq!(draw(7), draw(7));
         assert_ne!(draw(7), draw(8));
         for cfg in draw(7) {
-            assert!(space.alpha.grid().unwrap().contains(&cfg.alpha));
-            assert!(space.gamma.grid().unwrap().contains(&cfg.gamma));
+            assert!(space.alpha.grid().contains(&cfg.alpha));
+            assert!(space.gamma.grid().contains(&cfg.gamma));
             assert!(space.reward_weights.contains(&cfg.reward_weights));
             assert!(space.feature_sets.contains(&cfg.features));
         }
     }
 
     #[test]
-    fn ranges_sample_uniformly_but_refuse_enumeration() {
-        let mut space = DesignSpace::quick();
-        space.alpha = ParamSpace::Range { lo: 0.1, hi: 0.9 };
-        assert_eq!(space.size(), None);
-        assert!(space.enumerate().is_none());
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..64 {
-            let cfg = space.sample(&mut rng);
-            assert!((0.1..0.9).contains(&cfg.alpha));
-        }
-    }
-
-    #[test]
     fn paper_space_matches_its_advertised_shape() {
         let space = DesignSpace::paper_default();
-        assert_eq!(space.size(), Some(9 * 9 * 4 * 3 * 4 * 5));
+        assert_eq!(space.size(), 9 * 9 * 4 * 3 * 4 * 5);
         assert_eq!(space.feature_sets.len(), 5);
         assert_eq!(space.feature_sets[3], space.base.features);
         assert_eq!(space.feature_sets[4].len(), 7);

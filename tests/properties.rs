@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use athena_repro::athena::{BloomFilter, CompositeReward, QvStore, RewardWeights};
+use athena_repro::athena::{CompositeReward, QvStore, RewardWeights};
 use athena_repro::prelude::{
     all_workloads, simulate, CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig, WorkloadSpec,
 };
@@ -360,23 +360,6 @@ proptest! {
                 .expect("fresh replay panicked")
         });
         prop_assert_eq!(recycled, fresh);
-    }
-
-    /// Bloom filters never produce false negatives and clearing empties them.
-    #[test]
-    fn bloom_filter_has_no_false_negatives(
-        keys in prop::collection::hash_set(0u64..u64::MAX, 1..150),
-    ) {
-        let mut filter = BloomFilter::athena_sized();
-        for k in &keys {
-            filter.insert(*k);
-        }
-        for k in &keys {
-            prop_assert!(filter.contains(*k));
-        }
-        filter.clear();
-        let still_set = keys.iter().filter(|k| filter.contains(**k)).count();
-        prop_assert_eq!(still_set, 0);
     }
 
     /// QVStore Q-values stay within the quantisation bounds no matter what rewards are fed
