@@ -1008,15 +1008,11 @@ fn tab3_dse(opts: &RunOptions) -> ExperimentTable {
         (0.9, 0.6),
     ];
     // One grid: the shared baselines plus every grid point's runs.
-    let series: Vec<_> = [CoordinatorKind::Baseline]
-        .into_iter()
-        .chain(grid.iter().map(|&(alpha, gamma)| {
-            CoordinatorKind::AthenaWith(
-                default_athena_config().with_hyperparameters(alpha, gamma, 0.05, 0.12),
-            )
-        }))
-        .map(|kind| (&config, kind))
-        .collect();
+    let mut series = vec![(&config, CoordinatorKind::Baseline)];
+    for (alpha, gamma) in grid {
+        let cfg = default_athena_config().with_hyperparameters(alpha, gamma, 0.05, 0.12);
+        series.push((&config, CoordinatorKind::AthenaWith(cfg)));
+    }
     let mut results = run_grid("tab3", &specs, &series, opts).into_iter();
     let baseline = results.next().expect("baseline series");
     let mut table = ExperimentTable::new(
