@@ -15,7 +15,10 @@
 
 use std::path::{Path, PathBuf};
 
-use athena_sim::{MultiCoreResult, MultiCoreSimulator, Prefetcher, SimResult, Simulator};
+use athena_sim::{
+    Coordinator, MultiCoreResult, MultiCoreSimulator, OffChipPredictor, Prefetcher, Simulator,
+    TraceSource,
+};
 use athena_telemetry::Timeline;
 use athena_trace_io::open_trace;
 use athena_workloads::{WorkloadMix, WorkloadSpec};
@@ -23,6 +26,13 @@ use athena_workloads::{WorkloadMix, WorkloadSpec};
 use crate::fingerprint;
 use crate::kinds::{CoordinatorKind, SystemConfig};
 use crate::seed::SeedHasher;
+
+/// One core's prefetchers, off-chip predictor and coordinator (see `Job::mechanisms`).
+type Mechanisms = (
+    Vec<Box<dyn Prefetcher>>,
+    Option<Box<dyn OffChipPredictor>>,
+    Box<dyn Coordinator>,
+);
 
 /// Opt-in request for windowed time-series telemetry on a [`Job`].
 ///
@@ -281,26 +291,45 @@ impl Job {
         )
     }
 
-    /// Builds the fully-configured single-core simulator for this job.
-    fn single_core_sim(&self, coordinator: Box<dyn athena_sim::Coordinator>) -> Simulator {
+    /// Builds one core's mechanisms for this cell, fresh: its prefetchers, its OCP and its
+    /// coordinator. Every cell shape equips its cores from here.
+    fn mechanisms(&self) -> Mechanisms {
+        (
+            self.config.prefetchers.iter().map(|p| p.build()).collect(),
+            self.config.ocp.as_ref().map(|o| o.build()),
+            self.coordinator.build(),
+        )
+    }
+
+    /// Runs a single-core cell on `trace`, windowing a timeline if the job asked for one.
+    fn run_single<T: TraceSource>(&self, workload: &str, trace: T) -> JobOutput {
+        let (prefetchers, ocp, coordinator) = self.mechanisms();
         let mut sim = Simulator::new(self.config.sim.clone());
         if self.telemetry.is_some() {
             sim = sim.with_agent_telemetry();
         }
-        for p in &self.config.prefetchers {
-            sim = sim.with_prefetcher(p.build());
+        for p in prefetchers {
+            sim = sim.with_prefetcher(p);
         }
-        if let Some(ocp) = &self.config.ocp {
-            sim = sim.with_ocp(ocp.build());
+        if let Some(ocp) = ocp {
+            sim = sim.with_ocp(ocp);
         }
-        sim.with_coordinator(coordinator)
-    }
-
-    /// Windows a finished single-core run into its timeline, if this job asked for one.
-    fn timeline_of(&self, result: &SimResult) -> Option<Timeline> {
-        self.telemetry.map(|t| {
+        let result = sim
+            .with_coordinator(coordinator)
+            .run(trace, self.instructions);
+        let timeline = self.telemetry.map(|t| {
             Timeline::from_epochs(t.window_instructions, &result.epochs, &result.agent_epochs)
-        })
+        });
+        JobOutput::Single(Box::new(RunResult {
+            workload: workload.to_string(),
+            instructions: result.instructions,
+            cycles: result.cycles,
+            ipc: result.ipc(),
+            stats: result.stats,
+            dram: result.dram,
+            epochs: result.epochs,
+            timeline,
+        }))
     }
 
     /// Runs the cell to completion and returns its result.
@@ -318,12 +347,7 @@ impl Job {
     /// fails exactly one cell and the rest of the batch completes.
     pub fn run(&self) -> JobOutput {
         match &self.cell {
-            WorkloadRef::Single(spec) => {
-                let mut sim = self.single_core_sim(self.coordinator.build());
-                let result = sim.run(spec.trace(), self.instructions);
-                let timeline = self.timeline_of(&result);
-                JobOutput::Single(Box::new(RunResult::from_sim(&spec.name, result, timeline)))
-            }
+            WorkloadRef::Single(spec) => self.run_single(&spec.name, spec.trace()),
             WorkloadRef::File(file) => {
                 let trace = open_trace(&file.path).unwrap_or_else(|e| {
                     panic!("cannot replay trace '{}': {e}", file.path.display())
@@ -338,29 +362,18 @@ impl Job {
                     trace.header().records,
                     self.instructions
                 );
-                let mut sim = self.single_core_sim(self.coordinator.build());
-                let result = sim.run(trace, self.instructions);
-                let timeline = self.timeline_of(&result);
-                JobOutput::Single(Box::new(RunResult::from_sim(&file.name, result, timeline)))
+                self.run_single(&file.name, trace)
             }
             WorkloadRef::Multi(mix) => {
-                let cores = mix.workloads.len();
-                let mut mc = MultiCoreSimulator::new(self.config.sim.clone(), cores);
+                let mut mc = MultiCoreSimulator::new(self.config.sim.clone(), mix.workloads.len());
                 if self.telemetry.is_some() {
                     // Multi-core cells collect per-core agent snapshots; their per-core
                     // timelines are derived by the caller from each core's SimResult.
                     mc = mc.with_agent_telemetry();
                 }
                 for spec in &mix.workloads {
-                    let prefetchers: Vec<Box<dyn Prefetcher>> =
-                        self.config.prefetchers.iter().map(|p| p.build()).collect();
-                    let ocp = self.config.ocp.as_ref().map(|o| o.build());
-                    mc.add_core(
-                        Box::new(spec.trace()),
-                        prefetchers,
-                        ocp,
-                        Some(self.coordinator.build()),
-                    );
+                    let (prefetchers, ocp, coordinator) = self.mechanisms();
+                    mc.add_core(Box::new(spec.trace()), prefetchers, ocp, Some(coordinator));
                 }
                 JobOutput::Multi(mc.run(self.instructions))
             }
@@ -399,21 +412,6 @@ pub struct RunResult {
     /// The windowed time series, present when the job requested telemetry
     /// ([`Job::with_telemetry`]).
     pub timeline: Option<Timeline>,
-}
-
-impl RunResult {
-    fn from_sim(workload: &str, r: SimResult, timeline: Option<Timeline>) -> Self {
-        Self {
-            workload: workload.to_string(),
-            instructions: r.instructions,
-            cycles: r.cycles,
-            ipc: r.ipc(),
-            stats: r.stats,
-            dram: r.dram,
-            epochs: r.epochs,
-            timeline,
-        }
-    }
 }
 
 /// Runs one workload on one system configuration under one coordination policy.
@@ -542,6 +540,50 @@ mod tests {
         match job.run() {
             JobOutput::Single(r) => assert_eq!(*r, serial),
             JobOutput::Multi(_) => panic!("single cell"),
+        }
+    }
+
+    #[test]
+    fn a_one_core_multicore_run_equals_a_single_core_run() {
+        let configs = [
+            cd1(),
+            SystemConfig::cd4(PrefetcherKind::Ipcp, PrefetcherKind::Pythia, OcpKind::Popet),
+        ];
+        let kinds = [
+            CoordinatorKind::Baseline,
+            CoordinatorKind::Naive,
+            CoordinatorKind::Hpac,
+            CoordinatorKind::Athena,
+        ];
+        // The 9 000-instruction budget ends mid-quantum; the 8 700-record trace ends before
+        // it, also mid-quantum and mid-batch.
+        let instructions = 9_000;
+        for (spec, records) in [(&all_workloads()[0], 20_000), (&all_workloads()[3], 8_700)] {
+            let trace = || spec.trace().take(records);
+            for config in &configs {
+                for kind in &kinds {
+                    let job = Job::single("t", spec.clone(), config.clone(), kind.clone(), 0);
+                    let (prefetchers, ocp, coordinator) = job.mechanisms();
+                    let mut single = Simulator::new(config.sim.clone()).with_agent_telemetry();
+                    for p in prefetchers {
+                        single = single.with_prefetcher(p);
+                    }
+                    if let Some(ocp) = ocp {
+                        single = single.with_ocp(ocp);
+                    }
+                    let single = single
+                        .with_coordinator(coordinator)
+                        .run(trace(), instructions);
+
+                    let mut multi =
+                        MultiCoreSimulator::new(config.sim.clone(), 1).with_agent_telemetry();
+                    let (prefetchers, ocp, coordinator) = job.mechanisms();
+                    multi.add_core(Box::new(trace()), prefetchers, ocp, Some(coordinator));
+                    let multi = multi.run(instructions);
+                    assert_eq!(single.instructions, instructions.min(records as u64));
+                    assert_eq!(multi.cores, [single], "{} {kind:?}", config.describe());
+                }
+            }
         }
     }
 

@@ -90,8 +90,8 @@ impl PartialEq for StoreHandle {
 impl Eq for StoreHandle {}
 
 impl StoreHandle {
-    /// Opens the store in `dir` under `policy`. Policies that never write
-    /// ([`StorePolicy::ReadOnly`], [`StorePolicy::Off`]) open read-only and take no lock.
+    /// Opens the store in `dir` under `policy`. [`StorePolicy::ReadOnly`] never writes, so
+    /// it opens read-only and takes no lock.
     pub fn open(dir: impl Into<PathBuf>, policy: StorePolicy) -> Result<Self, StoreError> {
         let dir = dir.into();
         let store = ResultStore::open(&dir, !policy.writes())?;
@@ -474,9 +474,9 @@ mod tests {
         }
         let reread = StoreHandle::open(&dir, StorePolicy::ReadOnly).unwrap();
         assert_eq!(reread.fetch(&job), Some(output.clone()));
-        // Refresh never reads; Off neither reads nor writes.
-        let refresh = StoreHandle::open(&dir, StorePolicy::ReadOnly).unwrap();
-        assert_eq!(refresh.policy(), StorePolicy::ReadOnly);
+        // Refresh never reads: the stored record is there, but it is not served.
+        let refresh = StoreHandle::open(&dir, StorePolicy::Refresh).unwrap();
+        assert_eq!(refresh.fetch(&job), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

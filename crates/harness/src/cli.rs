@@ -164,7 +164,7 @@ impl RunFlags {
         }
         let policy = match &self.store_policy {
             Some(name) => StorePolicy::from_name(name)
-                .ok_or_else(|| format!("unknown --store-policy '{name}' (rw, ro, refresh, off)"))?,
+                .ok_or_else(|| format!("unknown --store-policy '{name}' (rw, ro, refresh)"))?,
             None => StorePolicy::ReadWrite,
         };
         let mut opts = if self.quick {
@@ -180,8 +180,7 @@ impl RunFlags {
         }
         opts.jobs = self.jobs.unwrap_or_else(available_parallelism);
         opts.trace_dir = self.trace_dir;
-        // `off` skips the store entirely.
-        if let Some(dir) = self.store_dir.filter(|_| policy != StorePolicy::Off) {
+        if let Some(dir) = self.store_dir {
             opts.store = Some(open_store(&dir, policy));
         }
         if let Some(path) = self.events {
@@ -268,8 +267,7 @@ result store:
                       missing cells. Inspect the store with `results`
   --store-policy <P>  how the batch uses the store (default rw): 'rw' reads and writes,
                       'ro' reads but never writes (no writer lock taken), 'refresh'
-                      re-simulates everything and overwrites the cached records,
-                      'off' ignores the store entirely
+                      re-simulates everything and overwrites the cached records
 
 output:
   --out <DIR>         write one <fig>.csv per experiment into DIR (and relocate the other
@@ -393,7 +391,7 @@ result store:
                        rung budgets are part of each cell's identity, so re-entering a
                        killed or widened search re-simulates only the unseen
                        (candidate × workload × budget) cells
-  --store-policy <P>   'rw' (default), 'ro', 'refresh' or 'off'
+  --store-policy <P>   'rw' (default), 'ro' or 'refresh'
 
 output:
   --out <DIR>          output directory (default results/tune): leaderboard.csv +

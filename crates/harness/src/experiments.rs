@@ -256,10 +256,9 @@ impl Sweep {
     }
 
     /// The per-workload best static combination (the StaticBest oracle): the largest
-    /// speedup among the four [`static_combo_policies`], and never below the baseline's 1.0.
+    /// speedup among the baseline's 1.0 and the three [`static_combo_policies`].
     fn static_best(&self) -> Vec<f64> {
-        let statics = ["baseline-combo", "ocp-only", "prefetchers-only", "naive"]
-            .map(|name| self.speedups(name));
+        let statics = ["ocp-only", "prefetchers-only", "naive"].map(|name| self.speedups(name));
         (0..self.specs.len())
             .map(|i| statics.iter().map(|s| s[i]).fold(1.0f64, f64::max))
             .collect()
@@ -306,16 +305,10 @@ fn sorted(mut values: Vec<f64>) -> Vec<f64> {
     values
 }
 
-/// The four static combinations used by the StaticBest oracle.
+/// The static combinations used by the StaticBest oracle, besides the baseline every sweep
+/// runs anyway.
 fn static_combo_policies() -> Vec<(&'static str, CoordinatorKind)> {
     vec![
-        (
-            "baseline-combo",
-            CoordinatorKind::Fixed {
-                ocp: false,
-                prefetchers: false,
-            },
-        ),
         ("ocp-only", CoordinatorKind::OcpOnly),
         ("prefetchers-only", CoordinatorKind::PrefetchersOnly),
         ("naive", CoordinatorKind::Naive),
@@ -364,7 +357,7 @@ fn fig1(opts: &RunOptions) -> ExperimentTable {
     table
 }
 
-/// A StaticBest comparison in CD1: `extra` policies run beside the four static
+/// A StaticBest comparison in CD1: `extra` policies run beside the static
 /// combinations, and the table lists the `rows` policies, then the StaticBest oracle, by
 /// class.
 fn static_best_fig(

@@ -9,7 +9,6 @@
 //! request before that load completes, which is how pointer-chasing (latency-bound) code is
 //! expressed. The ROB and commit windows are fixed [`Ring`]s sized once at construction.
 
-use crate::batch::StepBatch;
 use crate::branch::GsharePredictor;
 use crate::config::SimConfig;
 use crate::dram::DramStats;
@@ -18,6 +17,11 @@ use crate::ring::Ring;
 use crate::stats::{EpochStats, SimStats};
 use crate::trace::{InstrKind, TraceRecord, TraceSource};
 use crate::traits::{Coordinator, CoordinatorTelemetry, OffChipPredictor, Prefetcher};
+
+/// Records fetched per `trace_gen` span and stepped per `core_step` span when the profiler
+/// is on (see [`CoreEngine::advance`]): big enough to make span overhead negligible, small
+/// enough that the batch stays in L1.
+const STEP_BATCH: usize = 64;
 
 /// The result of a single-core simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,13 +134,62 @@ impl CoreEngine {
         self.retired
     }
 
-    /// Current core cycle (retire time of the youngest retired instruction).
-    pub fn cycles(&self) -> u64 {
-        self.last_retire
+    /// Steps records from `trace` until `target` instructions have retired; returns `false`
+    /// once the trace has ended. This is the one fetch/step loop: [`Simulator::run`] calls
+    /// it once with its budget, [`crate::MultiCoreSimulator::run`] once per core per
+    /// quantum. Generic over the source, so a single-core run fetches without a dynamic
+    /// call.
+    ///
+    /// With the profiler off it is a plain fetch/step loop with no probe bookkeeping. With
+    /// it on, records are fetched `STEP_BATCH` at a time under one `trace_gen` span and
+    /// stepped under one `core_step` span, so spans open once per batch, not once per
+    /// instruction. The steps are the same either way: a trace never observes simulator
+    /// state, and no batch fetches past `target`. Batching unprofiled runs too measured
+    /// about 10 % slower (`docs/OPTIMIZATION_LOG.md`).
+    pub fn advance<T: TraceSource + ?Sized>(
+        &mut self,
+        trace: &mut T,
+        hierarchy: &mut MemoryHierarchy,
+        target: u64,
+    ) -> bool {
+        if !athena_probe::profiling_enabled() {
+            while self.retired < target {
+                let Some(record) = trace.next_record() else {
+                    return false;
+                };
+                self.step(record, hierarchy);
+            }
+            return true;
+        }
+        let mut batch = [TraceRecord::alu(0); STEP_BATCH];
+        while self.retired < target {
+            let want = (STEP_BATCH as u64).min(target - self.retired) as usize;
+            let mut fetched = 0;
+            {
+                let _span = athena_probe::span(athena_probe::Phase::TraceGen);
+                while fetched < want {
+                    let Some(record) = trace.next_record() else {
+                        break;
+                    };
+                    batch[fetched] = record;
+                    fetched += 1;
+                }
+            }
+            if fetched > 0 {
+                let _span = athena_probe::span(athena_probe::Phase::CoreStep);
+                for &record in &batch[..fetched] {
+                    self.step(record, hierarchy);
+                }
+            }
+            if fetched < want {
+                return false;
+            }
+        }
+        true
     }
 
     /// Processes one trace record against `hierarchy`.
-    pub fn step(&mut self, record: TraceRecord, hierarchy: &mut MemoryHierarchy) {
+    fn step(&mut self, record: TraceRecord, hierarchy: &mut MemoryHierarchy) {
         // --- allocate into the ROB: wait for the oldest entry to retire once it is full ---
         let rob_free_cycle = self.rob.oldest_if_full().unwrap_or(0);
         let mut alloc = self.fetch_cycle.max(rob_free_cycle);
@@ -297,37 +350,14 @@ impl Simulator {
         &self.hierarchy
     }
 
-    /// Runs the simulation for at most `max_instructions` instructions from `trace`.
-    ///
-    /// With the profiler off this is a plain fetch/step loop with zero probe bookkeeping;
-    /// with it on, records are fetched and stepped in batches so the `trace_gen` /
-    /// `core_step` spans open once per batch instead of once per instruction (the record
-    /// *sequence* and every step are identical either way — trace generation does not
-    /// observe simulator state, so prefetching records cannot change a result byte).
-    /// Routing unprofiled runs through the batches too measured slower; see
-    /// `docs/OPTIMIZATION_LOG.md`.
+    /// Runs the simulation for at most `max_instructions` instructions from `trace`
+    /// (see [`CoreEngine::advance`]).
     pub fn run<T: TraceSource>(&mut self, mut trace: T, max_instructions: u64) -> SimResult {
         let mut engine = CoreEngine::new(&self.config);
         if self.agent_telemetry {
             engine.enable_agent_telemetry();
         }
-        if !athena_probe::profiling_enabled() {
-            while engine.retired() < max_instructions {
-                let Some(record) = trace.next_record() else {
-                    break;
-                };
-                engine.step(record, &mut self.hierarchy);
-            }
-            return engine.finish(&mut self.hierarchy);
-        }
-        let mut batch = StepBatch::new();
-        while engine.retired() < max_instructions {
-            let exhausted = batch.refill(&mut trace, max_instructions - engine.retired());
-            batch.step_all(&mut engine, &mut self.hierarchy);
-            if exhausted {
-                break;
-            }
-        }
+        engine.advance(&mut trace, &mut self.hierarchy, max_instructions);
         engine.finish(&mut self.hierarchy)
     }
 }

@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 pub mod branch;
 pub mod cache;
 pub mod config;

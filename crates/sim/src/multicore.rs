@@ -10,7 +10,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::batch::StepBatch;
 use crate::config::SimConfig;
 use crate::core::{CoreEngine, SimResult};
 use crate::dram::Dram;
@@ -133,47 +132,16 @@ impl MultiCoreSimulator {
     }
 
     /// Runs every core for `instructions_per_core` instructions (or until its trace ends)
-    /// and returns the per-core results.
-    ///
-    /// Like [`crate::Simulator::run`], each core's quantum is advanced through a
-    /// fetch-then-step batch: a span-free plain loop with the profiler off, batched
-    /// `trace_gen` / `core_step` spans with it on. The round-robin schedule and every
-    /// per-record step are identical either way.
+    /// and returns the per-core results. Each round advances every unfinished core by one
+    /// quantum, in core order, through [`CoreEngine::advance`].
     pub fn run(mut self, instructions_per_core: u64) -> MultiCoreResult {
-        let profiled = athena_probe::profiling_enabled();
-        let mut batch = StepBatch::new();
-        loop {
-            let mut any_progress = false;
-            for slot in &mut self.cores {
-                if slot.done || slot.engine.retired() >= instructions_per_core {
-                    slot.done = true;
-                    continue;
-                }
+        while self.cores.iter().any(|slot| !slot.done) {
+            for slot in self.cores.iter_mut().filter(|slot| !slot.done) {
                 let target = (slot.engine.retired() + QUANTUM).min(instructions_per_core);
-                if profiled {
-                    while slot.engine.retired() < target && !slot.done {
-                        let exhausted =
-                            batch.refill(&mut *slot.trace, target - slot.engine.retired());
-                        batch.step_all(&mut slot.engine, &mut slot.hierarchy);
-                        if exhausted {
-                            slot.done = true;
-                        }
-                    }
-                } else {
-                    while slot.engine.retired() < target {
-                        match slot.trace.next_record() {
-                            Some(rec) => slot.engine.step(rec, &mut slot.hierarchy),
-                            None => {
-                                slot.done = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                any_progress = true;
-            }
-            if !any_progress {
-                break;
+                let more = slot
+                    .engine
+                    .advance(&mut *slot.trace, &mut slot.hierarchy, target);
+                slot.done = !more || target == instructions_per_core;
             }
         }
         MultiCoreResult {

@@ -48,8 +48,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// How the engine uses a store during a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorePolicy {
-    /// Ignore the store entirely: no lookups, no writes.
-    Off,
     /// Serve cached results and append every newly simulated one (the default).
     #[default]
     ReadWrite,
@@ -62,10 +60,9 @@ pub enum StorePolicy {
 }
 
 impl StorePolicy {
-    /// The policy's CLI name (`off`, `rw`, `ro`, `refresh`).
+    /// The policy's CLI name (`rw`, `ro`, `refresh`).
     pub fn name(&self) -> &'static str {
         match self {
-            StorePolicy::Off => "off",
             StorePolicy::ReadWrite => "rw",
             StorePolicy::ReadOnly => "ro",
             StorePolicy::Refresh => "refresh",
@@ -75,7 +72,6 @@ impl StorePolicy {
     /// Parses a CLI name (the inverse of [`StorePolicy::name`]).
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
-            "off" => Some(StorePolicy::Off),
             "rw" => Some(StorePolicy::ReadWrite),
             "ro" => Some(StorePolicy::ReadOnly),
             "refresh" => Some(StorePolicy::Refresh),
@@ -960,7 +956,6 @@ mod tests {
     #[test]
     fn policy_names_round_trip() {
         for p in [
-            StorePolicy::Off,
             StorePolicy::ReadWrite,
             StorePolicy::ReadOnly,
             StorePolicy::Refresh,
@@ -971,6 +966,5 @@ mod tests {
         assert!(StorePolicy::ReadWrite.reads() && StorePolicy::ReadWrite.writes());
         assert!(StorePolicy::ReadOnly.reads() && !StorePolicy::ReadOnly.writes());
         assert!(!StorePolicy::Refresh.reads() && StorePolicy::Refresh.writes());
-        assert!(!StorePolicy::Off.reads() && !StorePolicy::Off.writes());
     }
 }

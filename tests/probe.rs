@@ -43,12 +43,23 @@ fn cd1() -> SystemConfig {
     SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet)
 }
 
+/// Two single-core cells and one two-core mix, so the profiled stepping is checked under both
+/// simulation drivers.
 fn jobs_for(kind: &CoordinatorKind) -> Vec<Job> {
-    all_workloads()
+    let mut jobs: Vec<Job> = all_workloads()
         .into_iter()
         .take(2)
         .map(|spec| Job::single("probe-test", spec, cd1(), kind.clone(), 5_000))
-        .collect()
+        .collect();
+    let mix = mixes(2, 1, 7).remove(2); // the random-category mix
+    jobs.push(Job::multicore(
+        "probe-test",
+        mix,
+        cd1(),
+        kind.clone(),
+        3_000,
+    ));
+    jobs
 }
 
 fn tiny() -> RunOptions {
@@ -114,6 +125,7 @@ fn observation_changes_no_cell_output_for_any_coordinator() {
         set_profiling(false);
         std::fs::remove_file(&path).ok();
 
+        assert!(matches!(plain[2].output, Ok(JobOutput::Multi(_))));
         for (p, o) in plain.iter().zip(&observed) {
             assert_eq!(p.label, o.label, "{kind:?}: cell order changed");
             assert_eq!(p.seed, o.seed, "{kind:?}: {} seed changed", p.label);
