@@ -22,19 +22,19 @@
 //! Both directions speak length-delimited, checksummed frames over pipes:
 //!
 //! ```text
-//! [kind: u8] [len: u32 LE] [fnv64(payload): u64 LE] [payload: len bytes]
+//! [kind: u8] [len: u32 LE] [checksum(payload): u64 LE] [payload: len bytes]
 //! ```
 //!
 //! Payloads are JSON documents declaring a [`crate::report::Schema`]
-//! (`athena-dist-*-v1`); the checksum is the same FNV-1a 64 the result store uses
-//! ([`athena_store::fnv64`]). The conversation is: worker sends `HELLO`; then, once per
-//! batch, the coordinator sends one `SHARD` (an indexed job list, jobs written by
-//! [`crate::wire::write_job`], plus the coordinator's profiling switch) and the worker
-//! answers one `RESULT` per cell, then `DONE`. When the pool is dropped the coordinator
-//! closes the worker's stdin and the worker exits. A `RESULT` carries everything the
-//! coordinator knows about the cell: its wall-clock, its phase profile when profiling is
-//! on, and either the error of a cell that panicked or the output wrapped in the
-//! self-describing `athena-result-record-v1` envelope the result store writes.
+//! (`athena-dist-*-v1`); the checksum is the same word-at-a-time hash the result store
+//! stamps on its records ([`athena_store::checksum`]). The conversation is: worker sends
+//! `HELLO`; then, once per batch, the coordinator sends one `SHARD` (an indexed job list,
+//! jobs written by [`crate::wire::write_job`], plus the coordinator's profiling switch) and
+//! the worker answers one `RESULT` per cell, then `DONE`. When the pool is dropped the
+//! coordinator closes the worker's stdin and the worker exits. A `RESULT` carries
+//! everything the coordinator knows about the cell: its wall-clock, its phase profile when
+//! profiling is on, and either the error of a cell that panicked or the output wrapped in
+//! the self-describing `athena-result-record-v1` envelope the result store writes.
 //!
 //! Workers run every cell through the same runner as the in-process pool and emit no
 //! events of their own. The engine builds each cell's `cell_started`/`cell_finished`
@@ -80,7 +80,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use athena_probe::{metrics, PhaseProfile};
-use athena_store::fnv64;
+use athena_store::checksum;
 
 use crate::codec::{fill, read_envelope, take, u64_json, Codec};
 use crate::events::{CellOrigin, Event, ProbeSink};
@@ -122,7 +122,7 @@ const FRAME_HEADER_BYTES: u64 = 1 + 4 + 8;
 fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
     w.write_all(&[kind])?;
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&fnv64(payload).to_le_bytes())?;
+    w.write_all(&checksum(payload).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()?;
     metrics().frames_sent.incr();
@@ -162,9 +162,9 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
             format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"),
         ));
     }
-    let mut checksum = [0u8; 8];
-    r.read_exact(&mut checksum)?;
-    let checksum = u64::from_le_bytes(checksum);
+    let mut stated = [0u8; 8];
+    r.read_exact(&mut stated)?;
+    let stated = u64::from_le_bytes(stated);
     // Read into spare capacity: the read overwrites every byte, so zeroing the buffer
     // first is wasted work.
     let mut payload = Vec::with_capacity(len as usize);
@@ -175,11 +175,11 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
             format!("frame cut short: {} of {len} payload bytes", payload.len()),
         ));
     }
-    let actual = fnv64(&payload);
-    if actual != checksum {
+    let actual = checksum(&payload);
+    if actual != stated {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame checksum mismatch: header says {checksum:#018x}, payload hashes to {actual:#018x}"),
+            format!("frame checksum mismatch: header says {stated:#018x}, payload hashes to {actual:#018x}"),
         ));
     }
     metrics().frames_received.incr();
@@ -1049,7 +1049,7 @@ fn send_corrupted(w: &mut impl Write, payload: &[u8]) {
     lying[mid] ^= 0x01;
     let mut frame = vec![KIND_RESULT];
     frame.extend((payload.len() as u32).to_le_bytes());
-    frame.extend(fnv64(payload).to_le_bytes());
+    frame.extend(checksum(payload).to_le_bytes());
     frame.extend(&lying);
     w.write_all(&frame)
         .and_then(|()| w.flush())
@@ -1061,7 +1061,7 @@ fn send_corrupted(w: &mut impl Write, payload: &[u8]) {
 fn send_truncated(w: &mut impl Write, payload: &[u8]) -> ! {
     let mut frame = vec![KIND_RESULT];
     frame.extend((payload.len() as u32).to_le_bytes());
-    frame.extend(fnv64(payload).to_le_bytes());
+    frame.extend(checksum(payload).to_le_bytes());
     frame.extend(payload);
     frame.truncate(frame.len() / 2);
     let _ = w.write_all(&frame);

@@ -214,7 +214,11 @@ mod tests {
         hash_of(|h| {
             h.write_str(&job.experiment);
             h.write_str(job.cell.name());
-            h.write_str(&job.config.describe());
+            h.write_u64(job.config.prefetchers.len() as u64);
+            for p in &job.config.prefetchers {
+                h.write_str(p.name());
+            }
+            h.write_str(job.config.ocp.map_or("", |o| o.name()));
             h.write_str(&format!("{:?}", job.config.sim));
             h.write_str(job.coordinator.name());
             if let CoordinatorKind::AthenaWith(cfg) = &job.coordinator {

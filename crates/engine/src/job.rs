@@ -238,42 +238,49 @@ impl Job {
     /// replaying a recorded trace from any directory keeps the generated cell's
     /// identity), the per-workload names of a multi-core mix, the full
     /// [`SystemConfig`] (via its own canonical `hash_into`), the coordinator name (plus
-    /// the `Debug` rendering of an explicit [`CoordinatorKind::AthenaWith`]
-    /// configuration, so every hyperparameter distinguishes DSE grid points), and the
-    /// instruction budget. It deliberately excludes scheduling state (worker count,
-    /// submission order) and [`Job::telemetry`] — that changes how the result is
-    /// *observed*, not which cell it is; the result store keys records by
-    /// `(identity_hash, variant)` where the variant covers the telemetry request.
+    /// both flags of a [`CoordinatorKind::Fixed`] combination and the `Debug` rendering of
+    /// an explicit [`CoordinatorKind::AthenaWith`] configuration, so every hyperparameter
+    /// distinguishes DSE grid points), and the instruction budget. It deliberately
+    /// excludes scheduling state (worker count, submission order) and [`Job::telemetry`] —
+    /// that changes how the result is *observed*, not which cell it is; the result store
+    /// keys records by `(identity_hash, variant)` where the variant covers the telemetry
+    /// request.
     ///
     /// # Stability contract
     ///
-    /// The derivation — FNV-1a 64 over length-delimited parts, finished with one
-    /// SplitMix64 round (see [`crate::seed::SeedHasher`]) — is a persistence format:
-    /// on-disk result stores key records by this value, and `tests/identity.rs` pins
-    /// known hash values so any drift fails CI. Changing the hashed facets, their order,
-    /// or the hash constants invalidates every existing store and requires bumping the
-    /// store's `FORMAT_VERSION` together with the pinned test constants.
+    /// The derivation — [`athena_store::hash64`] over length-delimited parts, finished
+    /// with one SplitMix64 round (see [`crate::seed::SeedHasher`]) — is a persistence
+    /// format: on-disk result stores key records by this value, and `tests/identity.rs`
+    /// pins known hash values so any drift fails CI. Changing the hashed facets, their
+    /// order, or the hash itself invalidates every existing store and requires bumping the
+    /// store's `FORMAT_VERSION` (now 2) together with the pinned test constants.
     pub fn identity_hash(&self) -> u64 {
         let mut h = SeedHasher::new();
         h.write_str(&self.experiment);
-        self.hash_cell_into(&mut h);
+        self.hash_cell_into(&mut h, (true, true));
         h.finish()
     }
 
     /// Feeds every facet of [`Job::identity_hash`] after the experiment name into `h`:
-    /// what the cell computes, whichever experiment asked for it. The per-run cell memo
-    /// ([`crate::CellMemo`]) keys shared cells by these facets.
-    pub(crate) fn hash_cell_into(&self, h: &mut SeedHasher) {
+    /// what the cell computes, whichever experiment asked for it. `mechanisms`, as
+    /// `(ocp, prefetchers)`, leaves the configuration's OCP or prefetchers out where false;
+    /// the per-run cell memo ([`crate::CellMemo`]) leaves out what a static policy
+    /// switches off.
+    pub(crate) fn hash_cell_into(&self, h: &mut SeedHasher, mechanisms: (bool, bool)) {
         h.write_str(self.cell.name());
         if let WorkloadRef::Multi(mix) = &self.cell {
             for w in &mix.workloads {
                 h.write_str(&w.name);
             }
         }
-        self.config.hash_into(h);
+        self.config.hash_into(h, mechanisms);
         h.write_str(self.coordinator.name());
-        if let CoordinatorKind::AthenaWith(cfg) = &self.coordinator {
-            fingerprint::write_athena_config(h, cfg);
+        match &self.coordinator {
+            CoordinatorKind::Fixed { ocp, prefetchers } => {
+                h.write_u64(u64::from(*ocp) | u64::from(*prefetchers) << 1);
+            }
+            CoordinatorKind::AthenaWith(cfg) => fingerprint::write_athena_config(h, cfg),
+            _ => {}
         }
         h.write_u64(self.instructions);
     }
@@ -434,27 +441,6 @@ pub fn simulate(
     match job.run() {
         JobOutput::Single(r) => *r,
         JobOutput::Multi(_) => unreachable!("single job yields a single result"),
-    }
-}
-
-/// Runs a multi-core mix: every core gets its own instance of the configured mechanisms and
-/// coordinator, and all cores share one DRAM channel.
-pub fn simulate_multicore(
-    mix: &WorkloadMix,
-    config: &SystemConfig,
-    coordinator: CoordinatorKind,
-    instructions_per_core: u64,
-) -> MultiCoreResult {
-    let job = Job::multicore(
-        "adhoc",
-        mix.clone(),
-        config.clone(),
-        coordinator,
-        instructions_per_core,
-    );
-    match job.run() {
-        JobOutput::Multi(r) => r,
-        JobOutput::Single(_) => unreachable!("multicore job yields a multicore result"),
     }
 }
 

@@ -79,10 +79,7 @@ pub use events::{
     WORKER_ATTRIBUTION_FIELDS,
 };
 pub use exec::{CellResult, Engine};
-pub use job::{
-    simulate, simulate_multicore, FileWorkload, Job, JobOutput, RunResult, TelemetrySpec,
-    WorkloadRef,
-};
+pub use job::{simulate, FileWorkload, Job, JobOutput, RunResult, TelemetrySpec, WorkloadRef};
 pub use kinds::{default_athena_config, CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
 pub use memo::CellMemo;
 pub use pool::available_parallelism;

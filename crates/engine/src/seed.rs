@@ -10,17 +10,18 @@
 //! * re-running a single failed cell in isolation reproduces the original run exactly,
 //!   because nothing about the rest of the batch feeds into its seed.
 //!
-//! The hash is streaming FNV-1a over length-delimited parts, finished through a SplitMix64
-//! avalanche so that near-identical cell identities (e.g. `fig12c` at 6 vs 18 cycles of OCP
-//! issue latency) land far apart in seed space.
+//! The hash is the workspace's one word-at-a-time hash ([`athena_store::hash64`]) over
+//! length-delimited parts, finished through a SplitMix64 avalanche so that near-identical
+//! cell identities (e.g. `fig12c` at 6 vs 18 cycles of OCP issue latency) land far apart in
+//! seed space.
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use athena_store::{hash64, HASH_START};
 
-/// A tiny streaming hasher for seed derivation: FNV-1a over delimited parts, SplitMix64
-/// finalisation.
+/// A tiny streaming hasher for seed derivation: [`athena_store::hash64`] over parts,
+/// SplitMix64 finalisation.
+///
+/// Every part is one `hash64` call, which folds the part's length in after its bytes, so
+/// parts are length-delimited: `("ab", "c")` and `("a", "bc")` hash differently.
 ///
 /// ```
 /// use athena_engine::SeedHasher;
@@ -40,21 +41,16 @@ pub struct SeedHasher {
 impl SeedHasher {
     /// Creates a hasher in its initial state.
     pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
+        Self { state: HASH_START }
     }
 
-    /// Feeds raw bytes into the hash.
+    /// Feeds one part of raw bytes.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = hash64(self.state, bytes);
     }
 
-    /// Feeds a string part. Parts are length-delimited, so `("ab", "c")` and `("a", "bc")`
-    /// hash differently.
+    /// Feeds a string part.
     pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
         self.write_bytes(s.as_bytes());
     }
 
@@ -75,7 +71,7 @@ impl Default for SeedHasher {
     }
 }
 
-/// SplitMix64 finalisation step: a strong avalanche over the raw FNV state.
+/// SplitMix64 finalisation step: a strong avalanche over the raw hash state.
 fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

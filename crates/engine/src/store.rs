@@ -6,8 +6,8 @@
 //! top:
 //!
 //! * **Keys** — [`record_key`] pairs [`Job::identity_hash`] (which facets make a cell
-//!   *the same cell*) with [`variant_hash`] (the facets that are excluded from the
-//!   identity but still change the output: the seed policy and the telemetry request).
+//!   *the same cell*) with [`variant_hash`] (the facet that is excluded from the
+//!   identity but still changes the output: the telemetry request).
 //!   Two jobs with equal keys produce bit-identical outputs, so a stored record can stand
 //!   in for a simulation.
 //! * **Payloads** — [`StoreHandle::encode`] / [`StoreHandle::decode`] wrap the lossless
@@ -33,17 +33,13 @@ use crate::json::{Json, JsonParseError, JsonReader, JsonWriter};
 use crate::report::RESULT_RECORD_SCHEMA;
 use crate::seed::SeedHasher;
 
-/// The output-variant hash of a job: the facets [`Job::identity_hash`] deliberately
-/// excludes but that still affect the produced [`JobOutput`]: the telemetry request (it
+/// The output-variant hash of a job: the facet [`Job::identity_hash`] deliberately
+/// excludes but that still affects the produced [`JobOutput`]: the telemetry request (it
 /// decides whether a timeline is attached and how wide its windows are). Cached results
 /// are keyed by `(identity, variant)` so a telemetry run never shadows a plain run of the
 /// same cell.
 pub fn variant_hash(job: &Job) -> u64 {
     let mut h = SeedHasher::new();
-    // Every agent takes its seed from its configuration. The hash still starts with the
-    // name of that one seed policy, so store keys stay byte-identical to the stores
-    // written while a second, per-cell policy existed.
-    h.write_str("config");
     match job.telemetry {
         None => h.write_str("none"),
         Some(t) => {

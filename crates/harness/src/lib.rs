@@ -45,8 +45,8 @@ pub mod timeline;
 pub use athena_engine::ExperimentTable;
 pub use athena_tune as tune;
 pub use run::{
-    simulate, simulate_multicore, CellMemo, CoordinatorKind, DistPool, OcpKind, PrefetcherKind,
-    ProbeSink, RunOptions, RunResult, StoreHandle, StorePolicy, SystemConfig, WorkerCommand,
+    simulate, CellMemo, CoordinatorKind, DistPool, OcpKind, PrefetcherKind, ProbeSink, RunOptions,
+    RunResult, StoreHandle, StorePolicy, SystemConfig, WorkerCommand,
 };
 
 // One geomean for the whole workspace: the experiments aggregate through the exact same

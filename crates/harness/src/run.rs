@@ -1,9 +1,9 @@
 //! Run options and the single-run entry points.
 //!
-//! The system configurations (CD1–CD4), mechanism registries and the `simulate` /
-//! `simulate_multicore` functions moved to `athena-engine` when the parallel experiment
-//! engine was introduced; they are re-exported here unchanged so existing callers keep
-//! working. What remains harness-local is [`RunOptions`], which bundles every knob an
+//! The system configurations (CD1–CD4), mechanism registries and the `simulate` function
+//! moved to `athena-engine` when the parallel experiment engine was introduced; they are
+//! re-exported here unchanged so existing callers keep working (a multi-core run is
+//! `athena_engine::Job::multicore(..).run()`). What remains harness-local is [`RunOptions`], which bundles every knob an
 //! experiment takes: run length, workload sampling, engine parallelism and trace
 //! substitution.
 //!
@@ -18,9 +18,8 @@ use std::path::PathBuf;
 use athena_engine::Engine;
 
 pub use athena_engine::{
-    default_athena_config, simulate, simulate_multicore, CellMemo, CoordinatorKind, DistPool,
-    OcpKind, PrefetcherKind, ProbeSink, RunResult, StoreHandle, StorePolicy, SystemConfig,
-    WorkerCommand,
+    default_athena_config, simulate, CellMemo, CoordinatorKind, DistPool, OcpKind, PrefetcherKind,
+    ProbeSink, RunResult, StoreHandle, StorePolicy, SystemConfig, WorkerCommand,
 };
 
 /// Options controlling run length, parallelism and trace substitution.

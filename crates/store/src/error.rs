@@ -4,6 +4,8 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
+use crate::store::FORMAT_VERSION;
+
 /// Everything that can go wrong while opening, reading or writing a result store.
 ///
 /// The discipline mirrors `athena-trace-io`: a store that cannot be read exactly is
@@ -19,7 +21,8 @@ pub enum StoreError {
     /// A store file does not start with its magic bytes. The payload names the file
     /// (`"log"` or `"index"`).
     BadMagic(&'static str),
-    /// A store file carries a format version this build does not understand.
+    /// A store file carries a format version this build does not understand. A store is
+    /// a cache of simulations, so the remedy is to delete it and let a run refill it.
     UnsupportedVersion {
         /// Which file (`"log"` or `"index"`).
         file: &'static str,
@@ -69,9 +72,12 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic(file) => {
                 write!(f, "not a result-store {file} (bad magic)")
             }
-            StoreError::UnsupportedVersion { file, version } => {
-                write!(f, "unsupported store {file} format version {version}")
-            }
+            StoreError::UnsupportedVersion { file, version } => write!(
+                f,
+                "unsupported store {file} format version {version} (this build reads version \
+                 {FORMAT_VERSION}); a result store is a cache: delete its directory and rerun \
+                 to refill it"
+            ),
             StoreError::Corrupt { file, at, reason } => {
                 write!(f, "corrupt store {file} at byte {at}: {reason}")
             }

@@ -66,6 +66,6 @@ mod store;
 
 pub use error::StoreError;
 pub use store::{
-    fnv64, GcReport, RecordKey, ResultStore, StorePolicy, StoreStats, VerifyReport, FORMAT_VERSION,
-    INDEX_FILE, LOCK_FILE, LOG_FILE,
+    checksum, hash64, GcReport, RecordKey, ResultStore, StorePolicy, StoreStats, VerifyReport,
+    FORMAT_VERSION, HASH_START, INDEX_FILE, LOCK_FILE, LOG_FILE,
 };

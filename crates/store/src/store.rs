@@ -16,7 +16,7 @@ pub const INDEX_FILE: &str = "index.bin";
 pub const LOCK_FILE: &str = "lock";
 
 /// The on-disk format version this build reads and writes (log and index share it).
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 const LOG_MAGIC: &[u8; 8] = b"ATHSTORE";
 const INDEX_MAGIC: &[u8; 8] = b"ATHINDEX";
@@ -27,22 +27,57 @@ const RECORD_HEADER_LEN: u64 = 28;
 /// Per-entry index size: identity u64, variant u64, offset u64, length u32, checksum u64.
 const INDEX_ENTRY_LEN: usize = 36;
 
-/// FNV-1a 64-bit offset basis (same family as the engine's seed hasher; reimplemented
-/// here so the store stays dependency-free).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The state [`hash64`] starts from for a [`checksum`] (and the engine's seed hasher starts
+/// from for an identity): the first 64 fraction bits of π.
+pub const HASH_START: u64 = 0x243f_6a88_85a3_08d3;
 
-/// FNV-1a 64-bit hash of `bytes` — the checksum used for record payloads and the index
-/// file. Exposed so integrity tests can forge/verify checksums without duplicating the
-/// constant.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut state = FNV_OFFSET;
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
+/// The per-word multiplier of [`hash64`]: odd, so multiplying is a bijection, and
+/// ≡ 5 (mod 8), so a one-bit difference below bit 62 never leaves the multiply as a
+/// one-bit difference (the fold in `hash_step` handles bits 62 and 63).
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of [`hash64`]: xor the word in, multiply, fold the high half down.
+///
+/// For a fixed word the step is a bijection of the state, and for a fixed state a
+/// bijection of the word. The fold matters: without it a flip of bit 63 stays bit 63
+/// through every later multiply, and a second flip of bit 63 in any later word cancels it.
+#[inline(always)]
+fn hash_step(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(HASH_MUL);
+    x ^ (x >> 32)
+}
+
+/// Absorbs `bytes` into a hash `state`, one little-endian 8-byte word per step (the last
+/// word zero-padded), then the byte length as one more word, and returns the new state.
+///
+/// This is the one hash of the workspace: [`checksum`] (store records, the index file,
+/// distributed frames) and the engine's identity hasher are built on it. Each step is a
+/// bijection of the state, so a payload that differs from another of its length in one
+/// word always hashes differently; two bit flips in adjacent words always do too (see
+/// `HASH_MUL`); any other difference collides with the odds of a 64-bit hash. Because the
+/// length is folded in last, consecutive calls hash length-delimited parts.
+pub fn hash64(mut state: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = word
+            .try_into()
+            .expect("chunks_exact(8) yields 8-byte words");
+        state = hash_step(state, u64::from_le_bytes(word));
     }
-    state
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        state = hash_step(state, u64::from_le_bytes(word));
+    }
+    hash_step(state, bytes.len() as u64)
+}
+
+/// The checksum of `bytes`: [`hash64`] from [`HASH_START`]. Stamped on record payloads,
+/// the index file and distributed frames; exposed so integrity tests can forge and
+/// verify checksums.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    hash64(HASH_START, bytes)
 }
 
 /// How the engine uses a store during a batch.
@@ -108,7 +143,7 @@ struct IndexEntry {
     offset: u64,
     /// Payload length in bytes.
     len: u32,
-    /// FNV-1a checksum of the payload.
+    /// [`checksum`] of the payload.
     checksum: u64,
 }
 
@@ -287,7 +322,7 @@ impl ResultStore {
                 format!("record payload truncated (expected {} bytes)", entry.len),
             ));
         }
-        if fnv64(&payload) != entry.checksum {
+        if checksum(&payload) != entry.checksum {
             return Err(StoreError::corrupt(
                 "log",
                 entry.offset,
@@ -319,7 +354,7 @@ impl ResultStore {
         record.extend_from_slice(&key.identity.to_le_bytes());
         record.extend_from_slice(&key.variant.to_le_bytes());
         record.extend_from_slice(&len.to_le_bytes());
-        record.extend_from_slice(&fnv64(payload).to_le_bytes());
+        record.extend_from_slice(&checksum(payload).to_le_bytes());
         record.extend_from_slice(payload);
         self.log.seek(SeekFrom::Start(offset))?;
         self.log.write_all(&record)?;
@@ -330,7 +365,7 @@ impl ResultStore {
             IndexEntry {
                 offset,
                 len,
-                checksum: fnv64(payload),
+                checksum: checksum(payload),
             },
         );
         self.total_records += 1;
@@ -358,7 +393,7 @@ impl ResultStore {
             bytes.extend_from_slice(&entry.len.to_le_bytes());
             bytes.extend_from_slice(&entry.checksum.to_le_bytes());
         }
-        bytes.extend_from_slice(&fnv64(&bytes).to_le_bytes());
+        bytes.extend_from_slice(&checksum(&bytes).to_le_bytes());
         let tmp = self.dir.join("index.tmp");
         fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, self.dir.join(INDEX_FILE))?;
@@ -393,18 +428,18 @@ impl ResultStore {
         let mut index = BTreeMap::new();
         for (key, payload) in &live {
             let len = payload.len() as u32;
-            let checksum = fnv64(payload);
+            let sum = checksum(payload);
             tmp.write_all(&key.identity.to_le_bytes())?;
             tmp.write_all(&key.variant.to_le_bytes())?;
             tmp.write_all(&len.to_le_bytes())?;
-            tmp.write_all(&checksum.to_le_bytes())?;
+            tmp.write_all(&sum.to_le_bytes())?;
             tmp.write_all(payload)?;
             index.insert(
                 *key,
                 IndexEntry {
                     offset,
                     len,
-                    checksum,
+                    checksum: sum,
                 },
             );
             offset += RECORD_HEADER_LEN + u64::from(len);
@@ -445,7 +480,7 @@ impl ResultStore {
             self.log.read_exact(&mut payload).map_err(|_| {
                 StoreError::corrupt("log", offset, "record payload truncated".to_string())
             })?;
-            if fnv64(&payload) != entry.checksum {
+            if checksum(&payload) != entry.checksum {
                 return Err(StoreError::corrupt(
                     "log",
                     offset,
@@ -571,7 +606,7 @@ impl ResultStore {
         }
         let body = &bytes[..bytes.len() - 8];
         let stored_checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv64(body) != stored_checksum {
+        if checksum(body) != stored_checksum {
             return Err(StoreError::corrupt(
                 "index",
                 bytes.len() as u64 - 8,
@@ -910,6 +945,70 @@ mod tests {
             "got: {err}"
         );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_format_1_store_is_refused_with_the_remedy() {
+        let dir = tmp_dir("format1");
+        drop(ResultStore::open(&dir, false).unwrap());
+        let log = dir.join(LOG_FILE);
+        let mut bytes = fs::read(&log).unwrap();
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        fs::write(&log, &bytes).unwrap();
+        let err = ResultStore::open(&dir, true).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unsupported store log format version 1 (this build reads version 2); a result \
+             store is a cache: delete its directory and rerun to refill it"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `bytes` with bit `bit` (counted over the whole slice, little-endian) flipped.
+    fn flipped(bytes: &[u8], bit: usize) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[bit / 8] ^= 1 << (bit % 8);
+        out
+    }
+
+    #[test]
+    fn every_flip_inside_one_word_changes_the_checksum() {
+        let bytes: Vec<u8> = (0..29u8).map(|b| b.wrapping_mul(37)).collect();
+        let sum = checksum(&bytes);
+        for a in 0..bytes.len() * 8 {
+            assert_ne!(checksum(&flipped(&bytes, a)), sum, "bit {a}");
+            // A second flip in the same word corrupts that one word.
+            for b in (a + 1)..(a / 64 * 64 + 64).min(bytes.len() * 8) {
+                assert_ne!(checksum(&flipped(&flipped(&bytes, a), b)), sum, "{a}, {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn flips_in_adjacent_words_never_cancel() {
+        // Word-wise FNV-1a loses exactly these: bit 63 of one word and of the next.
+        for start in [0u64, HASH_START, u64::MAX, 1 << 63] {
+            let bytes: Vec<u8> = [start, !start, start.rotate_left(7)]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect();
+            let sum = checksum(&bytes);
+            for a in 0..64 {
+                for b in 64..192 {
+                    let twice = flipped(&flipped(&bytes, a + (b / 128) * 64), b);
+                    assert_ne!(checksum(&twice), sum, "bits {a} and {b} from {start:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_length_separates_zero_padding_and_parts() {
+        assert_ne!(checksum(b"ab"), checksum(b"ab\0"));
+        assert_ne!(checksum(b""), checksum(&[0u8; 8]));
+        let parts = |a: &[u8], b: &[u8]| hash64(hash64(HASH_START, a), b);
+        assert_ne!(parts(b"ab", b"c"), parts(b"a", b"bc"));
+        assert_ne!(parts(b"ab", b""), checksum(b"ab"));
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub mod prelude {
     pub use athena_core::{AthenaAgent, AthenaConfig, Feature, RewardWeights};
     pub use athena_engine::{CellResult, Engine, Event, Job, JobOutput, ProbeSink, StoreHandle};
     pub use athena_harness::{
-        simulate, simulate_multicore, CoordinatorKind, OcpKind, PrefetcherKind, RunOptions,
-        RunResult, SystemConfig,
+        simulate, CoordinatorKind, OcpKind, PrefetcherKind, RunOptions, RunResult, SystemConfig,
     };
     pub use athena_probe::PhaseProfile;
     pub use athena_sim::{

@@ -170,8 +170,15 @@ fn simulation_is_deterministic() {
 fn multicore_mixes_run_and_interfere() {
     let mix_list = mixes(4, 1, 7);
     let config = SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet);
-    let base = simulate_multicore(&mix_list[0], &config, CoordinatorKind::Baseline, 20_000);
-    let athena = simulate_multicore(&mix_list[0], &config, CoordinatorKind::Athena, 20_000);
+    let run = |kind| {
+        let job = Job::multicore("adhoc", mix_list[0].clone(), config.clone(), kind, 20_000);
+        let JobOutput::Multi(result) = job.run() else {
+            panic!("a mix yields a multi-core result");
+        };
+        result
+    };
+    let base = run(CoordinatorKind::Baseline);
+    let athena = run(CoordinatorKind::Athena);
     assert_eq!(base.cores.len(), 4);
     assert_eq!(athena.cores.len(), 4);
     assert!(athena.geomean_speedup_over(&base) > 0.3);

@@ -75,12 +75,15 @@ fn simulate_is_sane_for_every_coordinator_kind() {
     }
 }
 
-/// The multi-core entry point works end-to-end on a tiny 2-core mix.
+/// A multi-core job works end-to-end on a tiny 2-core mix.
 #[test]
 fn simulate_multicore_smoke() {
-    let mix = &mixes(2, 1, 42)[0];
+    let mix = mixes(2, 1, 42).swap_remove(0);
     let config = SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet);
-    let result = simulate_multicore(mix, &config, CoordinatorKind::Athena, 5_000);
+    let job = Job::multicore("adhoc", mix, config, CoordinatorKind::Athena, 5_000);
+    let JobOutput::Multi(result) = job.run() else {
+        panic!("a mix yields a multi-core result");
+    };
     assert_eq!(result.cores.len(), 2);
     assert!(result.cores.iter().all(|c| c.cycles > 0));
     let ipc = result.geomean_ipc();
