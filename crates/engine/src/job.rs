@@ -257,23 +257,21 @@ impl Job {
     pub fn identity_hash(&self) -> u64 {
         let mut h = SeedHasher::new();
         h.write_str(&self.experiment);
-        self.hash_cell_into(&mut h, (true, true));
+        self.hash_cell_into(&mut h);
         h.finish()
     }
 
     /// Feeds every facet of [`Job::identity_hash`] after the experiment name into `h`:
-    /// what the cell computes, whichever experiment asked for it. `mechanisms`, as
-    /// `(ocp, prefetchers)`, leaves the configuration's OCP or prefetchers out where false;
-    /// the per-run cell memo ([`crate::CellMemo`]) leaves out what a static policy
-    /// switches off.
-    pub(crate) fn hash_cell_into(&self, h: &mut SeedHasher, mechanisms: (bool, bool)) {
+    /// what the cell computes, whichever experiment asked for it. The per-run cell memo
+    /// ([`crate::CellMemo`]) keys shared cells by these facets.
+    pub(crate) fn hash_cell_into(&self, h: &mut SeedHasher) {
         h.write_str(self.cell.name());
         if let WorkloadRef::Multi(mix) = &self.cell {
             for w in &mix.workloads {
                 h.write_str(&w.name);
             }
         }
-        self.config.hash_into(h, mechanisms);
+        self.config.hash_into(h);
         h.write_str(self.coordinator.name());
         match &self.coordinator {
             CoordinatorKind::Fixed { ocp, prefetchers } => {

@@ -181,19 +181,6 @@ impl CoordinatorKind {
         }
     }
 
-    /// The mechanisms a static policy switches on, as `(ocp, prefetchers)`; `None` for a
-    /// policy that decides at run time. A mechanism switched off here is never asked for
-    /// a prediction or a prefetch, so it cannot change what the cell computes.
-    pub(crate) fn static_mechanisms(&self) -> Option<(bool, bool)> {
-        match self {
-            CoordinatorKind::Baseline => Some((false, false)),
-            CoordinatorKind::OcpOnly => Some((true, false)),
-            CoordinatorKind::PrefetchersOnly => Some((false, true)),
-            CoordinatorKind::Fixed { ocp, prefetchers } => Some((*ocp, *prefetchers)),
-            _ => None,
-        }
-    }
-
     /// The display name used in tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -316,16 +303,12 @@ impl SystemConfig {
     /// revisions that change the config's shape — acceptable, because a config-shape change
     /// changes what a cell *means*. The rendering is cached per thread
     /// ([`crate::fingerprint`]), so a run renders each distinct config once, not per cell.
-    ///
-    /// `(ocp, prefetchers)` leaves the OCP or the prefetchers out where false, which
-    /// hashes the configuration as if they had been removed from it.
-    pub(crate) fn hash_into(&self, hasher: &mut SeedHasher, (ocp, prefetchers): (bool, bool)) {
-        let prefetchers: &[PrefetcherKind] = if prefetchers { &self.prefetchers } else { &[] };
-        hasher.write_u64(prefetchers.len() as u64);
-        for p in prefetchers {
+    pub(crate) fn hash_into(&self, hasher: &mut SeedHasher) {
+        hasher.write_u64(self.prefetchers.len() as u64);
+        for p in &self.prefetchers {
             hasher.write_str(p.name());
         }
-        hasher.write_str(self.ocp.filter(|_| ocp).map_or("", |o| o.name()));
+        hasher.write_str(self.ocp.map_or("", |o| o.name()));
         fingerprint::write_sim_config(hasher, &self.sim);
     }
 }
@@ -401,9 +384,9 @@ mod tests {
         let b = a.clone().with_bandwidth(1.6);
         assert_eq!(a.describe(), b.describe());
         let mut ha = SeedHasher::new();
-        a.hash_into(&mut ha, (true, true));
+        a.hash_into(&mut ha);
         let mut hb = SeedHasher::new();
-        b.hash_into(&mut hb, (true, true));
+        b.hash_into(&mut hb);
         assert_ne!(ha.finish(), hb.finish());
     }
 }

@@ -10,13 +10,7 @@
 //! * **Key.** The store's canonical facets with the experiment name left out: the
 //!   identity facets after the experiment ([`Job::hash_cell_into`]), the workload
 //!   reference's kind and a trace file's path, plus [`variant_hash`]. [`Job::run`] reads
-//!   neither the experiment nor the seed, so equal keys mean equal outputs. A static
-//!   policy's key also leaves out the mechanisms it switches off
-//!   ([`crate::kinds::CoordinatorKind::static_mechanisms`]): the hierarchy never asks a
-//!   disabled prefetcher for a prefetch nor a disabled OCP for a prediction, and what an
-//!   OCP trains is read only by a prediction or by TLP's confidence query, which no
-//!   static policy makes. So `baseline` on CD1 and on CD4 compute the same output and
-//!   share one key. Store identities keep the full configuration.
+//!   neither the experiment nor the seed, so equal keys mean equal outputs.
 //! * **Admission.** The first request for a key records the key alone. A later request
 //!   simulates again and its output is kept; every request after that reuses the kept
 //!   output. So a cell asked for once costs a map entry, not its output.
@@ -43,7 +37,7 @@ use crate::store::variant_hash;
 
 /// The default ceiling on the bytes of output a [`CellMemo`] keeps: 32 MiB. A kept
 /// output is charged about 4 KB at the quick preset's 40 K instructions, where the
-/// suite's recurring cells stay far below the ceiling, and about 38 KB at the default
+/// suite's 204 recurring cells stay far below the ceiling, and about 38 KB at the default
 /// 400 K, where the ceiling stops admission after about 880 outputs.
 const MEMO_CEILING_BYTES: usize = 32 << 20;
 
@@ -58,8 +52,7 @@ impl MemoKey {
     /// The key of `job`.
     pub(crate) fn of(job: &Job) -> Self {
         let mut h = SeedHasher::new();
-        let mechanisms = job.coordinator.static_mechanisms().unwrap_or((true, true));
-        job.hash_cell_into(&mut h, mechanisms);
+        job.hash_cell_into(&mut h);
         // The identity names a trace file's workload, not its path, so a replayed cell
         // and a generated one share an identity; the memo keeps them apart.
         match &job.cell {
@@ -224,7 +217,6 @@ mod tests {
     use super::*;
     use crate::exec::Engine;
     use crate::kinds::{CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
-    use athena_sim::fastmap::FxHashSet;
     use athena_workloads::{all_workloads, mixes};
 
     fn job(experiment: &str) -> Job {
@@ -325,103 +317,6 @@ mod tests {
             MemoKey::of(&job("fig7").with_telemetry(2048)),
             MemoKey::of(&job("fig7").with_telemetry(4096))
         );
-    }
-
-    /// Every prefetcher set and OCP choice the experiments build their configurations
-    /// from.
-    fn experiment_configs() -> Vec<SystemConfig> {
-        use PrefetcherKind::*;
-        let sets = [
-            vec![Pythia],
-            vec![Ipcp],
-            vec![SppPpf],
-            vec![Mlop],
-            vec![Sms],
-            vec![Ipcp, Pythia],
-            vec![Berti, Pythia],
-            vec![Sms, Pythia],
-        ];
-        let ocps = [
-            Some(OcpKind::Popet),
-            Some(OcpKind::Hmp),
-            Some(OcpKind::Ttp),
-            None,
-        ];
-        sets.iter()
-            .flat_map(|set| {
-                ocps.iter().map(|&ocp| SystemConfig {
-                    prefetchers: set.clone(),
-                    ocp,
-                    ..SystemConfig::cd1(Pythia, OcpKind::Popet)
-                })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn static_policies_share_the_cell_without_their_disabled_mechanisms() {
-        let static_kinds = [
-            CoordinatorKind::Baseline,
-            CoordinatorKind::OcpOnly,
-            CoordinatorKind::PrefetchersOnly,
-            CoordinatorKind::Fixed {
-                ocp: false,
-                prefetchers: false,
-            },
-            CoordinatorKind::Fixed {
-                ocp: true,
-                prefetchers: false,
-            },
-            CoordinatorKind::Fixed {
-                ocp: false,
-                prefetchers: true,
-            },
-            CoordinatorKind::Fixed {
-                ocp: true,
-                prefetchers: true,
-            },
-        ];
-        let workloads = all_workloads();
-        let friendly = workloads.iter().find(|w| w.designed_friendly).unwrap();
-        let adverse = workloads.iter().find(|w| !w.designed_friendly).unwrap();
-        let configs = experiment_configs();
-        for spec in [friendly, adverse] {
-            let cell = |config: &SystemConfig, kind: &CoordinatorKind| {
-                Job::single("t", spec.clone(), config.clone(), kind.clone(), 6_000)
-            };
-            for kind in &static_kinds {
-                let (ocp, prefetchers) = kind.static_mechanisms().unwrap();
-                let mut canonical_outputs = FxHashMap::default();
-                for config in &configs {
-                    let canonical = SystemConfig {
-                        prefetchers: if prefetchers {
-                            config.prefetchers.clone()
-                        } else {
-                            vec![]
-                        },
-                        ocp: config.ocp.filter(|_| ocp),
-                        sim: config.sim.clone(),
-                    };
-                    let (job, canonical) = (cell(config, kind), cell(&canonical, kind));
-                    let what = format!("{} on {}", job.label(), canonical.label());
-                    assert_eq!(MemoKey::of(&job), MemoKey::of(&canonical), "{what}");
-                    let expected = canonical_outputs
-                        .entry(MemoKey::of(&canonical))
-                        .or_insert_with(|| canonical.run());
-                    assert!(job.run() == *expected, "{what}: outputs differ");
-                    // The store identity keeps the full configuration.
-                    if job.config != canonical.config {
-                        assert_ne!(job.identity_hash(), canonical.identity_hash(), "{what}");
-                    }
-                }
-            }
-            // A policy that decides at run time keys every configuration apart.
-            let naive: FxHashSet<MemoKey> = configs
-                .iter()
-                .map(|c| MemoKey::of(&cell(c, &CoordinatorKind::Naive)))
-                .collect();
-            assert_eq!(naive.len(), configs.len());
-        }
     }
 
     #[test]
